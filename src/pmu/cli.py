@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, TrainingError
 from .tokenizers.vocab import BLANK, UNK, Vocabulary
 
 
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError, OSError) as e:
+    except (InputError, FormatError, TrainingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,14 @@ log posterior together with its analytic gradient w.r.t. those log-probs.
 `ctc_brute_force` and `transducer_brute_force` are deliberately naive
 enumeration oracles for small instances; they share no code with the
 dynamic-programming paths they check.
+
+The transducer forward-backward follows Graves (2012, arXiv:1211.3711).  A
+lattice cell (t, u) depends only on cells of the anti-diagonal t+u-1 (alpha)
+or t+u+1 (beta), so each pass sweeps the T+U anti-diagonals with one
+vectorised `np.logaddexp` per diagonal: T+U numpy steps instead of T*U
+scalar ones.  Every cell still adds the same two addends through the same
+`np.logaddexp`, so values and gradients equal those of a cell-by-cell
+recursion bit for bit.
 """
 
 from __future__ import annotations
@@ -35,10 +43,6 @@ class LossResult:
 
 def _clamp(logprobs: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(logprobs, dtype=np.float64), LOG_FLOOR)
-
-
-def _logaddexp(a, b):
-    return np.logaddexp(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +91,8 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
         jump[~skip] = NEG
         alpha[t] = np.logaddexp(np.logaddexp(stay, move), jump) + lp[t, ext]
 
-    logz = alpha[T - 1, S - 1] if S == 1 else _logaddexp(alpha[T - 1, S - 1],
-                                                         alpha[T - 1, S - 2])
+    logz = alpha[T - 1, S - 1] if S == 1 else np.logaddexp(alpha[T - 1, S - 1],
+                                                           alpha[T - 1, S - 2])
     if not np.isfinite(logz):
         return LossResult(math.inf, np.zeros_like(lp), "unreachable")
 
@@ -154,10 +158,11 @@ def transducer_loss(lattice: np.ndarray, labels) -> LossResult:
     `lattice` is (T, U+1, V) normalized log-probs; blank id 0.  Every target
     is reachable (emitting does not consume a frame), so status is always ok.
     """
-    lp = _clamp(lattice)
-    if lp.ndim != 3:
-        raise ContractViolation(f"transducer_loss: lattice must be 3-D, got {lp.shape}")
-    T, U1, V = lp.shape
+    lattice = np.asarray(lattice)
+    if lattice.ndim != 3:
+        raise ContractViolation(
+            f"transducer_loss: lattice must be 3-D, got {lattice.shape}")
+    T, U1, V = lattice.shape
     y = [int(i) for i in labels]
     U = len(y)
     if T < 1:
@@ -171,41 +176,57 @@ def transducer_loss(lattice: np.ndarray, labels) -> LossResult:
         raise ContractViolation(f"transducer_loss: label id out of range for V={V}")
 
     NEG = -np.inf
-    emit = np.full((T, U), NEG) if U else np.zeros((T, 0))
-    for u, lab in enumerate(y):
-        emit[:, u] = lp[:, u, lab]
-    blank = lp[:, :, 0]
+    # only blank and label entries enter the lattice, so only they are clamped
+    u_ids, y_ids = np.arange(U), np.asarray(y, dtype=np.intp)
+    emit = _clamp(lattice[:, u_ids, y_ids])
+    blank = _clamp(lattice[:, :, 0])
 
-    alpha = np.full((T, U + 1), NEG)
-    alpha[0, 0] = 0.0
-    for u in range(1, U + 1):
-        alpha[0, u] = alpha[0, u - 1] + emit[0, u - 1]
-    for t in range(1, T):
-        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
-        for u in range(1, U + 1):
-            alpha[t, u] = _logaddexp(alpha[t - 1, u] + blank[t - 1, u],
-                                     alpha[t, u - 1] + emit[t, u - 1])
+    # Skewed layout: row n holds the anti-diagonal t+u = n, cell (t, u) at
+    # column u+1.  Columns 0 and U+2 and every cell off the lattice are -inf
+    # padding, so edge cells go through the same logaddexp as inner ones.
+    # Diagonal n covers max(0, n-T+1) <= u <= min(n, U); only those cells
+    # are ever written.
+    D = T + U
+    rows, cols = np.indices((T, U + 1))
+    rows += cols  # t + u
+    cols += 1     # u + 1
+    skew_blank = np.full((D, U + 3), NEG)
+    skew_blank[rows, cols] = blank
+    skew_emit = np.full((D, U + 3), NEG)
+    skew_emit[rows[:, :U], cols[:, :U]] = emit
+
+    # alpha(t, u) = logaddexp(alpha(t-1, u) + blank(t-1, u),
+    #                         alpha(t, u-1) + emit(t, u-1))
+    a = np.full((D, U + 3), NEG)
+    a[0, 1] = 0.0
+    for n in range(1, D):
+        on = slice(max(1, n - T + 2), min(n, U) + 2)
+        left = slice(on.start - 1, on.stop - 1)
+        np.logaddexp(a[n - 1, on] + skew_blank[n - 1, on],
+                     a[n - 1, left] + skew_emit[n - 1, left], out=a[n, on])
+
+    # beta(t, u) = logaddexp(blank(t, u) + beta(t+1, u),
+    #                        emit(t, u) + beta(t, u+1))
+    b = np.full((D, U + 3), NEG)
+    b[D - 1, U + 1] = blank[T - 1, U]
+    for n in range(D - 2, -1, -1):
+        on = slice(max(1, n - T + 2), min(n, U) + 2)
+        right = slice(on.start + 1, on.stop + 1)
+        np.logaddexp(skew_blank[n, on] + b[n + 1, on],
+                     skew_emit[n, on] + b[n + 1, right], out=b[n, on])
+
+    alpha = a[rows, cols]
+    beta = b[rows, cols]
     logz = alpha[T - 1, U] + blank[T - 1, U]
 
-    beta = np.full((T, U + 1), NEG)
-    beta[T - 1, U] = blank[T - 1, U]
-    for u in range(U - 1, -1, -1):
-        beta[T - 1, u] = emit[T - 1, u] + beta[T - 1, u + 1]
-    for t in range(T - 2, -1, -1):
-        beta[t, U] = blank[t, U] + beta[t + 1, U]
-        for u in range(U - 1, -1, -1):
-            beta[t, u] = _logaddexp(blank[t, u] + beta[t + 1, u],
-                                    emit[t, u] + beta[t, u + 1])
-
-    grad = np.zeros_like(lp)
+    grad = np.zeros(lattice.shape)
     with np.errstate(under="ignore"):
         # blank transitions: next state is (t+1, u); the final blank ends.
         nxt = np.full((T, U + 1), NEG)
         nxt[:-1] = beta[1:]
         nxt[T - 1, U] = 0.0
         grad[:, :, 0] = -np.exp(alpha + blank + nxt - logz)
-        for u, lab in enumerate(y):
-            grad[:, u, lab] -= np.exp(alpha[:, u] + emit[:, u] + beta[:, u + 1] - logz)
+        grad[:, u_ids, y_ids] -= np.exp(alpha[:, :U] + emit + beta[:, 1:] - logz)
     return LossResult(float(-logz), grad, "ok")
 
 

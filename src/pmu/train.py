@@ -134,6 +134,15 @@ def train_step(model: ConformerTransducer, batch: list[Sample],
     for b in bundles:
         ad.backward(ad.scale(b.node, 1.0 / n))
     norm = clip_gradients(model.params, cfg.grad_clip_norm)
+    if not math.isfinite(norm):
+        # a NaN norm compares false against the clip bound, so it must be
+        # stopped here, before Adam folds it into parameters and moments
+        bad = [p for p, node in model.params.items()
+               if not np.isfinite(node.grad).all()]
+        where = (f"first at parameter {bad[0]!r}" if bad
+                 else "every entry finite, the squared norm overflows")
+        raise TrainingError(f"non-finite gradient norm {norm} at step {step} "
+                            f"({where})")
     adam_update(model.params, opt, lr)
 
     comps: dict[str, float] = {}

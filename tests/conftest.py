@@ -1,11 +1,16 @@
-"""Shared test plumbing: the acceptance-criteria result banner.
+"""Shared test plumbing: the acceptance-criteria result banner, and a
+transducer loss whose gradient carries a NaN.
 
 Each acceptance test records exactly one PASS/FAIL line; they are echoed
 in the terminal summary so the verdicts are visible even when everything
 passes and pytest swallows per-test stdout.
 """
 
+import math
+
 import pytest
+
+import pmu.losses
 
 _LINES: list[str] = []
 
@@ -23,3 +28,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def nan_transducer_grad(monkeypatch):
+    """Make every transducer loss keep its finite value but put a NaN in its
+    gradient, the case a loss-value check cannot see."""
+    real = pmu.losses.transducer_loss
+
+    def nan_grad(lattice, labels):
+        res = real(lattice, labels)
+        res.grad[0, 0, 0] = math.nan
+        return res
+
+    monkeypatch.setattr(pmu.losses, "transducer_loss", nan_grad)

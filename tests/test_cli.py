@@ -132,3 +132,14 @@ def test_unknown_tokenizer_header_exits_2(workspace, capsys, tmp_path):
     assert main(["tokenize", "encode", "--model", str(junk),
                  "--text", "x"]) == 2
     assert "unrecognized tokenizer header" in capsys.readouterr().err
+
+
+def test_training_error_exits_2(workspace, capsys, nan_transducer_grad):
+    cfg = workspace / "exp_nan.cfg"
+    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
+                   .replace(str(workspace / "run"), str(workspace / "run_nan")),
+                   encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite gradient norm nan at step 1")
+    assert "Traceback" not in err

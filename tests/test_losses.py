@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pmu.autodiff as ad
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import (
+    LOG_FLOOR,
     ctc_brute_force,
     ctc_loss,
     ctc_loss_node,
@@ -173,6 +175,98 @@ class TestTransducer:
         lat = random_logprob_matrix(np.random.default_rng(5), 200, 31, 4)
         with pytest.raises(InputError):
             transducer_brute_force(lat, list(range(1, 31)))
+
+
+def scalar_transducer_reference(lattice, labels):
+    """The cell-by-cell T x U forward-backward the vectorised kernel must
+    reproduce bit for bit: same addends, same np.logaddexp, per cell."""
+    lp = np.maximum(np.asarray(lattice, dtype=np.float64), LOG_FLOOR)
+    T, U1, _ = lp.shape
+    U = U1 - 1
+    NEG = -np.inf
+    emit = np.full((T, U), NEG) if U else np.zeros((T, 0))
+    for u, lab in enumerate(labels):
+        emit[:, u] = lp[:, u, lab]
+    blank = lp[:, :, 0]
+
+    alpha = np.full((T, U + 1), NEG)
+    alpha[0, 0] = 0.0
+    for u in range(1, U + 1):
+        alpha[0, u] = alpha[0, u - 1] + emit[0, u - 1]
+    for t in range(1, T):
+        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
+        for u in range(1, U + 1):
+            alpha[t, u] = np.logaddexp(alpha[t - 1, u] + blank[t - 1, u],
+                                       alpha[t, u - 1] + emit[t, u - 1])
+    logz = alpha[T - 1, U] + blank[T - 1, U]
+
+    beta = np.full((T, U + 1), NEG)
+    beta[T - 1, U] = blank[T - 1, U]
+    for u in range(U - 1, -1, -1):
+        beta[T - 1, u] = emit[T - 1, u] + beta[T - 1, u + 1]
+    for t in range(T - 2, -1, -1):
+        beta[t, U] = blank[t, U] + beta[t + 1, U]
+        for u in range(U - 1, -1, -1):
+            beta[t, u] = np.logaddexp(blank[t, u] + beta[t + 1, u],
+                                      emit[t, u] + beta[t, u + 1])
+
+    grad = np.zeros_like(lp)
+    with np.errstate(under="ignore"):
+        nxt = np.full((T, U + 1), NEG)
+        nxt[:-1] = beta[1:]
+        nxt[T - 1, U] = 0.0
+        grad[:, :, 0] = -np.exp(alpha + blank + nxt - logz)
+        for u, lab in enumerate(labels):
+            grad[:, u, lab] -= np.exp(alpha[:, u] + emit[:, u] + beta[:, u + 1] - logz)
+    return float(-logz), grad
+
+
+def bit_exactness_lattices():
+    """Seeded lattices over the shapes where an anti-diagonal sweep could
+    slip: T=1, U=0, V=2, repeated labels, U much larger than T, and entries
+    at or below LOG_FLOOR."""
+    rng = np.random.default_rng(2024)
+    fixed = [(1, 0, 2), (1, 5, 3), (5, 0, 2), (1, 1, 2), (2, 40, 7),
+             (3, 60, 4), (40, 1, 9), (23, 3, 30), (25, 6, 21)]
+    shapes = fixed + [(int(rng.integers(1, 40)), int(rng.integers(0, 30)),
+                       int(rng.integers(2, 30))) for _ in range(120)]
+    cases = []
+    for i, (T, U, V) in enumerate(shapes):
+        lat = random_logprob_matrix(rng, T, U + 1, V)
+        if i % 4 == 1:
+            lat *= 40.0  # peaked distributions, wide dynamic range
+        if i % 4 == 2:
+            lat[rng.random(lat.shape) < 0.3] = 2 * LOG_FLOOR
+        y = [int(k) for k in rng.integers(1, V, size=U)]
+        if i % 3 == 0 and U:
+            y = [y[0]] * U
+        cases.append((lat, y))
+    return cases
+
+
+def test_transducer_matches_scalar_recursion_bit_for_bit():
+    for lat, y in bit_exactness_lattices():
+        # where every alignment crosses a floored entry, logz is ~1e30 and
+        # the gradient's exp overflows; the two recursions must agree there too
+        with np.errstate(over="ignore"):
+            res = transducer_loss(lat, y)
+            want_value, want_grad = scalar_transducer_reference(lat, y)
+        assert res.value == want_value, (lat.shape, y)
+        assert np.array_equal(res.grad, want_grad), (lat.shape, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_transducer_matches_brute_force_property(data):
+    T = data.draw(st.integers(1, 5), label="T")
+    U = data.draw(st.integers(0, 4), label="U")
+    V = data.draw(st.integers(2, 5), label="V")
+    y = data.draw(st.lists(st.integers(1, V - 1), min_size=U, max_size=U),
+                  label="labels")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    lat = random_logprob_matrix(np.random.default_rng(seed), T, U + 1, V)
+    assert transducer_loss(lat, y).value == pytest.approx(
+        transducer_brute_force(lat, y), abs=1e-12)
 
 
 class TestRegularizers:

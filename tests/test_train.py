@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pmu.config import DataConfig, Experiment, TrainConfig
-from pmu.errors import FormatError, InputError
+from pmu.errors import FormatError, InputError, TrainingError
 from pmu.model import (
     ConformerTransducer,
     EncoderConfig,
@@ -385,6 +385,27 @@ class TestTrainStep:
         assert bundle.skipped_samples == 1
         assert bundle.l_total == pytest.approx(solo, abs=1e-12)
         assert info["updated"] is True
+
+    def test_non_finite_gradient_stops_before_adam(self, nan_transducer_grad):
+        """A finite loss with a NaN gradient must not reach the optimizer:
+        the step raises, naming itself and a parameter, and leaves the
+        parameters and Adam state as they were."""
+        model = tiny_model()
+        opt = AdamState.for_params(model.params)
+        opt.t = 2
+        for p in opt.m:
+            opt.m[p][...] = 0.5
+            opt.v[p][...] = 0.25
+        before = {p: n.value.copy() for p, n in model.params.items()}
+        with pytest.raises(TrainingError, match="at step 3") as err:
+            train_step(model, [sample()], TrainConfig(), opt, 3)
+        bad = [p for p, n in model.params.items()
+               if not np.isfinite(n.grad).all()]
+        assert bad and f"first at parameter {bad[0]!r}" in str(err.value)
+        assert opt.t == 2
+        for p, n in model.params.items():
+            np.testing.assert_array_equal(n.value, before[p])
+            assert (opt.m[p] == 0.5).all() and (opt.v[p] == 0.25).all()
 
     def test_variants_share_the_transducer_branch_at_init(self):
         """Taps are read-only with self-conditioning off, so every variant
