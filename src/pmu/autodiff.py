@@ -444,9 +444,6 @@ class ParamStore:
         for node in self._params.values():
             node.zero_grad()
 
-    def num_entries(self) -> int:
-        return sum(n.value.size for n in self._params.values())
-
 
 # ---------------------------------------------------------------------------
 # finite differences (test oracle)

@@ -262,14 +262,6 @@ def transducer_brute_force(lattice: np.ndarray, labels) -> float:
 # ---------------------------------------------------------------------------
 # regularizers
 
-def label_smoothed_nll(logprobs: np.ndarray, target_id: int, weight: float) -> float:
-    """(1-w) * NLL(target) + w * mean over the vocabulary of NLL."""
-    if not (0.0 <= weight < 1.0):
-        raise ContractViolation(f"label_smoothed_nll: weight {weight} not in [0,1)")
-    lp = np.asarray(logprobs, dtype=np.float64)
-    return float((1.0 - weight) * -lp[target_id] + weight * np.mean(-lp))
-
-
 def uniform_kl(logprobs_node: Node, axis: int = -1) -> Node:
     """Mean over positions of KL(uniform || p); zero when p is uniform.
 

@@ -1,17 +1,23 @@
 """Conformer-Transducer with multi-target CTC heads.
 
 The encoder is a stack of pre-norm conformer blocks over 4x-subsampled
-features.  Depending on the configured variant, CTC heads tap the encoder
-at the top (baseline / basic_pmu / para_ctc) or between block groups
-(pca_ctc), optionally feeding each intermediate posterior back into the
-trunk through a zero-initialized linear projection (self-conditioning).
-Head and projection sharing is expressed as parameter-path aliasing, so
-"shared" literally means identical parameter nodes.
+features.  The variant's CTC heads come from one table, `head_specs`: each
+entry names the head's units, the block after which it taps the trunk (the
+top for baseline / basic_pmu / para_ctc, between block groups for pca_ctc),
+its weight group in the objective, and whether its posterior is fed back
+into the trunk through a zero-initialized linear projection
+(self-conditioning).  Parameters, the forward taps, targets, vocabulary
+sizes and the weighted objective all loop over that table.  Head and
+projection sharing is expressed as parameter-path aliasing, so "shared"
+literally means identical parameter nodes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -143,12 +149,12 @@ def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
     cfg.validate()
     pmu.validate(cfg)
     errors = []
-    for name in head_names(pmu):
-        v = head_vocab_size(cfg, name)
+    for spec in head_specs(pmu):
+        v = getattr(cfg, f"vocab_{spec.units}")
         if v < 2:
-            errors.append(f"head {name!r} needs a vocabulary of >= 2 "
+            errors.append(f"head {spec.name!r} needs a vocabulary of >= 2 "
                           f"(blank plus one unit), got {v}")
-    want = cfg.vocab_bpe if pmu.trans_units == "bpe" else cfg.vocab_pasm
+    want = getattr(cfg, f"vocab_{pmu.trans_units}")
     if want and want != cfg.vocab_trans:
         errors.append(f"vocab_trans = {cfg.vocab_trans} does not match the "
                       f"{pmu.trans_units} vocabulary size {want}")
@@ -156,27 +162,44 @@ def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
         raise InputError("; ".join(errors))
 
 
+@dataclass(frozen=True)
+class HeadSpec:
+    """One CTC head.  `units` keys the vocabulary size, tokenizer and
+    target ("pasm", "bpe" or "bpe_small"); `tap` is the number of blocks
+    after which the head reads the trunk (None: the top).  Heads of one
+    `group` are summed, then scaled by their common `weight`.  `sc` is the
+    path of the self-conditioning projection, if any; `shares` names an
+    earlier head whose tap and projection parameters this one reuses."""
+    name: str
+    units: str
+    tap: int | None = None
+    group: int = 0
+    weight: float = 1.0
+    sc: str | None = None
+    shares: str | None = None
+
+
+def head_specs(pmu: PMUConfig) -> list[HeadSpec]:
+    """The variant's CTC heads in forward order."""
+    if pmu.variant == "baseline":
+        return [HeadSpec(pmu.ctc_units, pmu.ctc_units)]
+    if pmu.variant == "basic_pmu":
+        return [HeadSpec("pasm", "pasm")]
+    if pmu.variant == "para_ctc":
+        return [HeadSpec("pasm", "pasm", weight=pmu.alpha),
+                HeadSpec("bpe", "bpe", group=1, weight=1.0 - pmu.alpha)]
+    sc = pmu.sc_enabled
+    w = pmu.beta / 2.0 if pmu.n2 else pmu.beta
+    mid = [HeadSpec("bpe_n2", "bpe_small", pmu.n1 + pmu.n2, 0, w,
+                    "sc/n2" if sc else None,
+                    "pasm_n1" if pmu.heads_shared else None)] if pmu.n2 else []
+    return [HeadSpec("pasm_n1", "pasm", pmu.n1, 0, w, "sc/n1" if sc else None),
+            *mid, HeadSpec("bpe_n3", "bpe", group=1, weight=1.0 - pmu.beta)]
+
+
 def head_names(pmu: PMUConfig) -> list[str]:
     """Active CTC head names for the variant, in forward order."""
-    if pmu.variant == "baseline":
-        return [pmu.ctc_units]
-    if pmu.variant == "basic_pmu":
-        return ["pasm"]
-    if pmu.variant == "para_ctc":
-        return ["pasm", "bpe"]
-    names = ["pasm_n1"]
-    if pmu.n2 > 0:
-        names.append("bpe_n2")
-    names.append("bpe_n3")
-    return names
-
-
-def head_vocab_size(cfg: ModelConfig, name: str) -> int:
-    if name in ("pasm", "pasm_n1"):
-        return cfg.vocab_pasm
-    if name == "bpe_n2":
-        return cfg.vocab_bpe_small
-    return cfg.vocab_bpe
+    return [spec.name for spec in head_specs(pmu)]
 
 
 def subsampled_length(T: int, factor: int) -> int:
@@ -240,29 +263,23 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
         ps.create(f"{p}/fin_g", (d,), init="ones")
         ps.create(f"{p}/fin_b", (d,), init="zeros")
 
-    shared_pairs = []
-    if pmu.heads_shared:
-        shared_pairs = [("tap/bpe_n2", "tap/pasm_n1"), ("sc/n2", "sc/n1")]
-
-    for name in head_names(pmu):
-        path = f"tap/{name}"
-        if any(path == alias for alias, _ in shared_pairs):
+    heads = {}
+    for spec in head_specs(pmu):
+        heads[spec.name] = spec
+        if spec.shares:
+            owner = heads[spec.shares]
+            for leaf in ("w", "b"):
+                ps.alias(f"tap/{spec.name}/{leaf}", f"tap/{owner.name}/{leaf}")
+                if spec.sc:
+                    ps.alias(f"{spec.sc}/{leaf}", f"{owner.sc}/{leaf}")
             continue
-        V = head_vocab_size(cfg, name)
-        ps.create(f"{path}/w", (d, V))
-        ps.create(f"{path}/b", (V,), init="zeros")
-
-    if pmu.sc_enabled:
-        # zero init makes self-conditioning an exact no-op at step 0
-        ps.create("sc/n1/w", (cfg.vocab_pasm, d), init="zeros")
-        ps.create("sc/n1/b", (d,), init="zeros")
-        if pmu.n2 > 0 and not pmu.heads_shared:
-            ps.create("sc/n2/w", (cfg.vocab_bpe_small, d), init="zeros")
-            ps.create("sc/n2/b", (d,), init="zeros")
-
-    for alias, target in shared_pairs:
-        for leaf in ("w", "b"):
-            ps.alias(f"{alias}/{leaf}", f"{target}/{leaf}")
+        V = getattr(cfg, f"vocab_{spec.units}")
+        ps.create(f"tap/{spec.name}/w", (d, V))
+        ps.create(f"tap/{spec.name}/b", (V,), init="zeros")
+        if spec.sc:
+            # zero init makes self-conditioning an exact no-op at step 0
+            ps.create(f"{spec.sc}/w", (V, d), init="zeros")
+            ps.create(f"{spec.sc}/b", (d,), init="zeros")
 
     ps.create("lab/embed", (cfg.vocab_trans, cfg.lstm_dim))
     ps.create("lab/lstm/wx", (cfg.lstm_dim, 4 * cfg.lstm_dim))
@@ -375,9 +392,7 @@ def self_condition(h, ctc_posterior, w, b):
 
 @dataclass
 class ForwardOutputs:
-    h_n1: Node | None = None
-    h_n2: Node | None = None
-    h_n3: Node | None = None
+    h_n3: Node | None = None  # the top of the trunk
     ctc_heads: dict = field(default_factory=dict)
     lattice: Node | None = None
     h_u: Node | None = None
@@ -385,45 +400,23 @@ class ForwardOutputs:
 
 def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
                      ctx: RunCtx | None = None) -> ForwardOutputs:
-    """Subsampling, conformer block groups, and the variant's CTC taps."""
+    """Subsampling, the conformer blocks, and the variant's CTC taps: a tap
+    reads the trunk after its block and, with a projection, conditions the
+    blocks above it on its posterior."""
     ctx = ctx or RunCtx()
     e = cfg.encoder
     h = _subsample(x, cfg, ps, ctx)
     out = ForwardOutputs()
-
-    if pmu.variant != "pca_ctc":
-        for i in range(e.num_layers):
-            h = conformer_block(h, ps, f"enc/l{i:02d}", e, ctx)
-        out.h_n3 = h
-        for name in head_names(pmu):
-            out.ctc_heads[name], _ = ctc_head(h, ps, name)
-        return out
-
-    layer = 0
-    for _ in range(pmu.n1):
-        h = conformer_block(h, ps, f"enc/l{layer:02d}", e, ctx)
-        layer += 1
-    out.h_n1 = h
-    logp, post = ctc_head(h, ps, "pasm_n1")
-    out.ctc_heads["pasm_n1"] = logp
-    if pmu.sc_enabled:
-        h = self_condition(h, post, ps.get("sc/n1/w"), ps.get("sc/n1/b"))
-
-    if pmu.n2 > 0:
-        for _ in range(pmu.n2):
-            h = conformer_block(h, ps, f"enc/l{layer:02d}", e, ctx)
-            layer += 1
-        out.h_n2 = h
-        logp, post = ctc_head(h, ps, "bpe_n2")
-        out.ctc_heads["bpe_n2"] = logp
-        if pmu.sc_enabled:
-            h = self_condition(h, post, ps.get("sc/n2/w"), ps.get("sc/n2/b"))
-
-    for _ in range(pmu.n3):
-        h = conformer_block(h, ps, f"enc/l{layer:02d}", e, ctx)
-        layer += 1
+    specs = head_specs(pmu)
+    for i in range(e.num_layers):
+        h = conformer_block(h, ps, f"enc/l{i:02d}", e, ctx)
+        for spec in specs:
+            if (spec.tap or e.num_layers) == i + 1:
+                out.ctc_heads[spec.name], post = ctc_head(h, ps, spec.name)
+                if spec.sc:
+                    h = self_condition(h, post, ps.get(f"{spec.sc}/w"),
+                                       ps.get(f"{spec.sc}/b"))
     out.h_n3 = h
-    out.ctc_heads["bpe_n3"], _ = ctc_head(h, ps, "bpe_n3")
     return out
 
 
@@ -473,46 +466,24 @@ class LossBundle:
     status: str = "ok"
 
 
-def _ctc_term_value(pmu: PMUConfig, comps: dict) -> float:
-    if pmu.variant == "baseline":
-        return comps[pmu.ctc_units]
-    if pmu.variant == "basic_pmu":
-        return comps["pasm"]
-    if pmu.variant == "para_ctc":
-        return pmu.alpha * comps["pasm"] + (1.0 - pmu.alpha) * comps["bpe"]
-    if pmu.n2 == 0:
-        return pmu.beta * comps["pasm_n1"] + (1.0 - pmu.beta) * comps["bpe_n3"]
-    return ((comps["pasm_n1"] + comps["bpe_n2"]) * (pmu.beta / 2.0)
-            + comps["bpe_n3"] * (1.0 - pmu.beta))
-
-
-def _ctc_term_node(pmu: PMUConfig, nodes: dict) -> Node:
-    if pmu.variant == "baseline":
-        return nodes[pmu.ctc_units]
-    if pmu.variant == "basic_pmu":
-        return nodes["pasm"]
-    if pmu.variant == "para_ctc":
-        return ad.add(ad.scale(nodes["pasm"], pmu.alpha),
-                      ad.scale(nodes["bpe"], 1.0 - pmu.alpha))
-    if pmu.n2 == 0:
-        return ad.add(ad.scale(nodes["pasm_n1"], pmu.beta),
-                      ad.scale(nodes["bpe_n3"], 1.0 - pmu.beta))
-    return ad.add(ad.scale(ad.add(nodes["pasm_n1"], nodes["bpe_n2"]), pmu.beta / 2.0),
-                  ad.scale(nodes["bpe_n3"], 1.0 - pmu.beta))
+def _weighted_total(pmu: PMUConfig, l_trans, comps: dict, add, scale):
+    """lambda_trans * L_trans + lambda_ctc * (sum over groups of weight *
+    (sum of the group's head losses)), on floats or on tape nodes.  Sums run
+    left to right in head order; a weight of 1 adds no scale."""
+    term = None
+    for _, group in itertools.groupby(head_specs(pmu), key=lambda s: s.group):
+        group = list(group)
+        g = functools.reduce(add, (comps[spec.name] for spec in group))
+        if group[0].weight != 1.0:
+            g = scale(g, group[0].weight)
+        term = g if term is None else add(term, g)
+    return add(scale(l_trans, pmu.lambda_trans), scale(term, pmu.lambda_ctc))
 
 
 def combine_losses(pmu: PMUConfig, l_trans: float, comps: dict) -> float:
     """The variant's weighting formula on plain floats; the emitted total
     must match this recomputation exactly."""
-    return pmu.lambda_trans * l_trans + pmu.lambda_ctc * _ctc_term_value(pmu, comps)
-
-
-def _head_target(name: str, y_ctc_pasm, y_ctc_bpe, y_ctc_bpe_small):
-    if name in ("pasm", "pasm_n1"):
-        return y_ctc_pasm
-    if name == "bpe_n2":
-        return y_ctc_bpe_small
-    return y_ctc_bpe
+    return _weighted_total(pmu, l_trans, comps, operator.add, operator.mul)
 
 
 def assemble_objective(outputs: ForwardOutputs, y_ctc_pasm, y_ctc_bpe, y_trans,
@@ -525,13 +496,15 @@ def assemble_objective(outputs: ForwardOutputs, y_ctc_pasm, y_ctc_bpe, y_trans,
     component carries a uniform-KL regularizer before weighting, so the
     logged components still recombine exactly into the total.
     """
+    targets = {"pasm": y_ctc_pasm, "bpe": y_ctc_bpe, "bpe_small": y_ctc_bpe_small}
     comp_nodes: dict[str, Node] = {}
     comps: dict[str, float] = {}
-    for name in head_names(pmu):
+    for spec in head_specs(pmu):
+        name = spec.name
         head = outputs.ctc_heads.get(name)
         if head is None:
             raise InputError(f"forward outputs carry no CTC head {name!r}")
-        target = _head_target(name, y_ctc_pasm, y_ctc_bpe, y_ctc_bpe_small)
+        target = targets[spec.units]
         if target is None:
             raise InputError(f"missing target for active head {name!r}")
         node, status = losses.ctc_loss_node(head, target)
@@ -557,8 +530,7 @@ def assemble_objective(outputs: ForwardOutputs, y_ctc_pasm, y_ctc_bpe, y_trans,
         return LossBundle(l_trans=l_trans, l_ctc_components=comps,
                           skipped_samples=1, status="nonfinite:trans")
 
-    total = ad.add(ad.scale(trans_node, pmu.lambda_trans),
-                   ad.scale(_ctc_term_node(pmu, comp_nodes), pmu.lambda_ctc))
+    total = _weighted_total(pmu, trans_node, comp_nodes, ad.add, ad.scale)
     return LossBundle(l_trans=l_trans, l_ctc_components=comps,
                       l_total=float(total.value), node=total)
 

@@ -25,12 +25,6 @@ class AlignmentTable:
     def prob(self, letter: str, phoneme: str) -> float:
         return self.t_prob.get((letter, phoneme), 0.0)
 
-    def row_sums(self) -> dict[str, float]:
-        sums: dict[str, float] = defaultdict(float)
-        for (letter, _), p in self.t_prob.items():
-            sums[letter] += p
-        return dict(sums)
-
 
 def _pairs(lexicon: Lexicon) -> list[tuple[list[str], list[str]]]:
     out = []

@@ -25,8 +25,8 @@ from .data import Utterance, load_manifest
 from .decode import decode_dataset
 from .errors import FormatError, InputError, TrainingError
 from .metrics import wer_corpus
-from .model import (ConformerTransducer, LossBundle, ModelConfig, PMUConfig,
-                    configs_from_dict, head_names)
+from .model import (ConformerTransducer, LossBundle, PMUConfig,
+                    configs_from_dict, head_specs)
 from .tokenizers import encode_bpe, encode_pasm, load_bpe, load_pasm
 
 ADAM_BETA1 = 0.9
@@ -302,44 +302,26 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
 # full experiment
 
 def _needed_targets(pmu: PMUConfig) -> set[str]:
-    names = set(head_names(pmu))
-    targets = set()
-    if names & {"pasm", "pasm_n1"}:
-        targets.add("pasm")
-    if names & {"bpe", "bpe_n3"}:
-        targets.add("bpe")
-    if "bpe_n2" in names:
-        targets.add("bpe_small")
-    targets.add(pmu.trans_units)
-    return targets
+    return {spec.units for spec in head_specs(pmu)} | {pmu.trans_units}
 
 
 def build_samples(utts: list[Utterance], pmu: PMUConfig, tokenizers: dict) -> list[Sample]:
-    need = _needed_targets(pmu)
+    need = sorted(_needed_targets(pmu))
     samples = []
     for u in utts:
-        enc = {}
-        if "bpe" in need:
-            enc["bpe"] = encode_bpe(tokenizers["bpe"], u.transcript).ids
-        if "pasm" in need:
-            enc["pasm"] = encode_pasm(tokenizers["pasm"], u.transcript).ids
-        if "bpe_small" in need:
-            enc["bpe_small"] = encode_bpe(tokenizers["bpe_small"], u.transcript).ids
-        y_trans = enc["bpe"] if pmu.trans_units == "bpe" else enc["pasm"]
-        samples.append(Sample(id=u.id, features=u.features, y_trans=y_trans,
-                              y_pasm=enc.get("pasm"), y_bpe=enc.get("bpe"),
-                              y_bpe_small=enc.get("bpe_small")))
+        enc = {k: (encode_pasm if k == "pasm" else encode_bpe)(
+            tokenizers[k], u.transcript).ids for k in need}
+        samples.append(Sample(id=u.id, features=u.features,
+                              y_trans=enc[pmu.trans_units],
+                              **{f"y_{k}": v for k, v in enc.items()}))
     return samples
 
 
 def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> dict:
-    need = _needed_targets(pmu)
     errors = []
     toks = {}
-    wanted = {"bpe": dcfg.bpe_model, "pasm": dcfg.pasm_model,
-              "bpe_small": dcfg.bpe_small_model}
-    for kind in sorted(need):
-        path = wanted[kind]
+    for kind in sorted(_needed_targets(pmu)):
+        path = getattr(dcfg, f"{kind}_model")
         if not path:
             errors.append(f"[data] {kind}_model is required for variant "
                           f"settings but not configured")
@@ -379,13 +361,9 @@ def run_experiment(exp: Experiment, resume: str | None = None,
     if errors:
         raise InputError("; ".join(errors))
 
-    if "pasm" in toks:
-        mcfg.vocab_pasm = len(toks["pasm"].vocab)
-    if "bpe" in toks:
-        mcfg.vocab_bpe = len(toks["bpe"].vocab)
-    if "bpe_small" in toks:
-        mcfg.vocab_bpe_small = len(toks["bpe_small"].vocab)
-    trans_tok = toks["bpe"] if pmu.trans_units == "bpe" else toks["pasm"]
+    for kind, tok in toks.items():
+        setattr(mcfg, f"vocab_{kind}", len(tok.vocab))
+    trans_tok = toks[pmu.trans_units]
     mcfg.vocab_trans = len(trans_tok.vocab)
 
     if resume:
@@ -405,6 +383,9 @@ def run_experiment(exp: Experiment, resume: str | None = None,
     log = RunLog()
     best_wer = math.inf
     best_path = os.path.join(tcfg.out_dir, "best.ckpt")
+    if resume and os.path.exists(best_path):
+        # a resumed run replaces best.ckpt only with a better model
+        best_wer = load_checkpoint(best_path)[0]["meta"]["best_wer"]
     final_path = os.path.join(tcfg.out_dir, "final.ckpt")
     vocab_meta = {"trans_vocab": list(trans_tok.vocab.units),
                   "word_end_marker": trans_tok.vocab.word_end_marker}

@@ -390,6 +390,7 @@ VARIANTS_UNDER_TEST = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_5_toy_convergence(acceptance, toy):
     """Every variant reaches <= 5% word error rate on the held-out split
     of the synthetic task, and training loss actually decreases."""
@@ -493,6 +494,7 @@ def test_criterion_6_tokenizer_laws(acceptance, toy):
 # ---------------------------------------------------------------------------
 # criterion 7: byte-identical reruns
 
+@pytest.mark.slow
 def test_criterion_7_reproducibility(acceptance, toy):
     """Identical config + seed give byte-identical logs and checkpoints,
     and an interrupted run resumed from its checkpoint lands on the same

@@ -13,7 +13,6 @@ from pmu.losses import (
     ctc_brute_force,
     ctc_loss,
     ctc_loss_node,
-    label_smoothed_nll,
     oracle_equivalence_suite,
     random_logprob_matrix,
     transducer_brute_force,
@@ -270,20 +269,6 @@ def test_transducer_matches_brute_force_property(data):
 
 
 class TestRegularizers:
-    def test_weight_zero_is_plain_nll(self):
-        lp = np.log([0.7, 0.1, 0.1, 0.1])
-        assert label_smoothed_nll(lp, 0, 0.0) == pytest.approx(-math.log(0.7))
-
-    def test_uniform_rows_give_log_v(self):
-        lp = np.log(np.full(4, 0.25))
-        for w in (0.0, 0.3, 0.9):
-            assert label_smoothed_nll(lp, 2, w) == pytest.approx(math.log(4))
-
-    def test_smoothed_nll_arithmetic(self):
-        lp = np.log([0.7, 0.1, 0.1, 0.1])
-        want = 0.9 * -math.log(0.7) + 0.1 * np.mean(-lp)
-        assert label_smoothed_nll(lp, 0, 0.1) == pytest.approx(want, abs=1e-12)
-
     def test_uniform_kl_zero_at_uniform(self):
         lp = ad.Node(np.log(np.full((5, 4), 0.25)))
         assert uniform_kl(lp).value == pytest.approx(0.0, abs=1e-12)

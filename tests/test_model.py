@@ -11,6 +11,7 @@ from pmu.errors import ContractViolation, InputError
 from pmu.model import (
     ConformerTransducer,
     EncoderConfig,
+    HeadSpec,
     ModelConfig,
     PMUConfig,
     assemble_objective,
@@ -18,6 +19,7 @@ from pmu.model import (
     combine_losses,
     configs_from_dict,
     head_names,
+    head_specs,
     joint,
     label_encoder_forward,
     self_condition,
@@ -133,12 +135,42 @@ class TestHeadLayout:
             out = model.encode(x)
             assert sorted(out.ctc_heads) == sorted(head_names(pmu)), variant
 
+    def test_head_specs_by_variant(self):
+        """(name, units, tap, group, weight, sc, shares) of every head."""
+        table = [
+            (pmu_for("baseline"), [("bpe", "bpe", None, 0, 1.0, None, None)]),
+            (pmu_for("baseline", ctc_units="pasm", trans_units="pasm"),
+             [("pasm", "pasm", None, 0, 1.0, None, None)]),
+            (pmu_for("basic_pmu"), [("pasm", "pasm", None, 0, 1.0, None, None)]),
+            (pmu_for("para_ctc", alpha=0.7),
+             [("pasm", "pasm", None, 0, 0.7, None, None),
+              ("bpe", "bpe", None, 1, 1.0 - 0.7, None, None)]),
+            (pmu_for("pca_ctc", n1=2, n3=1, beta=0.3),
+             [("pasm_n1", "pasm", 2, 0, 0.3, None, None),
+              ("bpe_n3", "bpe", None, 1, 1.0 - 0.3, None, None)]),
+            (pmu_for("pca_ctc", beta=0.3, sc_enabled=True),
+             [("pasm_n1", "pasm", 1, 0, 0.3, "sc/n1", None),
+              ("bpe_n3", "bpe", None, 1, 1.0 - 0.3, None, None)]),
+            (pmu_for("pca_ctc", n1=1, n2=2, n3=1, beta=0.3),
+             [("pasm_n1", "pasm", 1, 0, 0.3 / 2.0, None, None),
+              ("bpe_n2", "bpe_small", 3, 0, 0.3 / 2.0, None, None),
+              ("bpe_n3", "bpe", None, 1, 1.0 - 0.3, None, None)]),
+            (pmu_for("pca_ctc", n1=1, n2=1, n3=1, beta=0.3, sc_enabled=True,
+                     heads_shared=True),
+             [("pasm_n1", "pasm", 1, 0, 0.3 / 2.0, "sc/n1", None),
+              ("bpe_n2", "bpe_small", 2, 0, 0.3 / 2.0, "sc/n2", "pasm_n1"),
+              ("bpe_n3", "bpe", None, 1, 1.0 - 0.3, None, None)]),
+        ]
+        for pmu, want in table:
+            assert head_specs(pmu) == [HeadSpec(*row) for row in want], pmu
+            assert head_names(pmu) == [row[0] for row in want]
+
     def test_middle_tap_present_only_with_n2(self):
-        model = ConformerTransducer(tiny_cfg(3),
-                                    pmu_for("pca_ctc", n1=1, n2=1, n3=1))
-        out = model.encode(feats(9))
-        assert set(out.ctc_heads) == {"pasm_n1", "bpe_n2", "bpe_n3"}
-        assert out.h_n1 is not None and out.h_n2 is not None
+        pmu = pmu_for("pca_ctc", n1=1, n2=1, n3=1)
+        out = ConformerTransducer(tiny_cfg(3), pmu).encode(feats(9))
+        assert list(out.ctc_heads) == ["pasm_n1", "bpe_n2", "bpe_n3"]
+        out = ConformerTransducer(tiny_cfg(2), pmu_for("pca_ctc")).encode(feats(9))
+        assert list(out.ctc_heads) == ["pasm_n1", "bpe_n3"]
 
     def test_head_rows_are_log_distributions(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("para_ctc"))
@@ -405,6 +437,19 @@ class TestObjectiveArithmetic:
         plain = model.loss(feats(10), y_trans=[1, 2], y_ctc_pasm=[1],
                            y_ctc_bpe=[1, 2], label_smoothing=0.0)
         assert bundle.l_total > plain.l_total  # the regularizer is positive
+
+    def test_shared_heads_with_smoothing_recombine_exactly(self):
+        model = ConformerTransducer(
+            tiny_cfg(3), pmu_for("pca_ctc", n1=1, n2=1, n3=1, sc_enabled=True,
+                                 heads_shared=True), seed=1)
+        for seed in range(3):
+            bundle = model.loss(feats(10, seed=seed), y_trans=[1, 2],
+                                y_ctc_pasm=[1], y_ctc_bpe=[1, 2],
+                                y_ctc_bpe_small=[2], label_smoothing=0.1)
+            assert bundle.status == "ok"
+            assert bundle.l_total == combine_losses(
+                model.pmu, bundle.l_trans, bundle.l_ctc_components)
+            assert bundle.l_total == float(bundle.node.value)
 
     def test_missing_target_is_an_error(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("para_ctc"))

@@ -9,6 +9,7 @@ import pytest
 
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.errors import FormatError, InputError, TrainingError
+from pmu.metrics import WerReport
 from pmu.model import (
     ConformerTransducer,
     EncoderConfig,
@@ -477,6 +478,28 @@ class TestRunExperiment:
         exp.model.input_dim = 80
         with pytest.raises(InputError, match="input_dim"):
             run_experiment(exp, quiet=True)
+
+    def test_resume_keeps_a_better_best_checkpoint(self, tmp_path, monkeypatch):
+        """A resumed run into the same out_dir replaces best.ckpt only when
+        an eval beats the WER recorded in it."""
+        scripted = iter([0.2, 0.5, 0.1])
+        monkeypatch.setattr("pmu.train.wer_corpus",
+                            lambda pairs: WerReport(wer=next(scripted)))
+        exp = self.build_toy_experiment(tmp_path, max_steps=2)
+        first = run_experiment(exp, quiet=True)
+
+        def best():
+            meta = load_checkpoint(first["best_ckpt"])[0]["meta"]
+            return meta["eval_step"], meta["best_wer"]
+
+        assert best() == (2, 0.2)
+        exp.train.max_steps = 4
+        resumed = run_experiment(exp, resume=first["final_ckpt"], quiet=True)
+        assert best() == (2, 0.2)  # the eval at step 4 (0.5) is worse
+        assert resumed["best_wer"] == 0.2
+        exp.train.max_steps = 6
+        run_experiment(exp, resume=resumed["final_ckpt"], quiet=True)
+        assert best() == (6, 0.1)
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         exp = self.build_toy_experiment(tmp_path)
