@@ -13,7 +13,10 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -390,23 +393,32 @@ VARIANTS_UNDER_TEST = [
 ]
 
 
+def _train_variant(toy, name, pmu_cfg, layers):
+    exp = desk_experiment(toy, pmu_cfg, f"run_{name}", num_layers=layers)
+    result = run_experiment(exp, quiet=True)
+    return result["log"].entries, result["wall_s"]
+
+
 @pytest.mark.slow
 def test_criterion_5_toy_convergence(acceptance, toy):
     """Every variant reaches <= 5% word error rate on the held-out split
     of the synthetic task, and training loss actually decreases."""
+    # the six trainings are independent seeded single-process runs, so two
+    # worker processes give the same logs in about half the wall time
+    names, cfgs, layer_counts = zip(*VARIANTS_UNDER_TEST)
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        runs = list(pool.map(_train_variant, [toy] * len(names), names, cfgs,
+                             layer_counts))
     summaries = []
     failures = []
-    for name, pmu_cfg, layers in VARIANTS_UNDER_TEST:
-        exp = desk_experiment(toy, pmu_cfg, f"run_{name}", num_layers=layers)
-        result = run_experiment(exp, quiet=True)
-        entries = result["log"].entries
+    for name, (entries, wall) in zip(names, runs):
         evals = [(e["step"], e["wer"]) for e in entries if e["kind"] == "eval"]
         best = min(w for _, w in evals)
         hit = next((s for s, w in evals if w <= 0.05), None)
         steps = [e for e in entries if e["kind"] == "step"]
         early = float(np.mean([e["l_total"] for e in steps[:20]]))
         late = float(np.mean([e["l_total"] for e in steps[180:200]]))
-        wall = result["wall_s"]
 
         if hit is None:
             failures.append(f"{name}: best WER {100 * best:.1f}% never <= 5%")
