@@ -86,16 +86,15 @@ def _vocab_from_meta(header: dict, path: str) -> Vocabulary:
 
 def _cmd_decode(args) -> int:
     from .data import load_manifest
-    from .decode import greedy_decode_transducer
-    from .tokenizers import decode_units
+    from .decode import decode_dataset
     from .train import restore_model
     model, _, header = restore_model(args.ckpt)
     vocab = _vocab_from_meta(header, args.ckpt)
     utts = load_manifest(args.data)
+    hyps = decode_dataset(model, utts, vocab, args.max_symbols)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for u in utts:
-            ids = greedy_decode_transducer(model, u.features, args.max_symbols)
-            fh.write(f"{u.id}\t{decode_units(vocab, ids)}\n")
+        for utt_id, text in hyps.items():
+            fh.write(f"{utt_id}\t{text}\n")
     print(f"wrote {args.out}: {len(utts)} hypotheses")
     return 0
 

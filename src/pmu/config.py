@@ -62,8 +62,7 @@ def _coerce(raw: str, kind: type):
 
 _SECTIONS = ("model", "pmu", "train", "data")
 
-# [model] keys split between the encoder dataclass and the outer model config
-_ENCODER_KEYS = {f.name: f.type for f in fields(EncoderConfig)}
+# [model] keys of the outer model config; the rest belong to EncoderConfig
 _MODEL_KEYS = {"input_dim": int, "lstm_dim": int, "joint_dim": int,
                "subsample_channels": int}
 _TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .model import ConformerTransducer
+from .model import ConformerTransducer, joint, label_encoder_step
 
 
 def greedy_decode_ctc(emissions: np.ndarray, blank_id: int = 0) -> list[int]:
@@ -21,65 +21,38 @@ def greedy_decode_ctc(emissions: np.ndarray, blank_id: int = 0) -> list[int]:
     return out
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-class _LabelState:
-    """Incremental label-encoder evaluation on raw arrays (no tape); the
-    arithmetic mirrors nn.lstm_step's [input, forget, cell, output] layout."""
-
-    def __init__(self, params, blank_id: int = 0):
-        self.embed = params.get("lab/embed").value
-        self.wx = params.get("lab/lstm/wx").value
-        self.wh = params.get("lab/lstm/wh").value
-        self.b = params.get("lab/lstm/b").value
-        dim = self.embed.shape[1]
-        self.h = np.zeros(dim)
-        self.c = np.zeros(dim)
-        self.out = self.consume(blank_id)
-
-    def consume(self, token: int) -> np.ndarray:
-        x = self.embed[token]
-        z = x @ self.wx + self.h @ self.wh + self.b
-        d = self.h.shape[0]
-        i = _sigmoid(z[:d])
-        f = _sigmoid(z[d:2 * d])
-        g = np.tanh(z[2 * d:3 * d])
-        o = _sigmoid(z[3 * d:])
-        self.c = f * self.c + i * g
-        self.h = o * np.tanh(self.c)
-        self.out = self.h
-        return self.out
-
-
-def _joint_single(params, h_t: np.ndarray, h_u: np.ndarray) -> np.ndarray:
-    z = np.tanh(h_t @ params.get("joint/wt").value
-                + h_u @ params.get("joint/wu").value
-                + params.get("joint/b").value)
-    logits = z @ params.get("joint/out_w").value + params.get("joint/out_b").value
-    return logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
-
-
 def greedy_decode_transducer(model: ConformerTransducer, x,
                              max_symbols_per_frame: int = 5,
                              blank_id: int = 0) -> list[int]:
     """Frame-synchronous greedy search: emit argmax symbols at (t, u) until
-    blank wins or the per-frame cap is hit, then advance t."""
+    blank wins or the per-frame cap is hit, then advance t.
+
+    The label state changes only when a symbol is emitted, so one joint call
+    scores every remaining frame against it and the search jumps to the
+    first frame whose argmax is not blank.  Only the state's values are
+    carried from one emission to the next."""
     if max_symbols_per_frame < 1:
         raise InputError(f"max_symbols_per_frame must be >= 1, "
                          f"got {max_symbols_per_frame}")
-    h_t_all = model.encode(x).h_n3.value
-    state = _LabelState(model.params, blank_id)
+    ps = model.params
+    h_t = model.encode(x).h_n3.value
+    zeros = np.zeros((1, ps.get("lab/embed").value.shape[1]))
+    h_u, state = label_encoder_step(blank_id, (zeros, zeros), ps)
     out: list[int] = []
-    for t in range(h_t_all.shape[0]):
-        for _ in range(max_symbols_per_frame):
-            logp = _joint_single(model.params, h_t_all[t], state.out)
-            k = int(logp.argmax())
-            if k == blank_id:
-                break
-            out.append(k)
-            state.consume(k)
+    t, at_t = 0, 0  # at_t: symbols emitted at frame t so far
+    while t < h_t.shape[0]:
+        best = joint(h_t[t:], h_u.value, ps).value[:, 0].argmax(axis=-1)
+        hits = np.flatnonzero(best != blank_id)
+        if hits.size == 0:
+            break
+        if hits[0] > 0:
+            t, at_t = t + int(hits[0]), 0
+        k = int(best[hits[0]])
+        out.append(k)
+        h_u, state = label_encoder_step(k, tuple(s.value for s in state), ps)
+        at_t += 1
+        if at_t == max_symbols_per_frame:
+            t, at_t = t + 1, 0
     return out
 
 

@@ -429,14 +429,20 @@ def label_encoder_forward(y_prefix, ps: ParamStore, blank_id: int = 0) -> Node:
     for t in ids:
         if not (0 <= t < V):
             raise ContractViolation(f"label id {t} outside vocabulary of {V}")
-    wx, wh, b = ps.get("lab/lstm/wx"), ps.get("lab/lstm/wh"), ps.get("lab/lstm/b")
     state = (Node(np.zeros((1, dim))), Node(np.zeros((1, dim))))
     rows = []
     for t in ids:
-        x = ad.gather_rows(embed, [t])
-        out, state = nn.lstm_step(x, state, wx, wh, b)
+        out, state = label_encoder_step(t, state, ps)
         rows.append(out)
     return ad.concat(rows, axis=0)
+
+
+def label_encoder_step(token: int, state, ps: ParamStore):
+    """Consume one label: embed it and advance the LSTM from `state`, an
+    (h, c) pair of (1, d) rows.  Returns (output, new_state)."""
+    x = ad.gather_rows(ps.get("lab/embed"), [token])
+    return nn.lstm_step(x, state, ps.get("lab/lstm/wx"), ps.get("lab/lstm/wh"),
+                        ps.get("lab/lstm/b"))
 
 
 def joint(h_t_all, h_u_all, ps: ParamStore) -> Node:

@@ -14,7 +14,7 @@ phonetic tokenizer pipeline runs end to end on the toy data.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -165,6 +165,21 @@ def sample_batch(n: int, batch_size: int, seed: int, step: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # run log
 
+def _write_atomic(path: str, fill):
+    """Write `path` through `fill(fh)` on a binary temp file beside it, then
+    move the temp file into place: a failure leaves `path` as it was and
+    removes the temp file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 class RunLog:
     """Append-only event list; one JSON object per line when persisted."""
 
@@ -195,8 +210,7 @@ class RunLog:
                        for e in self.entries)
 
     def write(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+        _write_atomic(path, lambda fh: fh.write(self.dumps().encode("utf-8")))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +244,15 @@ def save_checkpoint(path: str, model: ConformerTransducer, opt: AdamState,
     for p in sorted(opt.v):
         records.append((f"opt/v/{p}", opt.v[p]))
 
-    with open(path, "wb") as fh:
+    def fill(fh):
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(records)))
         for p, arr in records:
             _pack_record(fh, p, np.asarray(arr))
+
+    _write_atomic(path, fill)
 
 
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:

@@ -11,8 +11,6 @@
 """
 
 import itertools
-import json
-import math
 import multiprocessing
 import os
 import time
@@ -22,7 +20,7 @@ import numpy as np
 import pytest
 
 import pmu.autodiff as ad
-from pmu.autodiff import ParamStore, finite_diff_grad, finite_diff_sample
+from pmu.autodiff import finite_diff_grad, finite_diff_sample
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.losses import (
     gradient_suite,

@@ -1,4 +1,4 @@
-"""Greedy decoding, its tape-free fast path, and word error rate."""
+"""Greedy decoding, checked against a plain reference search, and word error rate."""
 
 import itertools
 import math
@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from pmu.decode import (
-    _joint_single,
-    _LabelState,
     decode_dataset,
     greedy_decode_ctc,
     greedy_decode_transducer,
@@ -103,33 +101,6 @@ class TestTransducerGreedy:
             assert len(out) <= 4 * t_prime
             assert all(1 <= k < 5 for k in out)
 
-
-class TestFastPathAgreement:
-    """The decoder's raw-numpy label encoder and joint must match the
-    graph-building implementations to float precision."""
-
-    def test_label_state_matches_graph_lstm(self):
-        model = tiny_model(seed=3)
-        ids = [1, 4, 2, 2, 3]
-        state = _LabelState(model.params)
-        rows = [state.out.copy()]
-        for tok in ids:
-            rows.append(state.consume(tok).copy())
-        graph = label_encoder_forward(ids, model.params).value
-        np.testing.assert_allclose(np.stack(rows), graph, atol=1e-12)
-
-    def test_joint_single_matches_graph_joint(self):
-        model = tiny_model(seed=4)
-        x = np.random.default_rng(7).normal(size=(10, 6))
-        ids = [2, 1, 3]
-        h_t = model.encode(x).h_n3
-        h_u = label_encoder_forward(ids, model.params)
-        lattice = joint(h_t, h_u, model.params).value
-        for t in range(lattice.shape[0]):
-            for u in range(lattice.shape[1]):
-                fast = _joint_single(model.params, h_t.value[t], h_u.value[u])
-                np.testing.assert_allclose(fast, lattice[t, u], atol=1e-12)
-
     def test_decode_dataset_returns_text_for_every_id(self):
         model = tiny_model(seed=6)
         vocab = build_vocab(["ab_", "c_", "d"], word_end_marker="_")
@@ -139,6 +110,49 @@ class TestFastPathAgreement:
         hyps = decode_dataset(model, utts, vocab)
         assert sorted(hyps) == ["u1", "u2"]
         assert all(isinstance(v, str) for v in hyps.values())
+
+
+def reference_greedy(model, x, max_symbols_per_frame, blank_id=0):
+    """Frame-synchronous greedy search written out plainly: at every (t, u)
+    score one joint cell, with the label state read from the last row of
+    label_encoder_forward over the hypothesis so far."""
+    h_t = model.encode(x).h_n3.value
+    out = []
+    for t in range(h_t.shape[0]):
+        for _ in range(max_symbols_per_frame):
+            h_u = label_encoder_forward(out, model.params).value[-1:]
+            k = int(joint(h_t[t:t + 1], h_u, model.params).value[0, 0].argmax())
+            if k == blank_id:
+                break
+            out.append(k)
+    return out
+
+
+class TestAgainstReferenceSearch:
+    # (blank bias in joint/out_b, scale of joint/wu): unbiased;
+    # blank-dominant, so emissions are sparse and the search jumps frames;
+    # label-biased, so most frames fill their cap; and label-state-driven,
+    # where an emission often turns the next cell to blank and leaves a
+    # frame part-filled before a jump
+    CASES = {"unbiased": (0.0, 1.0), "blank-dominant": (0.6, 1.0),
+             "label-biased": (-3.0, 1.0), "label-state-driven": (0.0, 10.0)}
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_greedy_equals_reference(self, cap, case):
+        blank_bias, wu_scale = self.CASES[case]
+        rng = np.random.default_rng(cap)
+        emitted = 0
+        for seed in range(4):
+            model = tiny_model(seed=seed)
+            model.params.get("joint/out_b").value[0] = blank_bias
+            model.params.get("joint/wu").value[...] *= wu_scale
+            for _ in range(3):
+                x = rng.normal(size=(int(rng.integers(1, 40)), 6))
+                want = reference_greedy(model, x, cap)
+                assert greedy_decode_transducer(model, x, cap) == want
+                emitted += len(want)
+        assert emitted > 0
 
 
 class TestWer:

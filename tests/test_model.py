@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pmu.autodiff as ad
+import pmu.nn as nn
 from pmu.autodiff import finite_diff_sample
 from pmu.errors import ContractViolation, InputError
 from pmu.model import (
@@ -297,6 +298,38 @@ class TestLabelEncoder:
         ps = build_params(tiny_cfg(), pmu_for("baseline"))
         with pytest.raises(ContractViolation, match="outside vocabulary"):
             label_encoder_forward([1, 9], ps)
+
+    def test_equals_a_per_step_composition(self):
+        """Value and every parameter gradient equal (==) a hand-built chain
+        of gather_rows + lstm_step, so training sees the same tape."""
+
+        def run(build):
+            ps = build_params(tiny_cfg(), pmu_for("baseline"), seed=4)
+            h_u = build(ps)
+            w = np.random.default_rng(2).normal(size=h_u.value.shape)
+            ad.backward(ad.sum_(ad.mul(h_u, ad.Node(w))))
+            return h_u.value, {p: n.grad for p, n in ps.items()}
+
+        def by_steps(ps):
+            state = (ad.Node(np.zeros((1, 8))), ad.Node(np.zeros((1, 8))))
+            rows = []
+            for t in [0, 1, 3, 3, 2, 4]:
+                x = ad.gather_rows(ps.get("lab/embed"), [t])
+                out, state = nn.lstm_step(x, state, ps.get("lab/lstm/wx"),
+                                          ps.get("lab/lstm/wh"),
+                                          ps.get("lab/lstm/b"))
+                rows.append(out)
+            return ad.concat(rows, axis=0)
+
+        value, grads = run(lambda ps: label_encoder_forward([1, 3, 3, 2, 4], ps))
+        want_value, want_grads = run(by_steps)
+        assert np.array_equal(value, want_value)
+        assert grads.keys() == want_grads.keys()
+        for path, g in want_grads.items():
+            if path.startswith("lab/"):
+                assert g is not None and np.any(g != 0), path
+            assert (g is None and grads[path] is None) or np.array_equal(
+                grads[path], g), path
 
 
 class TestSharing:

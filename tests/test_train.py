@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import pmu.train as train_mod
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.errors import FormatError, InputError, TrainingError
 from pmu.metrics import WerReport
@@ -275,6 +276,30 @@ class TestCheckpoints:
         for path, node in model.params.items():
             np.testing.assert_array_equal(back.params.get(path).value,
                                           node.value)
+
+    def test_failed_save_leaves_the_previous_checkpoint(self, tmp_path,
+                                                         monkeypatch):
+        model = tiny_model(seed=1)
+        opt = AdamState.for_params(model.params)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(str(p), model, opt, next_step=1)
+        before = p.read_bytes()
+
+        pack, calls = train_mod._pack_record, []
+
+        def failing_pack(fh, path, arr):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            pack(fh, path, arr)
+
+        monkeypatch.setattr(train_mod, "_pack_record", failing_pack)
+        train_step(model, [sample(seed=2)], TrainConfig(), opt, step=1)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(p), model, opt, next_step=2)
+        assert len(calls) == 5
+        assert p.read_bytes() == before
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ckpt"
