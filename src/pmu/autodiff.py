@@ -54,10 +54,6 @@ class Node:
         self.op = op
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
@@ -68,23 +64,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(id={self.id}, op={self.op}, shape={self.value.shape})"
-
-    # Arithmetic sugar so model code reads naturally.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_node(x) -> Node:

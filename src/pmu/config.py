@@ -65,7 +65,8 @@ _SECTIONS = ("model", "pmu", "train", "data")
 # [model] keys of the outer model config; the rest belong to EncoderConfig
 _MODEL_KEYS = {"input_dim": int, "lstm_dim": int, "joint_dim": int,
                "subsample_channels": int}
-_TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str}
+_TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str,
+               "tuple": tuple}
 
 
 def _field_types(cls) -> dict:

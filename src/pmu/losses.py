@@ -155,8 +155,10 @@ def ctc_brute_force(emissions: np.ndarray, labels) -> float:
 def transducer_loss(lattice: np.ndarray, labels) -> LossResult:
     """Negative log posterior over all monotonic emit/blank alignments.
 
-    `lattice` is (T, U+1, V) normalized log-probs; blank id 0.  Every target
-    is reachable (emitting does not consume a frame), so status is always ok.
+    `lattice` is (T, U+1, V) normalized log-probs; blank id 0.  Emitting
+    does not consume a frame, so only a lattice where every alignment
+    crosses a LOG_FLOOR entry is unreachable: value +inf, zero gradient and
+    status "unreachable", returned before the gradient's exp overflows.
     """
     lattice = np.asarray(lattice)
     if lattice.ndim != 3:
@@ -218,8 +220,9 @@ def transducer_loss(lattice: np.ndarray, labels) -> LossResult:
     alpha = a[rows, cols]
     beta = b[rows, cols]
     logz = alpha[T - 1, U] + blank[T - 1, U]
-
     grad = np.zeros(lattice.shape)
+    if logz < LOG_FLOOR / 2:
+        return LossResult(math.inf, grad, "unreachable")
     with np.errstate(under="ignore"):
         # blank transitions: next state is (t+1, u); the final blank ends.
         nxt = np.full((T, U + 1), NEG)
@@ -275,21 +278,15 @@ def uniform_kl(logprobs_node: Node, axis: int = -1) -> Node:
 # ---------------------------------------------------------------------------
 # tape integration
 
-def ctc_loss_node(emissions: Node, labels) -> tuple[Node, str]:
-    """CTC loss as a tape node; returns (scalar node, status)."""
-    res = ctc_loss(emissions.value, labels)
+def loss_node(kernel, x: Node, labels) -> tuple[Node, str]:
+    """`kernel` (ctc_loss or transducer_loss) on x's value as a tape node;
+    returns (scalar node, status).  A non-ok result carries no gradient."""
+    res = kernel(x.value, labels)
     if res.status != "ok":
         return Node(np.asarray(res.value)), res.status
-    out = Node(np.asarray(res.value), (emissions,), "ctc_loss")
-    out._backward = lambda g: ad._acc(emissions, float(g) * res.grad)
+    out = Node(np.asarray(res.value), (x,), kernel.__name__)
+    out._backward = lambda g: ad._acc(x, float(g) * res.grad)
     return out, "ok"
-
-
-def transducer_loss_node(lattice: Node, labels) -> Node:
-    res = transducer_loss(lattice.value, labels)
-    out = Node(np.asarray(res.value), (lattice,), "transducer_loss")
-    out._backward = lambda g: ad._acc(lattice, float(g) * res.grad)
-    return out
 
 
 # ---------------------------------------------------------------------------

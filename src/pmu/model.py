@@ -197,11 +197,6 @@ def head_specs(pmu: PMUConfig) -> list[HeadSpec]:
             *mid, HeadSpec("bpe_n3", "bpe", group=1, weight=1.0 - pmu.beta)]
 
 
-def head_names(pmu: PMUConfig) -> list[str]:
-    """Active CTC head names for the variant, in forward order."""
-    return [spec.name for spec in head_specs(pmu)]
-
-
 def subsampled_length(T: int, factor: int) -> int:
     """Frame count after the subsampling convolutions: ceil(T / factor)."""
     return -(-T // factor)
@@ -492,17 +487,23 @@ def combine_losses(pmu: PMUConfig, l_trans: float, comps: dict) -> float:
     return _weighted_total(pmu, l_trans, comps, operator.add, operator.mul)
 
 
-def assemble_objective(outputs: ForwardOutputs, y_ctc_pasm, y_ctc_bpe, y_trans,
-                       pmu: PMUConfig, label_smoothing: float = 0.0,
-                       y_ctc_bpe_small=None) -> LossBundle:
-    """Weighted multi-task objective over the active heads.
+def _target(targets: dict, units: str, what: str):
+    """targets[units]; a missing one is an InputError naming its user."""
+    if targets.get(units) is None:
+        raise InputError(f"missing target for {what} ({units} units)")
+    return targets[units]
 
-    An unreachable CTC target marks the sample as skipped (infinite total,
+
+def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
+                       label_smoothing: float = 0.0) -> LossBundle:
+    """Weighted multi-task objective over the active heads; `targets` maps
+    each unit kind ("pasm", "bpe", "bpe_small") to its label ids.
+
+    An unreachable target marks the sample as skipped (infinite total,
     no gradient node) rather than aborting.  With label_smoothing > 0 each
     component carries a uniform-KL regularizer before weighting, so the
     logged components still recombine exactly into the total.
     """
-    targets = {"pasm": y_ctc_pasm, "bpe": y_ctc_bpe, "bpe_small": y_ctc_bpe_small}
     comp_nodes: dict[str, Node] = {}
     comps: dict[str, float] = {}
     for spec in head_specs(pmu):
@@ -510,10 +511,8 @@ def assemble_objective(outputs: ForwardOutputs, y_ctc_pasm, y_ctc_bpe, y_trans,
         head = outputs.ctc_heads.get(name)
         if head is None:
             raise InputError(f"forward outputs carry no CTC head {name!r}")
-        target = targets[spec.units]
-        if target is None:
-            raise InputError(f"missing target for active head {name!r}")
-        node, status = losses.ctc_loss_node(head, target)
+        target = _target(targets, spec.units, f"active head {name!r}")
+        node, status = losses.loss_node(losses.ctc_loss, head, target)
         if status != "ok":
             return LossBundle(l_ctc_components={name: math.inf},
                               skipped_samples=1, status=f"{status}:{name}")
@@ -524,9 +523,12 @@ def assemble_objective(outputs: ForwardOutputs, y_ctc_pasm, y_ctc_bpe, y_trans,
 
     if outputs.lattice is None:
         raise InputError("forward outputs carry no transducer lattice")
-    if y_trans is None:
-        raise InputError("missing transducer target")
-    trans_node = losses.transducer_loss_node(outputs.lattice, y_trans)
+    y_trans = _target(targets, pmu.trans_units, "the transducer")
+    trans_node, status = losses.loss_node(losses.transducer_loss,
+                                          outputs.lattice, y_trans)
+    if status != "ok":
+        return LossBundle(l_ctc_components=comps, skipped_samples=1,
+                          status=f"{status}:trans")
     if label_smoothing > 0.0:
         trans_node = ad.add(trans_node,
                             ad.scale(losses.uniform_kl(outputs.lattice),
@@ -548,7 +550,6 @@ class ConformerTransducer:
     """Parameter store plus the forward graph for one configured variant."""
 
     def __init__(self, cfg: ModelConfig, pmu: PMUConfig, seed: int = 0):
-        validate_configs(cfg, pmu)
         self.cfg = cfg
         self.pmu = pmu
         self.seed = seed
@@ -564,13 +565,12 @@ class ConformerTransducer:
         out.lattice = joint(out.h_n3, out.h_u, self.params)
         return out
 
-    def loss(self, x, y_trans, y_ctc_pasm=None, y_ctc_bpe=None,
-             y_ctc_bpe_small=None, train: bool = False, step: int = 0,
+    def loss(self, x, targets: dict, train: bool = False, step: int = 0,
              label_smoothing: float = 0.0) -> LossBundle:
+        y_trans = _target(targets, self.pmu.trans_units, "the transducer")
         out = self.forward(x, y_trans, train=train, step=step)
-        return assemble_objective(out, y_ctc_pasm, y_ctc_bpe, y_trans, self.pmu,
-                                  label_smoothing=label_smoothing,
-                                  y_ctc_bpe_small=y_ctc_bpe_small)
+        return assemble_objective(out, targets, self.pmu,
+                                  label_smoothing=label_smoothing)
 
     def config_dict(self) -> dict:
         d = asdict(self.cfg)

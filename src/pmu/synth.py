@@ -18,29 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _coerce, _field_types
 from .data import Utterance, save_features, write_manifest
 from .errors import InputError
 from .tokenizers import Lexicon, normalize_text
 
 DEFAULT_WORDS = ("bad", "cab", "dab", "ace", "bead", "fad")
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(s)
-
-
-_SPEC_FIELDS = {"num_utts": int, "feature_dim": int, "words_min": int,
-                "words_max": int, "frames_min": int, "frames_max": int,
-                "gap_min": int, "gap_max": int, "noise_sigma": float,
-                "dev_fraction": float, "adjacent_repeats": _parse_bool}
-
 
 def parse_toy_spec(path: str) -> "ToySpec":
     """Flat `key = value` file; `words` is a comma-separated list."""
     spec = ToySpec()
+    types = _field_types(ToySpec)
     errors = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -54,9 +43,9 @@ def parse_toy_spec(path: str) -> "ToySpec":
             key, value = key.strip(), value.strip()
             if key == "words":
                 spec.words = tuple(w.strip() for w in value.split(",") if w.strip())
-            elif key in _SPEC_FIELDS:
+            elif key in types:
                 try:
-                    setattr(spec, key, _SPEC_FIELDS[key](value))
+                    setattr(spec, key, _coerce(value, types[key]))
                 except ValueError:
                     errors.append(f"{path}:{lineno}: bad value for {key}: {value!r}")
             else:

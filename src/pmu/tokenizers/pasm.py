@@ -168,7 +168,7 @@ def load_pasm(path: str) -> PasmModel:
             fields = line.rstrip("\n").split(" ")
             if fields[0] == "status" and len(fields) == 2:
                 status = fields[1]
-            elif fields[0] == "unit" and len(fields) == 3:
+            elif fields[0] == "unit" and len(fields) == 3 and fields[2].isdecimal():
                 inventory[fields[1]] = int(fields[2])
             else:
                 raise FormatError(f"{path}:{lineno}: bad record {line!r}")

@@ -98,10 +98,7 @@ def adam_update(ps: ParamStore, state: AdamState, lr: float):
 class Sample:
     id: str
     features: np.ndarray
-    y_trans: list
-    y_pasm: list | None = None
-    y_bpe: list | None = None
-    y_bpe_small: list | None = None
+    targets: dict  # unit kind ("pasm", "bpe", "bpe_small") -> label ids
 
 
 def train_step(model: ConformerTransducer, batch: list[Sample],
@@ -112,9 +109,7 @@ def train_step(model: ConformerTransducer, batch: list[Sample],
     bundles = []
     skipped = 0
     for s in batch:
-        b = model.loss(s.features, s.y_trans, y_ctc_pasm=s.y_pasm,
-                       y_ctc_bpe=s.y_bpe, y_ctc_bpe_small=s.y_bpe_small,
-                       train=True, step=step,
+        b = model.loss(s.features, s.targets, train=True, step=step,
                        label_smoothing=cfg.label_smoothing)
         if b.skipped_samples:
             skipped += 1
@@ -269,7 +264,13 @@ def load_checkpoint(path: str):
         if _read_exact(fh, 4, path, "magic") != CKPT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic")
         (blen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
-        header = json.loads(_read_exact(fh, blen, path, "header").decode("utf-8"))
+        blob = _read_exact(fh, blen, path, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise FormatError(f"{path}: checkpoint header is not JSON ({e})")
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: checkpoint header is not a JSON object")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, path, "record count"))
         records: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -289,8 +290,12 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
     """Rebuild a model + optimizer from a checkpoint, validating every
     parameter shape against the stored config."""
     header, records = load_checkpoint(path)
-    cfg, pmu = configs_from_dict(header)
-    model = ConformerTransducer(cfg, pmu, seed=header.get("seed", 0))
+    try:
+        cfg, pmu = configs_from_dict(header)
+        model = ConformerTransducer(cfg, pmu, seed=header.get("seed", 0))
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"{path}: checkpoint header does not hold a model "
+                          f"config ({type(e).__name__}: {e})")
     opt = AdamState.for_params(model.params)
     opt.t = int(header.get("opt_t", 0))
     for p, node in model.params.items():
@@ -323,14 +328,10 @@ def _needed_targets(pmu: PMUConfig) -> set[str]:
 
 def build_samples(utts: list[Utterance], pmu: PMUConfig, tokenizers: dict) -> list[Sample]:
     need = sorted(_needed_targets(pmu))
-    samples = []
-    for u in utts:
-        enc = {k: (encode_pasm if k == "pasm" else encode_bpe)(
-            tokenizers[k], u.transcript).ids for k in need}
-        samples.append(Sample(id=u.id, features=u.features,
-                              y_trans=enc[pmu.trans_units],
-                              **{f"y_{k}": v for k, v in enc.items()}))
-    return samples
+    return [Sample(u.id, u.features,
+                   {k: (encode_pasm if k == "pasm" else encode_bpe)(
+                       tokenizers[k], u.transcript).ids for k in need})
+            for u in utts]
 
 
 def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> dict:
@@ -401,7 +402,9 @@ def run_experiment(exp: Experiment, resume: str | None = None,
     best_path = os.path.join(tcfg.out_dir, "best.ckpt")
     if resume and os.path.exists(best_path):
         # a resumed run replaces best.ckpt only with a better model
-        best_wer = load_checkpoint(best_path)[0]["meta"]["best_wer"]
+        best_wer = (load_checkpoint(best_path)[0].get("meta") or {}).get("best_wer")
+        if not isinstance(best_wer, (int, float)):
+            raise FormatError(f"{best_path}: checkpoint meta carries no best_wer")
     final_path = os.path.join(tcfg.out_dir, "final.ckpt")
     vocab_meta = {"trans_vocab": list(trans_tok.vocab.units),
                   "word_end_marker": trans_tok.vocab.word_end_marker}

@@ -33,7 +33,7 @@ from pmu.model import (
     ModelConfig,
     PMUConfig,
     combine_losses,
-    head_names,
+    head_specs,
     self_condition,
 )
 from pmu.synth import DEFAULT_WORDS, ToySpec, materialize, micro_lexicon
@@ -170,12 +170,10 @@ def _full_model_worst(seeds: int) -> float:
         x = np.random.default_rng(500 + seed).normal(size=(8, 6))
 
         def run():
-            return model.loss(x, y_trans=[1, 2], y_ctc_pasm=[1],
-                              y_ctc_bpe=[1, 2]).l_total
+            return model.loss(x, {"pasm": [1], "bpe": [1, 2]}).l_total
 
         model.params.zero_grad()
-        ad.backward(model.loss(x, y_trans=[1, 2], y_ctc_pasm=[1],
-                               y_ctc_bpe=[1, 2]).node)
+        ad.backward(model.loss(x, {"pasm": [1], "bpe": [1, 2]}).node)
         rng = np.random.default_rng(seed)
         picks = (_MODEL_GRAD_PATHS[seed % len(_MODEL_GRAD_PATHS)],
                  _MODEL_GRAD_PATHS[(3 * seed + 1) % len(_MODEL_GRAD_PATHS)])
@@ -252,21 +250,20 @@ def test_criterion_3_objective_arithmetic(acceptance):
     # logged components
     live_worst = 0.0
     live_cases = [
-        ("baseline", PMUConfig(variant="baseline"), 2,
-         dict(y_ctc_bpe=[1, 2])),
+        ("baseline", PMUConfig(variant="baseline"), 2, {"bpe": [1, 2]}),
         ("basic_pmu", PMUConfig(variant="basic_pmu", ctc_units="pasm"), 2,
-         dict(y_ctc_pasm=[1])),
+         {"pasm": [1], "bpe": [1, 2]}),
         ("para_ctc", PMUConfig(variant="para_ctc"), 2,
-         dict(y_ctc_pasm=[1], y_ctc_bpe=[1, 2])),
-        ("pca_ctc", pca(), 2, dict(y_ctc_pasm=[1], y_ctc_bpe=[1, 2])),
+         {"pasm": [1], "bpe": [1, 2]}),
+        ("pca_ctc", pca(), 2, {"pasm": [1], "bpe": [1, 2]}),
         ("pca_ctc_n2", pca(n2=1), 3,
-         dict(y_ctc_pasm=[1], y_ctc_bpe=[1, 2], y_ctc_bpe_small=[1])),
+         {"pasm": [1], "bpe": [1, 2], "bpe_small": [1]}),
     ]
     for _, pmu_cfg, layers, targets in live_cases:
         for seed in range(3):
             model = ConformerTransducer(tiny_cfg(layers), pmu_cfg, seed=seed)
             x = np.random.default_rng(seed).normal(size=(10, 6))
-            bundle = model.loss(x, y_trans=[1, 2], **targets)
+            bundle = model.loss(x, targets)
             want = combine_losses(pmu_cfg, bundle.l_trans,
                                   bundle.l_ctc_components)
             live_worst = max(live_worst, abs(bundle.l_total - want),
@@ -321,8 +318,8 @@ def test_criterion_4_structure(acceptance):
             problems.append(f"conditioned head {name} differs at init")
 
     # tap counts: two heads without a middle block, three with equal groups
-    two = head_names(pca(n1=1, n2=0, n3=1))
-    three = head_names(pca(n1=1, n2=1, n3=1))
+    two = [s.name for s in head_specs(pca(n1=1, n2=0, n3=1))]
+    three = [s.name for s in head_specs(pca(n1=1, n2=1, n3=1))]
     if len(two) != 2:
         problems.append(f"expected 2 taps without middle block, got {two}")
     if len(three) != 3:

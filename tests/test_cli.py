@@ -1,5 +1,8 @@
 """End-to-end command-line walkthrough on a miniature synthetic task."""
 
+import json
+import struct
+
 import pytest
 
 from pmu.cli import main
@@ -143,3 +146,63 @@ def test_training_error_exits_2(workspace, capsys, nan_transducer_grad):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite gradient norm nan at step 1")
     assert "Traceback" not in err
+
+
+def with_header(src, dst, edit):
+    """Copy checkpoint `src` to `dst`, its JSON header bytes replaced by
+    `edit(header bytes)`."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack("<I", raw[4:8])
+    blob = edit(raw[8:8 + n])
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + n:])
+
+
+def json_edit(change):
+    def edit(blob):
+        header = json.loads(blob)
+        change(header)
+        return json.dumps(header).encode("utf-8")
+    return edit
+
+
+def assert_one_error_naming(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("edit", [
+    json_edit(lambda h: h["model"].update(bogus_key=1)),
+    json_edit(lambda h: h.pop("pmu")),
+    lambda blob: b"{not json",
+], ids=["extra-config-key", "no-pmu", "not-json"])
+def test_malformed_checkpoint_header_exits_2(workspace, capsys, tmp_path, edit):
+    ckpt = tmp_path / "bad.ckpt"
+    with_header(workspace / "run" / "final.ckpt", ckpt, edit)
+    assert main(["decode", "--ckpt", str(ckpt),
+                 "--data", str(workspace / "toy" / "dev.tsv"),
+                 "--out", str(tmp_path / "dev.hyp")]) == 2
+    assert_one_error_naming(capsys, ckpt)
+
+
+def test_resume_against_best_without_its_wer_exits_2(workspace, capsys):
+    out = workspace / "run_nobest"
+    out.mkdir()
+    with_header(workspace / "run" / "best.ckpt", out / "best.ckpt",
+                json_edit(lambda h: h["meta"].pop("best_wer")))
+    cfg = workspace / "exp_nobest.cfg"
+    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
+                   .replace(str(workspace / "run"), str(out)), encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--quiet",
+                 "--resume", str(workspace / "run" / "final.ckpt")]) == 2
+    assert_one_error_naming(capsys, out / "best.ckpt")
+
+
+def test_pasm_unit_count_not_an_integer_exits_2(workspace, capsys, tmp_path):
+    lines = (workspace / "pasm.tok").read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("unit "))
+    lines[first] = lines[first].rsplit(" ", 1)[0] + " many"
+    bad = tmp_path / "bad.tok"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["tokenize", "encode", "--model", str(bad), "--text", "x"]) == 2
+    assert_one_error_naming(capsys, bad)

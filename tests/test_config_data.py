@@ -235,6 +235,13 @@ class TestToySpec:
         assert spec.noise_sigma == 0.0
         assert spec.adjacent_repeats is True
 
+    @pytest.mark.parametrize("raw, want", [("on", True), ("off", False),
+                                           ("Yes", True), ("0", False)])
+    def test_booleans_read_as_in_experiment_configs(self, tmp_path, raw, want):
+        p = tmp_path / "toy.spec"
+        p.write_text(f"adjacent_repeats = {raw}\n", encoding="utf-8")
+        assert parse_toy_spec(str(p)).adjacent_repeats is want
+
     def test_parse_errors_collected_with_lines(self, tmp_path):
         p = tmp_path / "toy.spec"
         p.write_text("num_utts = many\nbogus = 1\nno equals here\n",

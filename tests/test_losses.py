@@ -12,12 +12,11 @@ from pmu.losses import (
     LOG_FLOOR,
     ctc_brute_force,
     ctc_loss,
-    ctc_loss_node,
+    loss_node,
     oracle_equivalence_suite,
     random_logprob_matrix,
     transducer_brute_force,
     transducer_loss,
-    transducer_loss_node,
     uniform_kl,
 )
 
@@ -96,7 +95,7 @@ class TestCtc:
             return ctc_loss(lp, [1, 2]).value
 
         node = ad.Node(z)
-        loss, status = ctc_loss_node(ad.log_softmax(node), [1, 2])
+        loss, status = loss_node(ctc_loss, ad.log_softmax(node), [1, 2])
         assert status == "ok"
         ad.backward(loss)
         fd = ad.finite_diff_grad(f, [z], eps=1e-5)[0]
@@ -150,6 +149,17 @@ class TestTransducer:
             want = transducer_brute_force(lat, y)
             assert abs(got - want) <= 1e-9
 
+    def test_floored_lattice_is_unreachable(self):
+        """Every alignment ends on the last blank; flooring it leaves no
+        path above LOG_FLOOR, so the gradient would overflow."""
+        lat = random_logprob_matrix(np.random.default_rng(6), 4, 3, 5)
+        lat[3, 2, 0] = 2 * LOG_FLOOR
+        with np.errstate(over="raise"):
+            res = transducer_loss(lat, [1, 2])
+        assert res.status == "unreachable"
+        assert res.value == math.inf
+        assert res.grad.shape == lat.shape and not res.grad.any()
+
     def test_lattice_label_mismatch_rejected(self):
         lat = random_logprob_matrix(np.random.default_rng(3), 2, 2, 3)
         with pytest.raises((ContractViolation, InputError)):
@@ -164,7 +174,8 @@ class TestTransducer:
             return transducer_loss(lp, [1, 3]).value
 
         node = ad.Node(z)
-        loss = transducer_loss_node(ad.log_softmax(node), [1, 3])
+        loss, status = loss_node(transducer_loss, ad.log_softmax(node), [1, 3])
+        assert status == "ok"
         ad.backward(loss)
         fd = ad.finite_diff_grad(f, [z], eps=1e-5)[0]
         rel = np.max(np.abs(node.grad - fd)) / max(1.0, np.max(np.abs(fd)))
@@ -244,14 +255,23 @@ def bit_exactness_lattices():
 
 
 def test_transducer_matches_scalar_recursion_bit_for_bit():
+    floored = 0
     for lat, y in bit_exactness_lattices():
-        # where every alignment crosses a floored entry, logz is ~1e30 and
-        # the gradient's exp overflows; the two recursions must agree there too
+        res = transducer_loss(lat, y)
+        # where every alignment crosses a floored entry, logz is ~-1e30 and
+        # the reference's gradient exp overflows; the kernel reports those
+        # lattices unreachable before it computes a gradient
         with np.errstate(over="ignore"):
-            res = transducer_loss(lat, y)
             want_value, want_grad = scalar_transducer_reference(lat, y)
+        if -want_value < LOG_FLOOR / 2:
+            floored += 1
+            assert (res.status, res.value) == ("unreachable", math.inf)
+            assert not res.grad.any(), (lat.shape, y)
+            continue
+        assert res.status == "ok"
         assert res.value == want_value, (lat.shape, y)
         assert np.array_equal(res.grad, want_grad), (lat.shape, y)
+    assert floored  # the floored branch is exercised
 
 
 @settings(max_examples=200, deadline=None)

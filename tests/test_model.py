@@ -9,6 +9,7 @@ import pmu.autodiff as ad
 import pmu.nn as nn
 from pmu.autodiff import finite_diff_sample
 from pmu.errors import ContractViolation, InputError
+from pmu.losses import LOG_FLOOR
 from pmu.model import (
     ConformerTransducer,
     EncoderConfig,
@@ -19,7 +20,6 @@ from pmu.model import (
     build_params,
     combine_losses,
     configs_from_dict,
-    head_names,
     head_specs,
     joint,
     label_encoder_forward,
@@ -51,6 +51,10 @@ def pmu_for(variant, **over):
         base.update(n1=1, n2=0, n3=1)
     base.update(over)
     return PMUConfig(**base)
+
+
+def names(pmu):
+    return [s.name for s in head_specs(pmu)]
 
 
 def feats(T, dim=6, seed=0):
@@ -120,11 +124,11 @@ class TestConfigValidation:
 
 class TestHeadLayout:
     def test_head_names_by_variant(self):
-        assert head_names(pmu_for("baseline")) == ["bpe"]
-        assert head_names(pmu_for("basic_pmu")) == ["pasm"]
-        assert head_names(pmu_for("para_ctc")) == ["pasm", "bpe"]
-        assert head_names(pmu_for("pca_ctc")) == ["pasm_n1", "bpe_n3"]
-        assert head_names(pmu_for("pca_ctc", n1=1, n2=1, n3=1)) == [
+        assert names(pmu_for("baseline")) == ["bpe"]
+        assert names(pmu_for("basic_pmu")) == ["pasm"]
+        assert names(pmu_for("para_ctc")) == ["pasm", "bpe"]
+        assert names(pmu_for("pca_ctc")) == ["pasm_n1", "bpe_n3"]
+        assert names(pmu_for("pca_ctc", n1=1, n2=1, n3=1)) == [
             "pasm_n1", "bpe_n2", "bpe_n3"]
 
     def test_encode_produces_exactly_the_active_taps(self):
@@ -134,7 +138,7 @@ class TestHeadLayout:
                              ("pca_ctc", pmu_for("pca_ctc"))]:
             model = ConformerTransducer(tiny_cfg(), pmu)
             out = model.encode(x)
-            assert sorted(out.ctc_heads) == sorted(head_names(pmu)), variant
+            assert sorted(out.ctc_heads) == sorted(names(pmu)), variant
 
     def test_head_specs_by_variant(self):
         """(name, units, tap, group, weight, sc, shares) of every head."""
@@ -164,7 +168,7 @@ class TestHeadLayout:
         ]
         for pmu, want in table:
             assert head_specs(pmu) == [HeadSpec(*row) for row in want], pmu
-            assert head_names(pmu) == [row[0] for row in want]
+            assert names(pmu) == [row[0] for row in want]
 
     def test_middle_tap_present_only_with_n2(self):
         pmu = pmu_for("pca_ctc", n1=1, n2=1, n3=1)
@@ -354,8 +358,8 @@ class TestSharing:
 
     def test_shared_gradient_accumulates_from_both_taps(self):
         model = self.shared_model()
-        bundle = model.loss(feats(10), y_trans=[1, 2], y_ctc_pasm=[1],
-                            y_ctc_bpe=[1, 2], y_ctc_bpe_small=[1])
+        bundle = model.loss(feats(10), {"pasm": [1], "bpe": [1, 2],
+                                        "bpe_small": [1]})
         model.params.zero_grad()
         ad.backward(bundle.node)
         w = model.params.get("tap/pasm_n1/w")
@@ -442,17 +446,17 @@ class TestObjectiveArithmetic:
         """LossBundle.l_total must equal the weighting formula applied to
         the logged components, to full float precision."""
         for variant, kwargs, targets in [
-            ("baseline", {}, dict(y_ctc_bpe=[1, 2])),
-            ("basic_pmu", {}, dict(y_ctc_pasm=[1])),
-            ("para_ctc", {}, dict(y_ctc_pasm=[1], y_ctc_bpe=[1, 2])),
-            ("pca_ctc", {}, dict(y_ctc_pasm=[1], y_ctc_bpe=[1, 2])),
+            ("baseline", {}, {"bpe": [1, 2]}),
+            ("basic_pmu", {}, {"pasm": [1], "bpe": [1, 2]}),
+            ("para_ctc", {}, {"pasm": [1], "bpe": [1, 2]}),
+            ("pca_ctc", {}, {"pasm": [1], "bpe": [1, 2]}),
             ("pca_ctc", dict(n1=1, n2=1, n3=1),
-             dict(y_ctc_pasm=[1], y_ctc_bpe=[1, 2], y_ctc_bpe_small=[1])),
+             {"pasm": [1], "bpe": [1, 2], "bpe_small": [1]}),
         ]:
             layers = 3 if kwargs else 2
             model = ConformerTransducer(tiny_cfg(layers),
                                         pmu_for(variant, **kwargs))
-            bundle = model.loss(feats(10), y_trans=[1, 2], **targets)
+            bundle = model.loss(feats(10), targets)
             assert bundle.status == "ok"
             recomputed = combine_losses(model.pmu, bundle.l_trans,
                                         bundle.l_ctc_components)
@@ -462,13 +466,11 @@ class TestObjectiveArithmetic:
 
     def test_smoothing_keeps_components_recombinable(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("para_ctc"))
-        bundle = model.loss(feats(10), y_trans=[1, 2], y_ctc_pasm=[1],
-                            y_ctc_bpe=[1, 2], label_smoothing=0.1)
+        bundle = model.loss(feats(10), {"pasm": [1], "bpe": [1, 2]}, label_smoothing=0.1)
         recomputed = combine_losses(model.pmu, bundle.l_trans,
                                     bundle.l_ctc_components)
         assert bundle.l_total == pytest.approx(recomputed, abs=1e-12)
-        plain = model.loss(feats(10), y_trans=[1, 2], y_ctc_pasm=[1],
-                           y_ctc_bpe=[1, 2], label_smoothing=0.0)
+        plain = model.loss(feats(10), {"pasm": [1], "bpe": [1, 2]}, label_smoothing=0.0)
         assert bundle.l_total > plain.l_total  # the regularizer is positive
 
     def test_shared_heads_with_smoothing_recombine_exactly(self):
@@ -476,9 +478,9 @@ class TestObjectiveArithmetic:
             tiny_cfg(3), pmu_for("pca_ctc", n1=1, n2=1, n3=1, sc_enabled=True,
                                  heads_shared=True), seed=1)
         for seed in range(3):
-            bundle = model.loss(feats(10, seed=seed), y_trans=[1, 2],
-                                y_ctc_pasm=[1], y_ctc_bpe=[1, 2],
-                                y_ctc_bpe_small=[2], label_smoothing=0.1)
+            bundle = model.loss(feats(10, seed=seed),
+                                {"pasm": [1], "bpe": [1, 2], "bpe_small": [2]},
+                                label_smoothing=0.1)
             assert bundle.status == "ok"
             assert bundle.l_total == combine_losses(
                 model.pmu, bundle.l_trans, bundle.l_ctc_components)
@@ -487,27 +489,39 @@ class TestObjectiveArithmetic:
     def test_missing_target_is_an_error(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("para_ctc"))
         with pytest.raises(InputError, match="missing target"):
-            model.loss(feats(10), y_trans=[1, 2], y_ctc_bpe=[1, 2])
+            model.loss(feats(10), {"bpe": [1, 2]})
 
     def test_middle_tap_requires_its_own_target(self):
         model = ConformerTransducer(tiny_cfg(3),
                                     pmu_for("pca_ctc", n1=1, n2=1, n3=1))
         with pytest.raises(InputError, match="bpe_n2"):
-            model.loss(feats(10), y_trans=[1, 2], y_ctc_pasm=[1],
-                       y_ctc_bpe=[1, 2])
+            model.loss(feats(10), {"pasm": [1], "bpe": [1, 2]})
 
     def test_missing_head_is_an_error(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         out = model.forward(feats(10), y_trans=[1])
         with pytest.raises(InputError, match="no CTC head"):
-            assemble_objective(out, [1], [1], [1], pmu_for("para_ctc"))
+            assemble_objective(out, {"pasm": [1], "bpe": [1]},
+                               pmu_for("para_ctc"))
 
     def test_unreachable_ctc_target_skips_sample(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         # T=4 subsamples to one frame; a two-unit target cannot fit
-        bundle = model.loss(feats(4), y_trans=[1], y_ctc_bpe=[1, 2])
+        bundle = model.loss(feats(4), {"bpe": [1, 2]})
         assert bundle.skipped_samples == 1
         assert bundle.status == "unreachable:bpe"
+        assert math.isinf(bundle.l_total)
+        assert bundle.node is None
+
+    def test_unreachable_transducer_target_skips_sample(self):
+        model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
+        out = model.forward(feats(8), [1, 2])
+        lattice = out.lattice.value.copy()
+        lattice[-1, -1, 0] = 2 * LOG_FLOOR  # every alignment ends on it
+        out.lattice = ad.Node(lattice)
+        bundle = assemble_objective(out, {"bpe": [1, 2]}, model.pmu)
+        assert bundle.skipped_samples == 1
+        assert bundle.status == "unreachable:trans"
         assert math.isinf(bundle.l_total)
         assert bundle.node is None
 
@@ -518,12 +532,10 @@ class TestEndToEndGradient:
         x = feats(8, seed=9)
 
         def run():
-            return model.loss(x, y_trans=[1, 2], y_ctc_pasm=[1],
-                              y_ctc_bpe=[1, 2]).l_total
+            return model.loss(x, {"pasm": [1], "bpe": [1, 2]}).l_total
 
         model.params.zero_grad()
-        bundle = model.loss(x, y_trans=[1, 2], y_ctc_pasm=[1],
-                            y_ctc_bpe=[1, 2])
+        bundle = model.loss(x, {"pasm": [1], "bpe": [1, 2]})
         ad.backward(bundle.node)
 
         rng = np.random.default_rng(0)
@@ -546,8 +558,7 @@ class TestEndToEndGradient:
                                                         sc_enabled=True),
                                     seed=2)
         model.params.zero_grad()
-        bundle = model.loss(feats(8), y_trans=[1, 2], y_ctc_pasm=[1],
-                            y_ctc_bpe=[1, 2])
+        bundle = model.loss(feats(8), {"pasm": [1], "bpe": [1, 2]})
         ad.backward(bundle.node)
         g = model.params.get("sc/n1/w").grad
         assert np.any(g != 0.0)

@@ -60,8 +60,7 @@ def tiny_model(variant="baseline", seed=0, **pmu_over):
 
 def sample(T=10, seed=0, sid="u0"):
     feats = np.random.default_rng(seed).normal(size=(T, 6))
-    return Sample(id=sid, features=feats, y_trans=[1, 2], y_pasm=[1],
-                  y_bpe=[1, 2], y_bpe_small=[1])
+    return Sample(sid, feats, {"pasm": [1], "bpe": [1, 2], "bpe_small": [1]})
 
 
 class TestSchedule:
@@ -388,8 +387,7 @@ class TestTrainStep:
         model = tiny_model()
         opt = AdamState.for_params(model.params)
         # 4 frames subsample to 1; a 2-unit CTC target cannot be emitted
-        bad = Sample(id="short", features=np.zeros((4, 6)), y_trans=[1],
-                     y_bpe=[1, 2])
+        bad = Sample("short", np.zeros((4, 6)), {"bpe": [1, 2]})
         before = {p: n.value.copy() for p, n in model.params.items()}
         bundle, info = train_step(model, [bad], TrainConfig(), opt, 1)
         assert bundle.skipped_samples == 1
@@ -402,10 +400,8 @@ class TestTrainStep:
         model = tiny_model()
         cfg = TrainConfig(label_smoothing=0.0)
         good = sample(seed=4, sid="good")
-        bad = Sample(id="short", features=np.zeros((4, 6)), y_trans=[1],
-                     y_bpe=[1, 2])
-        solo = model.loss(good.features, good.y_trans,
-                          y_ctc_bpe=good.y_bpe).l_total
+        bad = Sample("short", np.zeros((4, 6)), {"bpe": [1, 2]})
+        solo = model.loss(good.features, good.targets).l_total
         bundle, info = train_step(model, [good, bad], cfg,
                                   AdamState.for_params(model.params), 1)
         assert bundle.skipped_samples == 1
@@ -440,8 +436,7 @@ class TestTrainStep:
         results = []
         for variant in ("baseline", "para_ctc", "pca_ctc"):
             model = tiny_model(variant, seed=9)
-            bundle = model.loss(s.features, s.y_trans, y_ctc_pasm=s.y_pasm,
-                                y_ctc_bpe=s.y_bpe)
+            bundle = model.loss(s.features, s.targets)
             results.append(bundle.l_trans)
         assert results[0] == results[1] == results[2]
 
