@@ -25,8 +25,8 @@ DEFAULT_DTYPE = np.float64
 _node_ids = itertools.count()
 
 
-def _asarray(x, dtype=None) -> np.ndarray:
-    a = np.asarray(x, dtype=dtype)
+def _asarray(x) -> np.ndarray:
+    a = np.asarray(x)
     if a.dtype.kind != "f":
         a = a.astype(DEFAULT_DTYPE)
     return a
@@ -45,14 +45,14 @@ class Node:
 
     __slots__ = ("id", "value", "grad", "parents", "op", "_backward")
 
-    def __init__(self, value, parents: tuple = (), op: str = "leaf",
-                 backward: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, value, parents: tuple = (), op: str = "leaf"):
         self.id = next(_node_ids)
         self.value = _asarray(value)
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.op = op
-        self._backward = backward
+        # set by the op that builds the node: pushes the node's grad to parents
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:
@@ -359,9 +359,8 @@ class ParamStore:
     (same id, same storage), which is how weight sharing is expressed.
     """
 
-    def __init__(self, rng_seed: int = 0, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng_seed: int = 0):
         self.rng_seed = rng_seed
-        self.dtype = dtype
         self._params: dict[str, Node] = {}
         self._aliases: dict[str, str] = {}
 
@@ -380,14 +379,14 @@ class ParamStore:
             raise ContractViolation(f"parameter path {path!r} already exists")
         shape = tuple(shape)
         if init == "zeros":
-            value = np.zeros(shape, dtype=self.dtype)
+            value = np.zeros(shape, dtype=DEFAULT_DTYPE)
         elif init == "ones":
-            value = np.ones(shape, dtype=self.dtype)
+            value = np.ones(shape, dtype=DEFAULT_DTYPE)
         elif init == "uniform_fanin":
             fan = fan_in if fan_in is not None else (shape[0] if shape else 1)
             bound = 1.0 / np.sqrt(max(fan, 1))
             rng = _path_rng(self.rng_seed, path)
-            value = rng.uniform(-bound, bound, size=shape).astype(self.dtype)
+            value = rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
         else:
             raise ContractViolation(f"unknown init {init!r}")
         node = Node(value, op=f"param:{path}")

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import FormatError, InputError, TrainingError
-from .tokenizers.vocab import BLANK, UNK, Vocabulary
+from .tokenizers.vocab import Vocabulary, vocab_from_units
 
 
 def _cmd_train_bpe(args) -> int:
@@ -34,21 +34,9 @@ def _cmd_train_pasm(args) -> int:
     return 0
 
 
-def _load_any_tokenizer(path: str):
-    from .tokenizers import load_bpe, load_pasm
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    if header == "pmu-bpe v1":
-        return "bpe", load_bpe(path)
-    if header == "pmu-pasm v1":
-        return "pasm", load_pasm(path)
-    raise FormatError(f"{path}: unrecognized tokenizer header {header!r}")
-
-
 def _cmd_encode(args) -> int:
-    from .tokenizers import encode_bpe, encode_pasm
-    kind, model = _load_any_tokenizer(args.model)
-    encode = encode_bpe if kind == "bpe" else encode_pasm
+    from .tokenizers import encode, load_tokenizer
+    model = load_tokenizer(args.model)
     lines = sys.stdin if args.stdin else [args.text or ""]
     for line in lines:
         enc = encode(model, line.rstrip("\n"))
@@ -60,9 +48,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .train import run_experiment_file
-    result = run_experiment_file(args.config, resume=args.resume,
-                                 quiet=args.quiet)
+    from .config import load_config
+    from .train import run_experiment
+    result = run_experiment(load_config(args.config), resume=args.resume,
+                            quiet=args.quiet)
     print(f"run log: {result['log_path']}")
     print(f"final checkpoint: {result['final_ckpt']}")
     if result["best_ckpt"]:
@@ -72,16 +61,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _vocab_from_meta(header: dict, path: str) -> Vocabulary:
+def _vocab_from_meta(header: dict, path: str, size: int) -> Vocabulary:
     meta = header.get("meta") or {}
     units = meta.get("trans_vocab")
-    if not units:
+    if not isinstance(units, list) or not units:
         raise FormatError(f"{path}: checkpoint carries no vocabulary metadata; "
                           f"re-train or decode through run_experiment")
-    return Vocabulary(units=list(units),
-                      id_of={u: i for i, u in enumerate(units)},
-                      blank_id=units.index(BLANK), unk_id=units.index(UNK),
-                      word_end_marker=meta.get("word_end_marker"))
+    if len(units) != size:
+        raise FormatError(f"{path}: checkpoint vocabulary lists {len(units)} "
+                          f"units, the model emits {size}")
+    return vocab_from_units(units, meta.get("word_end_marker"), path)
 
 
 def _cmd_decode(args) -> int:
@@ -89,7 +78,8 @@ def _cmd_decode(args) -> int:
     from .decode import decode_dataset
     from .train import restore_model
     model, _, header = restore_model(args.ckpt)
-    vocab = _vocab_from_meta(header, args.ckpt)
+    vocab = _vocab_from_meta(header, args.ckpt,
+                             model.cfg.vocab[model.pmu.trans_units])
     utts = load_manifest(args.data)
     hyps = decode_dataset(model, utts, vocab, args.max_symbols)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -147,7 +147,7 @@ def config_from_table(table: dict, path: str = "<config>") -> Experiment:
         raise InputError("\n".join(errors))
 
     # semantic validation, also with every problem listed
-    for check in (enc.validate, lambda: pmu.validate(None), tcfg.validate):
+    for check in (enc.validate, pmu.validate, tcfg.validate):
         try:
             check()
         except InputError as e:

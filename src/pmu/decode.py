@@ -22,10 +22,9 @@ def greedy_decode_ctc(emissions: np.ndarray, blank_id: int = 0) -> list[int]:
 
 
 def greedy_decode_transducer(model: ConformerTransducer, x,
-                             max_symbols_per_frame: int = 5,
-                             blank_id: int = 0) -> list[int]:
+                             max_symbols_per_frame: int = 5) -> list[int]:
     """Frame-synchronous greedy search: emit argmax symbols at (t, u) until
-    blank wins or the per-frame cap is hit, then advance t.
+    blank (id 0) wins or the per-frame cap is hit, then advance t.
 
     The label state changes only when a symbol is emitted, so one joint call
     scores every remaining frame against it and the search jumps to the
@@ -37,12 +36,12 @@ def greedy_decode_transducer(model: ConformerTransducer, x,
     ps = model.params
     h_t = model.encode(x).h_n3.value
     zeros = np.zeros((1, ps.get("lab/embed").value.shape[1]))
-    h_u, state = label_encoder_step(blank_id, (zeros, zeros), ps)
+    h_u, state = label_encoder_step(0, (zeros, zeros), ps)
     out: list[int] = []
     t, at_t = 0, 0  # at_t: symbols emitted at frame t so far
     while t < h_t.shape[0]:
         best = joint(h_t[t:], h_u.value, ps).value[:, 0].argmax(axis=-1)
-        hits = np.flatnonzero(best != blank_id)
+        hits = np.flatnonzero(best != 0)
         if hits.size == 0:
             break
         if hits[0] > 0:

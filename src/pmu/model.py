@@ -67,18 +67,13 @@ class ModelConfig:
     lstm_dim: int = 64
     joint_dim: int = 64
     subsample_channels: int = 16
-    vocab_trans: int = 0
-    vocab_pasm: int = 0
-    vocab_bpe: int = 0
-    vocab_bpe_small: int = 0
+    vocab: dict = field(default_factory=dict)  # unit kind -> vocabulary size
 
     def validate(self):
         self.encoder.validate()
         for name in ("input_dim", "lstm_dim", "joint_dim", "subsample_channels"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
-        if self.vocab_trans < 2:
-            raise InputError("vocab_trans must be >= 2 (blank plus one unit)")
 
 
 @dataclass
@@ -96,7 +91,7 @@ class PMUConfig:
     ctc_units: str = "bpe"
     trans_units: str = "bpe"
 
-    def validate(self, cfg: ModelConfig | None = None):
+    def validate(self):
         errors = []
         if self.variant not in VARIANTS:
             errors.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -116,9 +111,6 @@ class PMUConfig:
             if min(self.n1, self.n2, self.n3) < 0 or self.n1 < 1 or self.n3 < 1:
                 errors.append(f"pca_ctc needs n1 >= 1, n2 >= 0, n3 >= 1, "
                               f"got ({self.n1},{self.n2},{self.n3})")
-            if cfg is not None and self.n1 + self.n2 + self.n3 != cfg.encoder.num_layers:
-                errors.append(f"n1+n2+n3 = {self.n1 + self.n2 + self.n3} != "
-                              f"num_layers = {cfg.encoder.num_layers}")
         else:
             if self.sc_enabled:
                 errors.append("sc_enabled requires variant pca_ctc")
@@ -135,10 +127,6 @@ class PMUConfig:
                               "projections are the SC layers)")
             if self.n2 == 0:
                 errors.append("heads_shared requires n2 > 0 (two taps to share)")
-            if cfg is not None and cfg.vocab_pasm != cfg.vocab_bpe_small:
-                errors.append(f"heads_shared requires equal head sizes, got "
-                              f"vocab_pasm={cfg.vocab_pasm} vs "
-                              f"vocab_bpe_small={cfg.vocab_bpe_small}")
         if errors:
             raise InputError("; ".join(errors))
 
@@ -147,17 +135,23 @@ def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
     """Enumerates every config problem in one error instead of stopping at
     the first one."""
     cfg.validate()
-    pmu.validate(cfg)
     errors = []
-    for spec in head_specs(pmu):
-        v = getattr(cfg, f"vocab_{spec.units}")
-        if v < 2:
-            errors.append(f"head {spec.name!r} needs a vocabulary of >= 2 "
-                          f"(blank plus one unit), got {v}")
-    want = getattr(cfg, f"vocab_{pmu.trans_units}")
-    if want and want != cfg.vocab_trans:
-        errors.append(f"vocab_trans = {cfg.vocab_trans} does not match the "
-                      f"{pmu.trans_units} vocabulary size {want}")
+    try:
+        pmu.validate()
+    except InputError as e:
+        errors.append(str(e))
+    layers = pmu.n1 + pmu.n2 + pmu.n3
+    if pmu.variant == "pca_ctc" and layers != cfg.encoder.num_layers:
+        errors.append(f"n1+n2+n3 = {layers} != num_layers = "
+                      f"{cfg.encoder.num_layers}")
+    pasm, small = cfg.vocab.get("pasm", 0), cfg.vocab.get("bpe_small", 0)
+    if pmu.heads_shared and pasm != small:
+        errors.append(f"heads_shared requires equal head sizes, got "
+                      f"vocabulary sizes pasm={pasm} vs bpe_small={small}")
+    for kind in unit_kinds(pmu):
+        if cfg.vocab.get(kind, 0) < 2:
+            errors.append(f"the {kind} vocabulary needs >= 2 entries (blank "
+                          f"plus one unit), got {cfg.vocab.get(kind, 0)}")
     if errors:
         raise InputError("; ".join(errors))
 
@@ -195,6 +189,12 @@ def head_specs(pmu: PMUConfig) -> list[HeadSpec]:
                     "pasm_n1" if pmu.heads_shared else None)] if pmu.n2 else []
     return [HeadSpec("pasm_n1", "pasm", pmu.n1, 0, w, "sc/n1" if sc else None),
             *mid, HeadSpec("bpe_n3", "bpe", group=1, weight=1.0 - pmu.beta)]
+
+
+def unit_kinds(pmu: PMUConfig) -> list[str]:
+    """The unit kinds the variant trains on, sorted: every head's and the
+    transducer's.  Each needs a tokenizer, a vocabulary size and a target."""
+    return sorted({spec.units for spec in head_specs(pmu)} | {pmu.trans_units})
 
 
 def subsampled_length(T: int, factor: int) -> int:
@@ -268,7 +268,7 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
                 if spec.sc:
                     ps.alias(f"{spec.sc}/{leaf}", f"{owner.sc}/{leaf}")
             continue
-        V = getattr(cfg, f"vocab_{spec.units}")
+        V = cfg.vocab[spec.units]
         ps.create(f"tap/{spec.name}/w", (d, V))
         ps.create(f"tap/{spec.name}/b", (V,), init="zeros")
         if spec.sc:
@@ -276,7 +276,8 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
             ps.create(f"{spec.sc}/w", (V, d), init="zeros")
             ps.create(f"{spec.sc}/b", (d,), init="zeros")
 
-    ps.create("lab/embed", (cfg.vocab_trans, cfg.lstm_dim))
+    V = cfg.vocab[pmu.trans_units]
+    ps.create("lab/embed", (V, cfg.lstm_dim))
     ps.create("lab/lstm/wx", (cfg.lstm_dim, 4 * cfg.lstm_dim))
     ps.create("lab/lstm/wh", (cfg.lstm_dim, 4 * cfg.lstm_dim))
     ps.create("lab/lstm/b", (4 * cfg.lstm_dim,), init="zeros")
@@ -284,8 +285,8 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
     ps.create("joint/wt", (d, cfg.joint_dim))
     ps.create("joint/wu", (cfg.lstm_dim, cfg.joint_dim))
     ps.create("joint/b", (cfg.joint_dim,), init="zeros")
-    ps.create("joint/out_w", (cfg.joint_dim, cfg.vocab_trans))
-    ps.create("joint/out_b", (cfg.vocab_trans,), init="zeros")
+    ps.create("joint/out_w", (cfg.joint_dim, V))
+    ps.create("joint/out_b", (V,), init="zeros")
     return ps
 
 
@@ -415,12 +416,12 @@ def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
     return out
 
 
-def label_encoder_forward(y_prefix, ps: ParamStore, blank_id: int = 0) -> Node:
+def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
     """LSTM over the label prefix; row u is the state after consuming the
-    first u labels, with the blank embedding as the start symbol."""
+    first u labels, with the blank (id 0) embedding as the start symbol."""
     embed = ps.get("lab/embed")
     V, dim = embed.value.shape
-    ids = [blank_id] + [int(t) for t in y_prefix]
+    ids = [0] + [int(t) for t in y_prefix]
     for t in ids:
         if not (0 <= t < V):
             raise ContractViolation(f"label id {t} outside vocabulary of {V}")
@@ -573,9 +574,7 @@ class ConformerTransducer:
                                   label_smoothing=label_smoothing)
 
     def config_dict(self) -> dict:
-        d = asdict(self.cfg)
-        d["encoder"] = asdict(self.cfg.encoder)
-        return {"model": d, "pmu": asdict(self.pmu)}
+        return {"model": asdict(self.cfg), "pmu": asdict(self.pmu)}
 
 
 def configs_from_dict(d: dict) -> tuple[ModelConfig, PMUConfig]:

@@ -18,6 +18,8 @@ from .errors import ContractViolation
 # Additive attention-mask constant: large enough to zero the softmax slot,
 # small enough never to overflow in 64-bit.
 MASK_NEG = -1e30
+# Variance floor of layer_norm.
+LN_EPS = 1e-5
 
 
 def linear(x, w, b=None) -> Node:
@@ -32,7 +34,7 @@ def linear(x, w, b=None) -> Node:
     return y
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
+def layer_norm(x, gain, bias) -> Node:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_node(x), as_node(gain), as_node(bias)
     d = x.value.shape[-1]
@@ -42,7 +44,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
     mu = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = Node(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm")
 
@@ -58,19 +60,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
     return out
 
 
-def glu(x, axis: int = -1) -> Node:
-    """Gated linear unit: split in half along `axis`, gate with sigmoid."""
+def glu(x) -> Node:
+    """Gated linear unit: split the last axis in half, gate with sigmoid."""
     x = as_node(x)
-    n = x.value.shape[axis]
+    n = x.value.shape[-1]
     if n % 2 != 0:
-        raise ContractViolation(f"glu: axis size {n} is odd")
-    half = n // 2
-    sl_a = [slice(None)] * x.value.ndim
-    sl_b = [slice(None)] * x.value.ndim
-    sl_a[axis] = slice(0, half)
-    sl_b[axis] = slice(half, n)
-    a = ad.take_slice(x, tuple(sl_a))
-    b = ad.take_slice(x, tuple(sl_b))
+        raise ContractViolation(f"glu: last axis size {n} is odd")
+    a = ad.take_slice(x, (..., slice(0, n // 2)))
+    b = ad.take_slice(x, (..., slice(n // 2, n)))
     return ad.mul(a, ad.sigmoid(b))
 
 
@@ -208,12 +205,12 @@ def dropout(x, p: float, seed: int, step: int, site: str, train: bool) -> Node:
     return ad.mul(x, Node(mask.astype(x.value.dtype)))
 
 
-def sinusoid_positions(T: int, d: int, dtype=np.float64) -> np.ndarray:
+def sinusoid_positions(T: int, d: int) -> np.ndarray:
     """Classic sin/cos absolute positional table, shape (T, d)."""
-    pos = np.arange(T, dtype=dtype)[:, None]
-    dim = np.arange(0, d, 2, dtype=dtype)[None, :]
+    pos = np.arange(T, dtype=np.float64)[:, None]
+    dim = np.arange(0, d, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, dim / d)
-    pe = np.zeros((T, d), dtype=dtype)
+    pe = np.zeros((T, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2])
     return pe

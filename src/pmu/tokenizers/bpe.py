@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import FormatError, InputError
-from .vocab import EncodedText, Vocabulary, build_vocab, normalize_text
+from .vocab import (EncodedText, Vocabulary, build_vocab, normalize_text,
+                    read_model_file)
 
 DEFAULT_MARKER = "_"
-_FORMAT_HEADER = "pmu-bpe v1"
+FORMAT_HEADER = "pmu-bpe v1"
 
 
 @dataclass
@@ -106,20 +107,12 @@ def encode_bpe(model: BpeModel, text: str) -> EncodedText:
     units: list[str] = []
     for word in normalize_text(text).split():
         units.extend(segment_word(model, word))
-    ids = []
-    unk = 0
-    for u in units:
-        i = model.vocab.id_of.get(u)
-        if i is None:
-            i = model.vocab.unk_id
-            unk += 1
-        ids.append(i)
-    return EncodedText(ids=ids, units=units, unk_count=unk)
+    return model.vocab.encode(units)
 
 
 def save_bpe(model: BpeModel, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_FORMAT_HEADER + "\n")
+        fh.write(FORMAT_HEADER + "\n")
         fh.write(f"marker {model.word_end_marker}\n")
         for c in model.seed_chars:
             fh.write(f"char {c}\n")
@@ -128,24 +121,20 @@ def save_bpe(model: BpeModel, path: str):
 
 
 def load_bpe(path: str) -> BpeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _FORMAT_HEADER:
-            raise FormatError(f"{path}: expected header {_FORMAT_HEADER!r}, "
-                              f"got {header!r}")
-        marker = None
-        seed: list[str] = []
-        merges: list[tuple[str, str]] = []
-        for lineno, line in enumerate(fh, 2):
-            fields = line.rstrip("\n").split(" ")
-            if fields[0] == "marker" and len(fields) == 2:
-                marker = fields[1]
-            elif fields[0] == "char" and len(fields) == 2:
-                seed.append(fields[1])
-            elif fields[0] == "merge" and len(fields) == 3:
-                merges.append((fields[1], fields[2]))
-            else:
-                raise FormatError(f"{path}:{lineno}: bad record {line!r}")
+    _, records = read_model_file(path, (FORMAT_HEADER,))
+    marker = None
+    seed: list[str] = []
+    merges: list[tuple[str, str]] = []
+    for lineno, line in enumerate(records, 2):
+        fields = line.split(" ")
+        if fields[0] == "marker" and len(fields) == 2:
+            marker = fields[1]
+        elif fields[0] == "char" and len(fields) == 2:
+            seed.append(fields[1])
+        elif fields[0] == "merge" and len(fields) == 3:
+            merges.append((fields[1], fields[2]))
+        else:
+            raise FormatError(f"{path}:{lineno}: bad record {line!r}")
     if marker is None or not seed:
         raise FormatError(f"{path}: missing marker or seed characters")
     units = set(seed)

@@ -17,9 +17,9 @@ from typing import Iterable
 from ..errors import FormatError, InputError
 from .aligner import AlignmentTable, align_lexicon, viterbi_align
 from .vocab import (SPACE, EncodedText, Lexicon, Vocabulary, build_vocab,
-                    normalize_text)
+                    normalize_text, read_model_file)
 
-_FORMAT_HEADER = "pmu-pasm v1"
+FORMAT_HEADER = "pmu-pasm v1"
 
 
 @dataclass
@@ -123,55 +123,35 @@ def segment_word(model: PasmModel, word: str) -> list[str]:
     return out
 
 
-def segment_pasm(model: PasmModel, word: str) -> EncodedText:
-    units = segment_word(model, word)
-    ids = [model.vocab.id(u) for u in units]
-    unk = sum(1 for i in ids if i == model.vocab.unk_id)
-    return EncodedText(ids=ids, units=units, unk_count=unk)
-
-
 def encode_pasm(model: PasmModel, text: str) -> EncodedText:
     """Utterance tokenizer: words segmented independently and joined with
     the word-boundary unit."""
-    sp_id = model.vocab.id_of[SPACE]
-    ids: list[int] = []
     units: list[str] = []
-    unk = 0
     for k, word in enumerate(normalize_text(text).split()):
-        if k:
-            ids.append(sp_id)
-            units.append(SPACE)
-        enc = segment_pasm(model, word)
-        ids.extend(enc.ids)
-        units.extend(enc.units)
-        unk += enc.unk_count
-    return EncodedText(ids=ids, units=units, unk_count=unk)
+        units += ([SPACE] if k else []) + segment_word(model, word)
+    return model.vocab.encode(units)
 
 
 def save_pasm(model: PasmModel, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_FORMAT_HEADER + "\n")
+        fh.write(FORMAT_HEADER + "\n")
         fh.write(f"status {model.status}\n")
         for u, c in model.inventory.items():
             fh.write(f"unit {u} {c}\n")
 
 
 def load_pasm(path: str) -> PasmModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _FORMAT_HEADER:
-            raise FormatError(f"{path}: expected header {_FORMAT_HEADER!r}, "
-                              f"got {header!r}")
-        status = "ok"
-        inventory: dict[str, int] = {}
-        for lineno, line in enumerate(fh, 2):
-            fields = line.rstrip("\n").split(" ")
-            if fields[0] == "status" and len(fields) == 2:
-                status = fields[1]
-            elif fields[0] == "unit" and len(fields) == 3 and fields[2].isdecimal():
-                inventory[fields[1]] = int(fields[2])
-            else:
-                raise FormatError(f"{path}:{lineno}: bad record {line!r}")
+    _, records = read_model_file(path, (FORMAT_HEADER,))
+    status = "ok"
+    inventory: dict[str, int] = {}
+    for lineno, line in enumerate(records, 2):
+        fields = line.split(" ")
+        if fields[0] == "status" and len(fields) == 2:
+            status = fields[1]
+        elif fields[0] == "unit" and len(fields) == 3 and fields[2].isdecimal():
+            inventory[fields[1]] = int(fields[2])
+        else:
+            raise FormatError(f"{path}:{lineno}: bad record {line!r}")
     if not inventory:
         raise FormatError(f"{path}: no units")
     return _finish(inventory, status=status)

@@ -26,44 +26,55 @@ def normalize_text(text: str) -> str:
 
 
 @dataclass
+class EncodedText:
+    """Tokenized utterance: unit ids plus bookkeeping for unk emissions."""
+    ids: list[int]
+    units: list[str]
+    unk_count: int = 0
+
+
+@dataclass
 class Vocabulary:
     units: list[str]
     id_of: dict[str, int]
-    blank_id: int
     unk_id: int
     word_end_marker: str | None = None
 
     def __len__(self):
         return len(self.units)
 
-    def id(self, unit: str) -> int:
-        return self.id_of.get(unit, self.unk_id)
+    def encode(self, units: list[str]) -> EncodedText:
+        """Ids of `units`; a unit outside the vocabulary becomes unk and is
+        counted."""
+        return EncodedText(ids=[self.id_of.get(u, self.unk_id) for u in units],
+                           units=units,
+                           unk_count=sum(u not in self.id_of for u in units))
 
     def unit(self, idx: int) -> str:
         return self.units[idx]
 
 
-def build_vocab(units, include_blank: bool = True,
-                extra_specials: tuple[str, ...] = (),
+def vocab_from_units(units, word_end_marker: str | None = None,
+                     source: str = "vocabulary") -> Vocabulary:
+    """Vocabulary over the list `units` in its order.  The units must be
+    distinct strings, blank first and unk second; anything else is a
+    FormatError naming `source`."""
+    id_of = {u: i for i, u in enumerate(units) if isinstance(u, str)}
+    if (len(id_of) != len(units) or units[:2] != [BLANK, UNK]
+            or not isinstance(word_end_marker, (str, type(None)))):
+        raise FormatError(f"{source}: a vocabulary lists distinct unit "
+                          f"strings, {BLANK!r} first and {UNK!r} second")
+    return Vocabulary(units=units, id_of=id_of, unk_id=1,
+                      word_end_marker=word_end_marker)
+
+
+def build_vocab(units, extra_specials: tuple[str, ...] = (),
                 word_end_marker: str | None = None) -> Vocabulary:
     """Deterministic vocabulary: blank, unk, extra specials, then the unit
     set deduplicated and sorted."""
-    ordered: list[str] = []
-    if include_blank:
-        ordered.append(BLANK)
-    ordered.append(UNK)
-    ordered.extend(extra_specials)
-    body = sorted(set(units) - set(ordered))
-    for u in body:
-        if u == BLANK:
-            raise InputError("blank symbol cannot be a text unit")
-        ordered.append(u)
-    id_of = {u: i for i, u in enumerate(ordered)}
-    if len(id_of) != len(ordered):
-        raise InputError("duplicate unit strings after normalization")
-    return Vocabulary(units=ordered, id_of=id_of,
-                      blank_id=id_of[BLANK] if include_blank else -1,
-                      unk_id=id_of[UNK], word_end_marker=word_end_marker)
+    head = [BLANK, UNK, *extra_specials]
+    return vocab_from_units(head + sorted(set(units) - set(head)),
+                            word_end_marker)
 
 
 def decode_units(vocab: Vocabulary, ids) -> str:
@@ -81,12 +92,20 @@ def decode_units(vocab: Vocabulary, ids) -> str:
     return " ".join(text.split())
 
 
-@dataclass
-class EncodedText:
-    """Tokenized utterance: unit ids plus bookkeeping for unk emissions."""
-    ids: list[int]
-    units: list[str]
-    unk_count: int = 0
+def read_model_file(path: str, headers) -> tuple[str, list[str]]:
+    """(header, records) of a tokenizer model file whose first line is one
+    of `headers`, newlines stripped.  Any other file, also one that is not
+    UTF-8 text, is a FormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, *records = [line.rstrip("\n") for line in fh] or [""]
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: tokenizer model is not UTF-8 text "
+                          f"({e.reason})") from None
+    if header not in headers:
+        raise FormatError(f"{path}: unrecognized tokenizer header {header!r}, "
+                          f"expected {' or '.join(map(repr, headers))}")
+    return header, records
 
 
 @dataclass

@@ -20,14 +20,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore
-from .config import DataConfig, Experiment, TrainConfig, load_config
+from .config import DataConfig, Experiment, TrainConfig
 from .data import Utterance, load_manifest
 from .decode import decode_dataset
 from .errors import FormatError, InputError, TrainingError
 from .metrics import wer_corpus
 from .model import (ConformerTransducer, LossBundle, PMUConfig,
-                    configs_from_dict, head_specs)
-from .tokenizers import encode_bpe, encode_pasm, load_bpe, load_pasm
+                    configs_from_dict, unit_kinds)
+from .tokenizers import PasmModel, encode, load_tokenizer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
@@ -293,7 +293,7 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
     try:
         cfg, pmu = configs_from_dict(header)
         model = ConformerTransducer(cfg, pmu, seed=header.get("seed", 0))
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: checkpoint header does not hold a model "
                           f"config ({type(e).__name__}: {e})")
     opt = AdamState.for_params(model.params)
@@ -322,22 +322,19 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
 # ---------------------------------------------------------------------------
 # full experiment
 
-def _needed_targets(pmu: PMUConfig) -> set[str]:
-    return {spec.units for spec in head_specs(pmu)} | {pmu.trans_units}
-
-
 def build_samples(utts: list[Utterance], pmu: PMUConfig, tokenizers: dict) -> list[Sample]:
-    need = sorted(_needed_targets(pmu))
+    kinds = unit_kinds(pmu)
     return [Sample(u.id, u.features,
-                   {k: (encode_pasm if k == "pasm" else encode_bpe)(
-                       tokenizers[k], u.transcript).ids for k in need})
+                   {k: encode(tokenizers[k], u.transcript).ids for k in kinds})
             for u in utts]
 
 
 def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> dict:
+    """Unit kind -> tokenizer, read from `[data] <kind>_model`; the "pasm"
+    kind takes a PASM model and the BPE kinds take BPE models."""
     errors = []
     toks = {}
-    for kind in sorted(_needed_targets(pmu)):
+    for kind in unit_kinds(pmu):
         path = getattr(dcfg, f"{kind}_model")
         if not path:
             errors.append(f"[data] {kind}_model is required for variant "
@@ -346,7 +343,10 @@ def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> dict:
         if not os.path.exists(path):
             errors.append(f"[data] {kind} model file not found: {path}")
             continue
-        toks[kind] = load_pasm(path) if kind == "pasm" else load_bpe(path)
+        toks[kind] = load_tokenizer(path)
+        if isinstance(toks[kind], PasmModel) != (kind == "pasm"):
+            errors.append(f"[data] {kind}_model {path} holds a "
+                          f"{type(toks[kind]).__name__}")
     if errors:
         raise InputError("; ".join(errors))
     return toks
@@ -378,10 +378,8 @@ def run_experiment(exp: Experiment, resume: str | None = None,
     if errors:
         raise InputError("; ".join(errors))
 
-    for kind, tok in toks.items():
-        setattr(mcfg, f"vocab_{kind}", len(tok.vocab))
+    mcfg.vocab = {kind: len(tok.vocab) for kind, tok in toks.items()}
     trans_tok = toks[pmu.trans_units]
-    mcfg.vocab_trans = len(trans_tok.vocab)
 
     if resume:
         model, opt, header = restore_model(resume)
@@ -441,8 +439,3 @@ def run_experiment(exp: Experiment, resume: str | None = None,
             "best_ckpt": best_path if math.isfinite(best_wer) else None,
             "best_wer": best_wer, "model": model,
             "wall_s": time.time() - t_start}
-
-
-def run_experiment_file(config_path: str, resume: str | None = None,
-                        quiet: bool = False) -> dict:
-    return run_experiment(load_config(config_path), resume=resume, quiet=quiet)

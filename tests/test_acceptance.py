@@ -51,8 +51,8 @@ def tiny_cfg(num_layers=2, **over):
     enc = EncoderConfig(num_layers=num_layers, attention_dim=8, ff_dim=16,
                         heads=2, conv_kernel=3, dropout=0.0)
     base = dict(encoder=enc, input_dim=6, lstm_dim=8, joint_dim=8,
-                subsample_channels=2, vocab_trans=5, vocab_pasm=4,
-                vocab_bpe=5, vocab_bpe_small=4)
+                subsample_channels=2,
+                vocab={"pasm": 4, "bpe": 5, "bpe_small": 4})
     base.update(over)
     return ModelConfig(**base)
 
@@ -190,7 +190,7 @@ def test_criterion_2_gradients_match_finite_differences(acceptance):
     t0 = time.monotonic()
     seeds = 20
     prim = _primitive_worst(seeds)
-    suite = gradient_suite(seeds=seeds, eps=1e-4)
+    suite = gradient_suite(seeds=seeds)
     loss_worst = max(suite["ctc_max_rel_err"], suite["transducer_max_rel_err"])
     sc = _sc_path_worst(seeds)
     full = _full_model_worst(seeds)

@@ -175,7 +175,11 @@ def assert_one_error_naming(capsys, path):
     json_edit(lambda h: h["model"].update(bogus_key=1)),
     json_edit(lambda h: h.pop("pmu")),
     lambda blob: b"{not json",
-], ids=["extra-config-key", "no-pmu", "not-json"])
+    # a header from before the vocabulary map: one int per unit kind
+    json_edit(lambda h: h["model"].update(
+        vocab_trans=h["model"]["vocab"]["bpe"],
+        **{f"vocab_{k}": v for k, v in h["model"].pop("vocab").items()})),
+], ids=["extra-config-key", "no-pmu", "not-json", "vocab-fields"])
 def test_malformed_checkpoint_header_exits_2(workspace, capsys, tmp_path, edit):
     ckpt = tmp_path / "bad.ckpt"
     with_header(workspace / "run" / "final.ckpt", ckpt, edit)
@@ -206,3 +210,55 @@ def test_pasm_unit_count_not_an_integer_exits_2(workspace, capsys, tmp_path):
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["tokenize", "encode", "--model", str(bad), "--text", "x"]) == 2
     assert_one_error_naming(capsys, bad)
+
+
+@pytest.fixture
+def non_utf8_file(tmp_path):
+    junk = tmp_path / "junk.tok"
+    junk.write_bytes(bytes(range(192, 256)))
+    return junk
+
+
+def test_encode_with_non_utf8_tokenizer_exits_2(capsys, non_utf8_file):
+    assert main(["tokenize", "encode", "--model", str(non_utf8_file),
+                 "--text", "x"]) == 2
+    assert_one_error_naming(capsys, non_utf8_file)
+
+
+def test_train_with_non_utf8_tokenizer_exits_2(workspace, capsys, tmp_path,
+                                               non_utf8_file):
+    junk = non_utf8_file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
+                   .replace(str(workspace / "bpe.tok"), str(junk))
+                   .replace(str(workspace / "run"), str(tmp_path / "run")),
+                   encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert_one_error_naming(capsys, junk)
+
+
+def test_tokenizer_of_the_other_family_exits_2(workspace, capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
+                   .replace(f"bpe_model = {workspace / 'bpe.tok'}",
+                            f"bpe_model = {workspace / 'pasm.tok'}")
+                   .replace(str(workspace / "run"), str(tmp_path / "run")),
+                   encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert_one_error_naming(capsys, workspace / "pasm.tok")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda units: units.remove("<blank>"),
+    lambda units: units.remove("<unk>"),
+    lambda units: units.insert(0, units.pop(1)),
+    lambda units: units.pop(),
+], ids=["no-blank", "no-unk", "blank-not-first", "short"])
+def test_bad_checkpoint_vocabulary_exits_2(workspace, capsys, tmp_path, edit):
+    ckpt = tmp_path / "bad.ckpt"
+    with_header(workspace / "run" / "final.ckpt", ckpt,
+                json_edit(lambda h: edit(h["meta"]["trans_vocab"])))
+    assert main(["decode", "--ckpt", str(ckpt),
+                 "--data", str(workspace / "toy" / "dev.tsv"),
+                 "--out", str(tmp_path / "dev.hyp")]) == 2
+    assert_one_error_naming(capsys, ckpt)

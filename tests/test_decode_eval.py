@@ -29,8 +29,7 @@ def tiny_model(seed=0, vocab=5):
     enc = EncoderConfig(num_layers=2, attention_dim=8, ff_dim=16, heads=2,
                         conv_kernel=3, dropout=0.0)
     cfg = ModelConfig(encoder=enc, input_dim=6, lstm_dim=8, joint_dim=8,
-                      subsample_channels=2, vocab_trans=vocab,
-                      vocab_bpe=vocab)
+                      subsample_channels=2, vocab={"bpe": vocab})
     return ConformerTransducer(cfg, PMUConfig(variant="baseline"), seed=seed)
 
 

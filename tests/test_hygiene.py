@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the program and its tests is
-used, and every module-level function or class of the program is named
-somewhere else in the program or the benchmark.
+used, every module-level function or class of the program is named
+somewhere else in the program or the benchmark, and every default-valued
+parameter that the program or the benchmark calls is set by some call.
 
 The package `__init__.py` files re-export names and are skipped.
 """
@@ -13,18 +14,26 @@ import re
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PROGRAM = sorted(p for p in (ROOT / "src" / "pmu").rglob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "pmu").rglob("*.py"))
+PROGRAM = [p for p in PACKAGE if p.name != "__init__.py"]
 FILES = PROGRAM + sorted((ROOT / "tests").rglob("*.py"))
 # where a definition may be named: the program, its re-exports, perfbench
-CALLERS = sorted((ROOT / "src" / "pmu").rglob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 UNREFERENCED_ALLOWED = {
     # the sampled finite-difference oracle of acceptance criterion 2
     "finite_diff_sample",
     # per-tap unit error rates at eval will decode every CTC tap with it
     # (ROADMAP item 6)
     "greedy_decode_ctc",
+}
+# default-valued parameters that no call in the program or the benchmark
+# sets, each with the reason it stays
+UNSET_DEFAULTS_ALLOWED = {
+    "main(argv)": "tests drive the CLI through it",
+    "multi_head_attention(mask)": "the batched, padded train step will pass "
+                                  "length masks (ROADMAP item 3)",
+    "oracle_equivalence_suite(seed)": "tests choose another seed",
+    "finite_diff_grad(eps)": "gradient tests choose a smaller step",
 }
 
 
@@ -86,3 +95,72 @@ def test_every_definition_is_referenced():
     assert UNREFERENCED_ALLOWED <= set(defined)
     assert [n for n in unreferenced(defined, corpus)
             if n not in UNREFERENCED_ALLOWED] == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, list[str], list[str]]]:
+    """(callee name, positional parameters, default-valued parameters) of
+    each module-level function and each method of a module-level class in
+    `source`.  A method's positional parameters leave out `self`, and an
+    `__init__` goes by its class's name, as its calls do."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = node if isinstance(node, ast.ClassDef) else None
+        for f in node.body if owner else [node]:
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = f.args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            if owner and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in f.decorator_list):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            name = owner.name if owner and f.name == "__init__" else f.name
+            out.append((name, positional, defaulted))
+    return out
+
+
+def unset_defaults(program: list[str], callers: list[str]) -> list[str]:
+    """`name(param)` for each default-valued parameter of a `program`
+    function that `callers` call while no call passes that parameter, by
+    keyword or by position.  Calls match by the callee's last name; a call
+    with `*` or `**` passes every parameter."""
+    calls = collections.defaultdict(list)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls[name].append(node)
+    out = set()
+    for source in program:
+        for name, positional, defaulted in defaulted_parameters(source):
+            passed = set()
+            for call in calls.get(name, []):
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    passed.update(defaulted)
+                passed.update(positional[:len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            if name in calls:
+                out.update(f"{name}({p})" for p in defaulted if p not in passed)
+    return sorted(out)
+
+
+def test_scanner_flags_only_unset_defaults():
+    program = ("def f(a, b=1, *, c=2, d=3):\n    pass\n\n\n"
+               "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+               "    def m(self, z=0):\n        pass\n\n\n"
+               "def g(p=0):\n    pass\n\n\n"
+               "def uncalled(q=0):\n    pass\n")
+    callers = "f(0, 5, c=1)\nf(0)\nK(1)\nk.m(**kw)\ng()\n"
+    assert unset_defaults([program], [callers]) == ["K(y)", "f(d)", "g(p)"]
+    assert unset_defaults([program], [callers + "g(*args)\n"]) == ["K(y)", "f(d)"]
+
+
+def test_every_default_is_set_by_some_call():
+    found = unset_defaults([p.read_text(encoding="utf-8") for p in PACKAGE],
+                           [p.read_text(encoding="utf-8") for p in CALLERS])
+    assert [d for d in found if d not in UNSET_DEFAULTS_ALLOWED] == []
+    assert set(UNSET_DEFAULTS_ALLOWED) <= set(found)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pmu.autodiff as ad
 from pmu.errors import ContractViolation, InputError
@@ -286,6 +286,29 @@ def test_transducer_matches_brute_force_property(data):
     lat = random_logprob_matrix(np.random.default_rng(seed), T, U + 1, V)
     assert transducer_loss(lat, y).value == pytest.approx(
         transducer_brute_force(lat, y), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.integers(1, 6), V=st.integers(2, 4),
+       raw=st.lists(st.integers(1, 3), max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(T=1, V=3, raw=[], seed=0)        # one frame, empty target
+@example(T=1, V=3, raw=[2], seed=1)       # one frame, one label
+@example(T=3, V=2, raw=[1, 1], seed=2)    # a repeat needs a blank between
+@example(T=2, V=2, raw=[1, 1], seed=3)    # ... so two frames cannot hold it
+@example(T=4, V=4, raw=[3, 3, 3], seed=4)
+def test_ctc_matches_brute_force_property(T, V, raw, seed):
+    # labels folded into 1..V-1: a small V makes repeated labels common
+    y = [1 + (k - 1) % (V - 1) for k in raw]
+    em = random_logprob_matrix(np.random.default_rng(seed), T, V)
+    res = ctc_loss(em, y)
+    want = ctc_brute_force(em, y)
+    assert (res.status == "unreachable") == math.isinf(want), (T, V, y)
+    if math.isinf(want):
+        assert res.value == math.inf and not res.grad.any()
+    else:
+        assert res.status == "ok"
+        assert res.value == pytest.approx(want, abs=1e-12)
 
 
 class TestRegularizers:

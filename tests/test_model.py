@@ -33,8 +33,8 @@ def tiny_cfg(num_layers=2, **over):
     enc = EncoderConfig(num_layers=num_layers, attention_dim=8, ff_dim=16,
                         heads=2, conv_kernel=3, dropout=0.0)
     base = dict(encoder=enc, input_dim=6, lstm_dim=8, joint_dim=8,
-                subsample_channels=2, vocab_trans=5, vocab_pasm=4,
-                vocab_bpe=5, vocab_bpe_small=4)
+                subsample_channels=2,
+                vocab={"pasm": 4, "bpe": 5, "bpe_small": 4})
     base.update(over)
     return ModelConfig(**base)
 
@@ -86,7 +86,7 @@ class TestConfigValidation:
                                                   heads_shared=True))
 
     def test_heads_shared_needs_matching_vocab(self):
-        cfg = tiny_cfg(3, vocab_bpe_small=3)
+        cfg = tiny_cfg(3, vocab={"pasm": 4, "bpe": 5, "bpe_small": 3})
         with pytest.raises(InputError, match="equal head sizes"):
             validate_configs(cfg, pmu_for("pca_ctc", n1=1, n2=1, n3=1,
                                           sc_enabled=True, heads_shared=True))
@@ -101,10 +101,6 @@ class TestConfigValidation:
             validate_configs(tiny_cfg(), PMUConfig(variant="baseline",
                                                    ctc_units="pasm",
                                                    trans_units="bpe"))
-
-    def test_trans_vocab_must_match_unit_inventory(self):
-        with pytest.raises(InputError, match="vocab_trans"):
-            validate_configs(tiny_cfg(vocab_trans=7), pmu_for("para_ctc"))
 
     def test_errors_are_enumerated_together(self):
         bad = pmu_for("pca_ctc", n1=1, n2=0, n3=2, alpha=2.0, beta=-1.0)
