@@ -365,13 +365,7 @@ class ParamStore:
         self._aliases: dict[str, str] = {}
 
     def resolve(self, path: str) -> str:
-        seen = set()
-        while path in self._aliases:
-            if path in seen:
-                raise ContractViolation(f"alias cycle at {path!r}")
-            seen.add(path)
-            path = self._aliases[path]
-        return path
+        return self._aliases.get(path, path)
 
     def create(self, path: str, shape: tuple, init: str = "uniform_fanin",
                fan_in: int | None = None) -> Node:
@@ -394,11 +388,12 @@ class ParamStore:
         return node
 
     def alias(self, path: str, target: str):
-        """Make `path` resolve to the existing parameter at `target`."""
+        """Make `path` resolve to the existing parameter at `target`, which
+        must not itself be an alias."""
         if path in self._params:
             raise ContractViolation(f"{path!r} already holds a parameter")
-        if self.resolve(target) not in self._params:
-            raise ContractViolation(f"alias target {target!r} does not exist")
+        if target not in self._params:
+            raise ContractViolation(f"alias target {target!r} is not a parameter")
         self._aliases[path] = target
 
     def get(self, path: str) -> Node:

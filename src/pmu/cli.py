@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import FormatError, InputError, TrainingError
+from .errors import FormatError, InputError, TrainingError, read_lines
 from .tokenizers.vocab import Vocabulary, vocab_from_units
 
 
 def _cmd_train_bpe(args) -> int:
     from .tokenizers import save_bpe, train_bpe
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        model = train_bpe(fh, args.merges, word_end_marker=args.marker)
+    model = train_bpe(read_lines(args.corpus), args.merges,
+                      word_end_marker=args.marker)
     save_bpe(model, args.out)
     print(f"wrote {args.out}: {len(model.merges)} merges, "
           f"vocab {len(model.vocab)}")
@@ -26,8 +26,8 @@ def _cmd_train_bpe(args) -> int:
 def _cmd_train_pasm(args) -> int:
     from .tokenizers import load_lexicon, save_pasm, train_pasm
     lexicon = load_lexicon(args.lexicon)
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        model = train_pasm(fh, lexicon, args.iters, args.min_count, args.size)
+    model = train_pasm(read_lines(args.corpus), lexicon, args.iters,
+                       args.min_count, args.size)
     save_pasm(model, args.out)
     print(f"wrote {args.out}: {len(model.inventory)} units, "
           f"vocab {len(model.vocab)}, status {model.status}")
@@ -94,16 +94,14 @@ def _cmd_eval_wer(args) -> int:
     from .metrics import wer_corpus
     refs = load_manifest(args.ref, with_features=False)
     hyps: dict[str, str] = {}
-    with open(args.hyp, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError(f"{args.hyp}:{lineno}: expected "
-                                  f"`id<TAB>hypothesis`")
-            utt_id, _, text = line.partition("\t")
-            hyps[utt_id] = text
+    for lineno, line in enumerate(read_lines(args.hyp), 1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise FormatError(f"{args.hyp}:{lineno}: expected "
+                              f"`id<TAB>hypothesis`")
+        utt_id, _, text = line.partition("\t")
+        hyps[utt_id] = text
     missing = [u.id for u in refs if u.id not in hyps]
     if missing:
         raise InputError(f"{args.hyp}: no hypothesis for {missing[:5]}"

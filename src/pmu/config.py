@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import InputError
-from .model import EncoderConfig, ModelConfig, PMUConfig
+from .errors import InputError, read_lines
+from .model import ModelConfig, PMUConfig
 
 
 @dataclass
@@ -57,53 +57,66 @@ def _coerce(raw: str, kind: type):
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
+    if kind is tuple:
+        return tuple(part.strip() for part in raw.split(",") if part.strip())
     return kind(raw)
 
 
 _SECTIONS = ("model", "pmu", "train", "data")
-
-# [model] keys of the outer model config; the rest belong to EncoderConfig
-_MODEL_KEYS = {"input_dim": int, "lstm_dim": int, "joint_dim": int,
-               "subsample_channels": int}
 _TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str,
                "tuple": tuple}
 
 
-def _field_types(cls) -> dict:
-    out = {}
-    for f in fields(cls):
-        t = f.type if isinstance(f.type, type) else _TYPE_NAMES[str(f.type)]
-        out[f.name] = t
-    return out
-
-
-def parse_config_text(text: str, path: str = "<config>") -> dict:
-    """Raw section/key/value table, with syntax errors collected."""
-    table: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
+def assign_fields(values: dict, targets: list, where: str) -> list[str]:
+    """Set each `key: raw` of `values` on the first dataclass in `targets`
+    with a scalar field of that name, coerced to the field's type.  Returns
+    the problems, unknown keys and values that do not coerce, each after
+    `where`."""
     errors = []
-    section = None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    types = [{f.name: _TYPE_NAMES[f.type] for f in fields(t)
+              if f.type in _TYPE_NAMES} for t in targets]
+    for key, raw in values.items():
+        owner = next((i for i, known in enumerate(types) if key in known), None)
+        if owner is None:
+            errors.append(f"{where} unknown key {key!r}")
+            continue
+        try:
+            setattr(targets[owner], key, _coerce(raw, types[owner][key]))
+        except ValueError as e:
+            errors.append(f"{where} {key}: {e}")
+    return errors
+
+
+def parse_config_text(lines, path: str = "<config>",
+                      sections=_SECTIONS) -> dict:
+    """Raw section/key/value table of `key = value` lines, with syntax
+    errors collected.  Keys before the first header go to the section ""
+    when it is one of `sections` (a file without headers), and are an
+    error otherwise."""
+    table: dict[str, dict[str, str]] = {s: {} for s in sections}
+    errors = []
+    section = ""
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            if name not in _SECTIONS:
-                errors.append(f"{path}:{lineno}: unknown section [{name}]")
+            section = stripped[1:-1].strip()
+            if section not in table:
+                errors.append(f"{path}:{lineno}: unknown section [{section}]")
                 section = None
-            else:
-                section = name
             continue
         if "=" not in stripped:
             errors.append(f"{path}:{lineno}: expected `key = value`, got {stripped!r}")
             continue
-        if section is None:
+        if section not in table:
             errors.append(f"{path}:{lineno}: key outside any section")
             continue
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
         if key in table[section]:
-            errors.append(f"{path}:{lineno}: duplicate key {key!r} in [{section}]")
+            where = f" in [{section}]" if section else ""
+            errors.append(f"{path}:{lineno}: duplicate key {key!r}{where}")
         table[section][key] = value
     if errors:
         raise InputError("\n".join(errors))
@@ -120,44 +133,28 @@ class Experiment:
 
 def config_from_table(table: dict, path: str = "<config>") -> Experiment:
     errors = []
-    enc = EncoderConfig()
-    mcfg = ModelConfig(encoder=enc)
-    pmu = PMUConfig()
-    tcfg = TrainConfig()
-    dcfg = DataConfig()
-
-    enc_types = _field_types(EncoderConfig)
-    plans = [
-        ("model", {**enc_types, **_MODEL_KEYS},
-         lambda k: enc if k in enc_types else mcfg),
-        ("pmu", _field_types(PMUConfig), lambda k: pmu),
-        ("train", _field_types(TrainConfig), lambda k: tcfg),
-        ("data", _field_types(DataConfig), lambda k: dcfg),
-    ]
-    for section, types, target_of in plans:
-        for key, raw in table.get(section, {}).items():
-            if key not in types:
-                errors.append(f"{path}: unknown key {key!r} in [{section}]")
-                continue
-            try:
-                setattr(target_of(key), key, _coerce(raw, types[key]))
-            except ValueError as e:
-                errors.append(f"{path}: [{section}] {key}: {e}")
+    mcfg = ModelConfig()
+    exp = Experiment(model=mcfg, pmu=PMUConfig(), train=TrainConfig(),
+                     data=DataConfig())
+    for section in _SECTIONS:
+        # [model] keys set the encoder's fields first, then the outer model's
+        targets = ([mcfg.encoder, mcfg] if section == "model"
+                   else [getattr(exp, section)])
+        errors += assign_fields(table.get(section, {}), targets,
+                                f"{path}: [{section}]")
     if errors:
         raise InputError("\n".join(errors))
 
     # semantic validation, also with every problem listed
-    for check in (enc.validate, pmu.validate, tcfg.validate):
+    for check in (mcfg.validate, exp.pmu.validate, exp.train.validate):
         try:
             check()
         except InputError as e:
             errors.append(f"{path}: {e}")
     if errors:
         raise InputError("\n".join(errors))
-    return Experiment(model=mcfg, pmu=pmu, train=tcfg, data=dcfg)
+    return exp
 
 
 def load_config(path: str) -> Experiment:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return config_from_table(parse_config_text(text, path), path)
+    return config_from_table(parse_config_text(read_lines(path), path), path)

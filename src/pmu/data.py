@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, read_lines
 from .tokenizers import normalize_text
 
 MAGIC = b"PMUF"
@@ -73,28 +73,26 @@ def load_manifest(path: str, with_features: bool = True) -> list[Utterance]:
     base = os.path.dirname(os.path.abspath(path))
     utts: list[Utterance] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated "
-                                  f"fields, got {len(fields)}")
-            utt_id, feat_path, transcript = fields
-            if utt_id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate utterance id "
-                                 f"{utt_id!r}")
-            seen.add(utt_id)
-            if not normalize_text(transcript):
-                raise InputError(f"{path}:{lineno}: empty transcript for "
-                                 f"{utt_id!r}")
-            if not os.path.isabs(feat_path):
-                feat_path = os.path.join(base, feat_path)
-            feats = load_features(feat_path) if with_features else None
-            utts.append(Utterance(id=utt_id, features=feats,
-                                  transcript=transcript))
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated "
+                              f"fields, got {len(fields)}")
+        utt_id, feat_path, transcript = fields
+        if utt_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate utterance id "
+                             f"{utt_id!r}")
+        seen.add(utt_id)
+        if not normalize_text(transcript):
+            raise InputError(f"{path}:{lineno}: empty transcript for "
+                             f"{utt_id!r}")
+        if not os.path.isabs(feat_path):
+            feat_path = os.path.join(base, feat_path)
+        feats = load_features(feat_path) if with_features else None
+        utts.append(Utterance(id=utt_id, features=feats,
+                              transcript=transcript))
     if not utts:
         raise InputError(f"{path}: empty manifest")
     return utts

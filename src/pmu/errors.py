@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one reader of text input files."""
 
 
 class ContractViolation(ValueError):
@@ -15,3 +15,13 @@ class FormatError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training hit a state it cannot recover from (e.g. non-finite loss)."""
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of the UTF-8 text file at `path`, newlines stripped.  A
+    file that is not UTF-8 text is a FormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason})") from None

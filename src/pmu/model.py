@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,23 +42,26 @@ class EncoderConfig:
     ff_dim: int = 128
     heads: int = 2
     conv_kernel: int = 7
-    subsample_factor: int = 4
     dropout: float = 0.1
+    # two stride-2 convolutions; a class constant, not a settable field
+    subsample_factor: ClassVar[int] = 4
 
     def validate(self):
+        errors = []
         if self.num_layers < 1:
-            raise InputError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.attention_dim % self.heads != 0:
-            raise InputError(f"attention_dim {self.attention_dim} not divisible "
-                             f"by heads {self.heads}")
+            errors.append(f"num_layers must be >= 1, got {self.num_layers}")
+        if self.heads < 1:
+            errors.append(f"heads must be >= 1, got {self.heads}")
+        elif self.attention_dim % self.heads != 0:
+            errors.append(f"attention_dim {self.attention_dim} not divisible "
+                          f"by heads {self.heads}")
         if self.conv_kernel % 2 != 1 or self.conv_kernel < 1:
-            raise InputError(f"conv_kernel must be odd and positive, "
-                             f"got {self.conv_kernel}")
-        if self.subsample_factor not in (1, 2, 4):
-            raise InputError(f"subsample_factor must be 1, 2 or 4, "
-                             f"got {self.subsample_factor}")
+            errors.append(f"conv_kernel must be odd and positive, "
+                          f"got {self.conv_kernel}")
         if not (0.0 <= self.dropout < 1.0):
-            raise InputError(f"dropout must be in [0,1), got {self.dropout}")
+            errors.append(f"dropout must be in [0,1), got {self.dropout}")
+        if errors:
+            raise InputError("; ".join(errors))
 
 
 @dataclass
@@ -70,10 +74,16 @@ class ModelConfig:
     vocab: dict = field(default_factory=dict)  # unit kind -> vocabulary size
 
     def validate(self):
-        self.encoder.validate()
+        errors = []
+        try:
+            self.encoder.validate()
+        except InputError as e:
+            errors.append(str(e))
         for name in ("input_dim", "lstm_dim", "joint_dim", "subsample_channels"):
             if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1")
+                errors.append(f"{name} must be >= 1")
+        if errors:
+            raise InputError("; ".join(errors))
 
 
 @dataclass
@@ -88,7 +98,6 @@ class PMUConfig:
     n3: int = 0
     sc_enabled: bool = False
     heads_shared: bool = False
-    ctc_units: str = "bpe"
     trans_units: str = "bpe"
 
     def validate(self):
@@ -103,8 +112,6 @@ class PMUConfig:
             errors.append(f"alpha {self.alpha} not in (0,1)")
         if not (0.0 < self.beta < 1.0):
             errors.append(f"beta {self.beta} not in (0,1)")
-        if self.ctc_units not in UNIT_CHOICES:
-            errors.append(f"ctc_units must be one of {UNIT_CHOICES}")
         if self.trans_units not in UNIT_CHOICES:
             errors.append(f"trans_units must be one of {UNIT_CHOICES}")
         if self.variant == "pca_ctc":
@@ -116,11 +123,6 @@ class PMUConfig:
                 errors.append("sc_enabled requires variant pca_ctc")
             if self.heads_shared:
                 errors.append("heads_shared requires variant pca_ctc")
-        if self.variant == "baseline" and self.ctc_units != self.trans_units:
-            errors.append("baseline uses one unit type for both branches; "
-                          f"got ctc_units={self.ctc_units}, trans_units={self.trans_units}")
-        if self.variant == "basic_pmu" and self.ctc_units != "pasm":
-            errors.append("basic_pmu requires ctc_units = pasm")
         if self.heads_shared:
             if not self.sc_enabled:
                 errors.append("heads_shared requires sc_enabled (the shared "
@@ -134,12 +136,12 @@ class PMUConfig:
 def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
     """Enumerates every config problem in one error instead of stopping at
     the first one."""
-    cfg.validate()
     errors = []
-    try:
-        pmu.validate()
-    except InputError as e:
-        errors.append(str(e))
+    for check in (cfg.validate, pmu.validate):
+        try:
+            check()
+        except InputError as e:
+            errors.append(str(e))
     layers = pmu.n1 + pmu.n2 + pmu.n3
     if pmu.variant == "pca_ctc" and layers != cfg.encoder.num_layers:
         errors.append(f"n1+n2+n3 = {layers} != num_layers = "
@@ -176,7 +178,7 @@ class HeadSpec:
 def head_specs(pmu: PMUConfig) -> list[HeadSpec]:
     """The variant's CTC heads in forward order."""
     if pmu.variant == "baseline":
-        return [HeadSpec(pmu.ctc_units, pmu.ctc_units)]
+        return [HeadSpec(pmu.trans_units, pmu.trans_units)]
     if pmu.variant == "basic_pmu":
         return [HeadSpec("pasm", "pasm")]
     if pmu.variant == "para_ctc":
@@ -218,17 +220,12 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
 
     # subsampling convolutions + projection to the attention dimension
     C = cfg.subsample_channels
-    freq = cfg.input_dim
-    if e.subsample_factor >= 2:
-        ps.create("sub/conv1/w", (3, 3, 1, C), fan_in=9)
-        ps.create("sub/conv1/b", (C,), init="zeros")
-        freq = (freq + 1) // 2
-    if e.subsample_factor == 4:
-        ps.create("sub/conv2/w", (3, 3, C, C), fan_in=9 * C)
-        ps.create("sub/conv2/b", (C,), init="zeros")
-        freq = (freq + 1) // 2
-    proj_in = cfg.input_dim if e.subsample_factor == 1 else freq * C
-    ps.create("sub/proj/w", (proj_in, d))
+    ps.create("sub/conv1/w", (3, 3, 1, C), fan_in=9)
+    ps.create("sub/conv1/b", (C,), init="zeros")
+    ps.create("sub/conv2/w", (3, 3, C, C), fan_in=9 * C)
+    ps.create("sub/conv2/b", (C,), init="zeros")
+    freq = (cfg.input_dim + 3) // 4  # after two stride-2 convolutions
+    ps.create("sub/proj/w", (freq * C, d))
     ps.create("sub/proj/b", (d,), init="zeros")
 
     for i in range(e.num_layers):
@@ -345,19 +342,13 @@ def _subsample(x, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx):
     if x.value.ndim != 2 or x.value.shape[1] != cfg.input_dim:
         raise ContractViolation(f"expected features (T, {cfg.input_dim}), "
                                 f"got {x.value.shape}")
-    if e.subsample_factor == 1:
-        h = nn.linear(x, ps.get("sub/proj/w"), ps.get("sub/proj/b"))
-    else:
-        y = ad.reshape(x, (T, cfg.input_dim, 1))
-        y = ad.swish(nn.conv2d(y, ps.get("sub/conv1/w"), ps.get("sub/conv1/b"),
+    y = ad.reshape(x, (T, cfg.input_dim, 1))
+    for conv in ("sub/conv1", "sub/conv2"):
+        y = ad.swish(nn.conv2d(y, ps.get(f"{conv}/w"), ps.get(f"{conv}/b"),
                                stride=2, pad=1))
-        if e.subsample_factor == 4:
-            y = ad.swish(nn.conv2d(y, ps.get("sub/conv2/w"), ps.get("sub/conv2/b"),
-                                   stride=2, pad=1))
-        Tp, f, C = y.value.shape
-        y = ad.reshape(y, (Tp, f * C))
-        h = nn.linear(y, ps.get("sub/proj/w"), ps.get("sub/proj/b"))
-    Tp = h.value.shape[0]
+    Tp, f, C = y.value.shape
+    h = nn.linear(ad.reshape(y, (Tp, f * C)), ps.get("sub/proj/w"),
+                  ps.get("sub/proj/b"))
     pe = nn.sinusoid_positions(Tp, d)
     h = ad.add(ad.scale(h, math.sqrt(d)), Node(pe))
     return ctx.drop(h, e.dropout, "sub/d")

@@ -18,38 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _coerce, _field_types
+from .config import assign_fields, parse_config_text
 from .data import Utterance, save_features, write_manifest
-from .errors import InputError
+from .errors import InputError, read_lines
 from .tokenizers import Lexicon, normalize_text
 
 DEFAULT_WORDS = ("bad", "cab", "dab", "ace", "bead", "fad")
 
 
 def parse_toy_spec(path: str) -> "ToySpec":
-    """Flat `key = value` file; `words` is a comma-separated list."""
+    """A `key = value` file without section headers; `words` is a
+    comma-separated list."""
     spec = ToySpec()
-    types = _field_types(ToySpec)
-    errors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                errors.append(f"{path}:{lineno}: expected `key = value`")
-                continue
-            key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "words":
-                spec.words = tuple(w.strip() for w in value.split(",") if w.strip())
-            elif key in types:
-                try:
-                    setattr(spec, key, _coerce(value, types[key]))
-                except ValueError:
-                    errors.append(f"{path}:{lineno}: bad value for {key}: {value!r}")
-            else:
-                errors.append(f"{path}:{lineno}: unknown key {key!r}")
+    table = parse_config_text(read_lines(path), path, sections=("",))
+    errors = assign_fields(table[""], [spec], f"{path}:")
     if errors:
         raise InputError("\n".join(errors))
     spec.validate()

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..errors import FormatError, InputError
+from ..errors import FormatError, InputError, read_lines
 
 BLANK = "<blank>"
 UNK = "<unk>"
@@ -96,12 +96,7 @@ def read_model_file(path: str, headers) -> tuple[str, list[str]]:
     """(header, records) of a tokenizer model file whose first line is one
     of `headers`, newlines stripped.  Any other file, also one that is not
     UTF-8 text, is a FormatError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header, *records = [line.rstrip("\n") for line in fh] or [""]
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: tokenizer model is not UTF-8 text "
-                          f"({e.reason})") from None
+    header, *records = read_lines(path) or [""]
     if header not in headers:
         raise FormatError(f"{path}: unrecognized tokenizer header {header!r}, "
                           f"expected {' or '.join(map(repr, headers))}")

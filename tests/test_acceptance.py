@@ -228,8 +228,8 @@ def test_criterion_3_objective_arithmetic(acceptance):
         checks = [
             (PMUConfig(variant="baseline", lambda_trans=wt, lambda_ctc=wc),
              {"bpe": c_bpe}, wt * lt + wc * c_bpe),
-            (PMUConfig(variant="basic_pmu", ctc_units="pasm",
-                       lambda_trans=wt, lambda_ctc=wc),
+            (PMUConfig(variant="basic_pmu", lambda_trans=wt,
+                       lambda_ctc=wc),
              {"pasm": c_pasm}, wt * lt + wc * c_pasm),
             (PMUConfig(variant="para_ctc", alpha=alpha, lambda_trans=wt,
                        lambda_ctc=wc),
@@ -251,7 +251,7 @@ def test_criterion_3_objective_arithmetic(acceptance):
     live_worst = 0.0
     live_cases = [
         ("baseline", PMUConfig(variant="baseline"), 2, {"bpe": [1, 2]}),
-        ("basic_pmu", PMUConfig(variant="basic_pmu", ctc_units="pasm"), 2,
+        ("basic_pmu", PMUConfig(variant="basic_pmu"), 2,
          {"pasm": [1], "bpe": [1, 2]}),
         ("para_ctc", PMUConfig(variant="para_ctc"), 2,
          {"pasm": [1], "bpe": [1, 2]}),
@@ -380,7 +380,7 @@ def desk_experiment(toy, pmu_cfg: PMUConfig, out_name: str,
 
 VARIANTS_UNDER_TEST = [
     ("baseline", PMUConfig(variant="baseline"), 2),
-    ("basic_pmu", PMUConfig(variant="basic_pmu", ctc_units="pasm"), 2),
+    ("basic_pmu", PMUConfig(variant="basic_pmu"), 2),
     ("para_ctc", PMUConfig(variant="para_ctc", alpha=0.7), 2),
     ("pca_ctc", pca(beta=0.5), 2),
     ("pca_ctc_sc", pca(beta=0.5, sc_enabled=True), 2),

@@ -171,6 +171,13 @@ class TestParamStore:
         with pytest.raises(ContractViolation):
             ps.alias("b/w", "nope/w")
 
+    def test_alias_to_an_alias_rejected(self):
+        ps = ad.ParamStore()
+        ps.create("a/w", (2, 2))
+        ps.alias("b/w", "a/w")
+        with pytest.raises(ContractViolation, match="not a parameter"):
+            ps.alias("c/w", "b/w")
+
     def test_duplicate_create_rejected(self):
         ps = ad.ParamStore()
         ps.create("w", (2,))

@@ -169,6 +169,18 @@ def assert_one_error_naming(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(path) in err
+    return err
+
+
+def edited_config(workspace, tmp_path, old, new):
+    """The workspace's experiment config with `old` replaced by `new`,
+    writing its run under `tmp_path`; returns its path."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
+                   .replace(old, new)
+                   .replace(str(workspace / "run"), str(tmp_path / "run")),
+                   encoding="utf-8")
+    return cfg
 
 
 @pytest.mark.parametrize("edit", [
@@ -179,7 +191,11 @@ def assert_one_error_naming(capsys, path):
     json_edit(lambda h: h["model"].update(
         vocab_trans=h["model"]["vocab"]["bpe"],
         **{f"vocab_{k}": v for k, v in h["model"].pop("vocab").items()})),
-], ids=["extra-config-key", "no-pmu", "not-json", "vocab-fields"])
+    # headers from before the variant fixed the CTC units and subsampling
+    json_edit(lambda h: h["pmu"].update(ctc_units=h["pmu"]["trans_units"])),
+    json_edit(lambda h: h["model"]["encoder"].update(subsample_factor=4)),
+], ids=["extra-config-key", "no-pmu", "not-json", "vocab-fields", "ctc-units",
+        "subsample-factor"])
 def test_malformed_checkpoint_header_exits_2(workspace, capsys, tmp_path, edit):
     ckpt = tmp_path / "bad.ckpt"
     with_header(workspace / "run" / "final.ckpt", ckpt, edit)
@@ -228,22 +244,16 @@ def test_encode_with_non_utf8_tokenizer_exits_2(capsys, non_utf8_file):
 def test_train_with_non_utf8_tokenizer_exits_2(workspace, capsys, tmp_path,
                                                non_utf8_file):
     junk = non_utf8_file
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
-                   .replace(str(workspace / "bpe.tok"), str(junk))
-                   .replace(str(workspace / "run"), str(tmp_path / "run")),
-                   encoding="utf-8")
+    cfg = edited_config(workspace, tmp_path, str(workspace / "bpe.tok"),
+                        str(junk))
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
     assert_one_error_naming(capsys, junk)
 
 
 def test_tokenizer_of_the_other_family_exits_2(workspace, capsys, tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
-                   .replace(f"bpe_model = {workspace / 'bpe.tok'}",
-                            f"bpe_model = {workspace / 'pasm.tok'}")
-                   .replace(str(workspace / "run"), str(tmp_path / "run")),
-                   encoding="utf-8")
+    cfg = edited_config(workspace, tmp_path,
+                        f"bpe_model = {workspace / 'bpe.tok'}",
+                        f"bpe_model = {workspace / 'pasm.tok'}")
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
     assert_one_error_naming(capsys, workspace / "pasm.tok")
 
@@ -262,3 +272,37 @@ def test_bad_checkpoint_vocabulary_exits_2(workspace, capsys, tmp_path, edit):
                  "--data", str(workspace / "toy" / "dev.tsv"),
                  "--out", str(tmp_path / "dev.hyp")]) == 2
     assert_one_error_naming(capsys, ckpt)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda ws, bad, tmp: ["train", "--config", bad, "--quiet"],
+    lambda ws, bad, tmp: ["synth", "--spec", bad, "--out", tmp / "toy"],
+    lambda ws, bad, tmp: ["tokenize", "train-bpe", "--corpus", bad,
+                          "--merges", "2", "--out", tmp / "bpe.tok"],
+    lambda ws, bad, tmp: ["tokenize", "train-pasm", "--corpus", bad,
+                          "--lexicon", ws / "toy" / "lexicon.txt",
+                          "--size", "4", "--iters", "1",
+                          "--out", tmp / "pasm.tok"],
+    lambda ws, bad, tmp: ["eval-wer", "--ref", bad,
+                          "--hyp", ws / "toy" / "dev.tsv"],
+    lambda ws, bad, tmp: ["eval-wer", "--ref", ws / "toy" / "dev.tsv",
+                          "--hyp", bad],
+    lambda ws, bad, tmp: ["train", "--quiet", "--config", edited_config(
+        ws, tmp, str(ws / "toy" / "train.tsv"), str(bad))],
+], ids=["config", "spec", "bpe-corpus", "pasm-corpus", "ref", "hyp",
+        "manifest"])
+def test_non_utf8_input_file_exits_2(workspace, capsys, tmp_path, argv):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes("a b\n".encode("utf-16"))  # starts ff fe
+    assert main([str(a) for a in argv(workspace, bad, tmp_path)]) == 2
+    assert_one_error_naming(capsys, bad)
+
+
+@pytest.mark.parametrize("section, line", [
+    ("[pmu]", "ctc_units = pasm"), ("[model]", "subsample_factor = 4")])
+def test_removed_config_keys_exit_2(workspace, capsys, tmp_path, section, line):
+    cfg = edited_config(workspace, tmp_path, f"{section}\n",
+                        f"{section}\n{line}\n")
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    key = line.split(" ")[0]
+    assert f"unknown key '{key}'" in assert_one_error_naming(capsys, cfg)

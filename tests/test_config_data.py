@@ -1,6 +1,7 @@
 """Config files, feature/manifest formats, and the synthetic dataset."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pmu.data import (
     write_manifest,
 )
 from pmu.errors import FormatError, InputError
+from pmu.model import EncoderConfig, head_specs, validate_configs
 from pmu.synth import (
     DEFAULT_WORDS,
     ToySpec,
@@ -58,7 +60,7 @@ train_manifest = toy/train.tsv
 
 class TestConfigParsing:
     def test_happy_path(self):
-        table = parse_config_text(GOOD_CFG)
+        table = parse_config_text(GOOD_CFG.splitlines())
         assert table["model"]["num_layers"] == "2"
         assert table["pmu"]["variant"] == "para_ctc"
         assert table["data"]["train_manifest"] == "toy/train.tsv"
@@ -66,7 +68,7 @@ class TestConfigParsing:
     def test_syntax_errors_all_reported(self):
         text = "[nosuch]\nx = 1\n[model]\nnot a pair\n[model]\nnum_layers = 2\nnum_layers = 3\n"
         with pytest.raises(InputError) as exc:
-            parse_config_text(text, path="f.cfg")
+            parse_config_text(text.splitlines(), path="f.cfg")
         msg = str(exc.value)
         assert "f.cfg:1: unknown section [nosuch]" in msg
         assert "f.cfg:2: key outside any section" in msg
@@ -96,11 +98,32 @@ class TestConfigParsing:
             config_from_table({"train": {"max_steps": "-5"}}, path="bad.cfg")
 
     def test_defaults_from_empty_text(self):
-        exp = config_from_table(parse_config_text(""))
+        exp = config_from_table(parse_config_text([]))
         assert isinstance(exp, Experiment)
         assert exp.train == TrainConfig()
         assert exp.data == DataConfig()
         assert exp.pmu.variant == "baseline"
+
+    def test_every_config_problem_reported_at_once(self):
+        table = {"model": {"num_layers": "0", "conv_kernel": "4",
+                           "input_dim": "0"},
+                 "pmu": {"variant": "bogus"}}
+        with pytest.raises(InputError) as exc:
+            config_from_table(table, path="bad.cfg")
+        msg = str(exc.value)
+        for problem in ("num_layers must be >= 1", "conv_kernel must be odd",
+                        "input_dim must be >= 1", "variant must be one of"):
+            assert problem in msg
+
+    def test_variant_alone_fixes_the_ctc_units(self):
+        exp = config_from_table({"pmu": {"variant": "basic_pmu"}})
+        exp.model.vocab = {"pasm": 4, "bpe": 5}
+        validate_configs(exp.model, exp.pmu)
+        assert [s.units for s in head_specs(exp.pmu)] == ["pasm"]
+
+    def test_subsampling_is_a_constant(self):
+        assert "subsample_factor" not in [f.name for f in fields(EncoderConfig)]
+        assert EncoderConfig().subsample_factor == 4
 
     def test_full_round_trip_through_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -244,14 +267,23 @@ class TestToySpec:
 
     def test_parse_errors_collected_with_lines(self, tmp_path):
         p = tmp_path / "toy.spec"
-        p.write_text("num_utts = many\nbogus = 1\nno equals here\n",
+        p.write_text("num_utts = 5\nno equals here\nnum_utts = 6\n[words]\n",
                      encoding="utf-8")
         with pytest.raises(InputError) as exc:
             parse_toy_spec(str(p))
         msg = str(exc.value)
-        assert ":1: bad value for num_utts" in msg
-        assert ":2: unknown key 'bogus'" in msg
-        assert ":3: expected `key = value`" in msg
+        assert "toy.spec:2: expected `key = value`" in msg
+        assert "toy.spec:3: duplicate key 'num_utts'\n" in msg
+        assert "toy.spec:4: unknown section [words]" in msg
+
+    def test_key_errors_collected(self, tmp_path):
+        p = tmp_path / "toy.spec"
+        p.write_text("num_utts = many\nbogus = 1\n", encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            parse_toy_spec(str(p))
+        msg = str(exc.value)
+        assert "toy.spec: num_utts: invalid literal" in msg
+        assert "toy.spec: unknown key 'bogus'" in msg
 
     def test_validate_rules(self):
         with pytest.raises(InputError, match="duplicate word"):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmu.decode import (
     decode_dataset,
@@ -154,6 +155,20 @@ class TestAgainstReferenceSearch:
         assert emitted > 0
 
 
+WORDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+def levenshtein(a: list, b: list) -> int:
+    """Unit-cost edit distance, one row at a time."""
+    row = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        prev, row[0] = row[0], i
+        for j, y in enumerate(b, 1):
+            prev, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1,
+                                       prev + (x != y))
+    return row[-1]
+
+
 class TestWer:
     def test_exact_match(self):
         r = wer("a b c", "a b c")
@@ -204,6 +219,18 @@ class TestWer:
                     again.deletions) == (first.substitutions,
                                          first.insertions, first.deletions)
         assert first.deletions == 1 and first.substitutions == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WORDS, max_size=9), st.lists(WORDS, max_size=9))
+    def test_counts_obey_edit_distance_laws(self, ref, hyp):
+        r = wer(" ".join(ref), " ".join(hyp))
+        s, i, d = r.substitutions, r.insertions, r.deletions
+        assert s + i + d == levenshtein(ref, hyp)
+        assert s + d <= len(ref) == r.ref_words
+        assert i - d == len(hyp) - len(ref)
+        same = wer(" ".join(ref), " ".join(ref))
+        assert same.wer == 0.0
+        assert (same.substitutions, same.insertions, same.deletions) == (0, 0, 0)
 
 
 class TestWerAggregation:

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the program and its tests is
 used, every module-level function or class of the program is named
-somewhere else in the program or the benchmark, and every default-valued
-parameter that the program or the benchmark calls is set by some call.
+somewhere else in the program or the benchmark, every default-valued
+parameter that the program or the benchmark calls is set by some call,
+and text input files are read through `errors.read_lines` alone.
 
 The package `__init__.py` files re-export names and are skipped.
 """
@@ -34,6 +35,15 @@ UNSET_DEFAULTS_ALLOWED = {
                                   "length masks (ROADMAP item 3)",
     "oracle_equivalence_suite(seed)": "tests choose another seed",
     "finite_diff_grad(eps)": "gradient tests choose a smaller step",
+}
+# functions of the program that open files for reading in text mode, each
+# with the reason; everywhere else a non-UTF-8 file must become a
+# FormatError naming it, which `read_lines` does
+TEXT_READS_ALLOWED = {
+    "read_lines": "the one reader of text input files",
+    "load_lexicon": "pronunciation dictionaries carry stray non-UTF-8 bytes "
+                    "(CMU's has Latin-1 comments); errors='replace' keeps "
+                    "their entries readable",
 }
 
 
@@ -164,3 +174,46 @@ def test_every_default_is_set_by_some_call():
                            [p.read_text(encoding="utf-8") for p in CALLERS])
     assert [d for d in found if d not in UNSET_DEFAULTS_ALLOWED] == []
     assert set(UNSET_DEFAULTS_ALLOWED) <= set(found)
+
+
+def text_mode_reads(source: str) -> list[str]:
+    """`function: line N` of each `open(...)` call in `source` that may read
+    in text mode: its mode is missing, is not a string literal, or holds
+    "r" or "+" and no "b".  Calls outside any function go by `<module>`."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "open":
+                mode = (child.args[1] if len(child.args) > 1 else
+                        next((k.value for k in child.keywords if k.arg == "mode"),
+                             None))
+                m = mode.value if isinstance(mode, ast.Constant) else None
+                if not isinstance(m, str) or ("b" not in m and set("r+") & set(m)):
+                    out.append(f"{owner}: line {child.lineno}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_scanner_flags_only_text_mode_reads():
+    source = ("open('x')\n\n\ndef a(p):\n    return open(p, 'r')\n\n\n"
+              "def b(p, m):\n    with open(p, 'rb') as fh:\n        pass\n"
+              "    open(p, 'w', encoding='utf-8')\n    open(p, mode='r+')\n"
+              "    open(p, m)\n    open(p, 'wb')\n\n    def inner():\n"
+              "        open(p)\n")
+    assert text_mode_reads(source) == ["<module>: line 1", "a: line 5",
+                                       "b: line 12", "b: line 13",
+                                       "inner: line 17"]
+
+
+def test_text_files_are_read_through_read_lines():
+    found = [f"{p.relative_to(ROOT)}: {hit}" for p in PACKAGE
+             for hit in text_mode_reads(p.read_text(encoding="utf-8"))]
+    assert [h for h in found
+            if h.split(": ")[1] not in TEXT_READS_ALLOWED] == []
+    assert set(TEXT_READS_ALLOWED) <= {h.split(": ")[1] for h in found}

@@ -41,12 +41,6 @@ def tiny_cfg(num_layers=2, **over):
 
 def pmu_for(variant, **over):
     base = dict(variant=variant)
-    if variant in ("baseline", "basic_pmu"):
-        base["ctc_units"] = "pasm" if variant == "basic_pmu" else "bpe"
-        if variant == "basic_pmu":
-            base["trans_units"] = "bpe"
-        else:
-            base["trans_units"] = base["ctc_units"]
     if variant == "pca_ctc":
         base.update(n1=1, n2=0, n3=1)
     base.update(over)
@@ -91,23 +85,24 @@ class TestConfigValidation:
             validate_configs(cfg, pmu_for("pca_ctc", n1=1, n2=1, n3=1,
                                           sc_enabled=True, heads_shared=True))
 
-    def test_basic_pmu_requires_phonetic_aux(self):
-        with pytest.raises(InputError, match="ctc_units = pasm"):
-            validate_configs(tiny_cfg(), PMUConfig(variant="basic_pmu",
-                                                   ctc_units="bpe"))
-
-    def test_baseline_single_unit_type(self):
-        with pytest.raises(InputError, match="one unit type"):
-            validate_configs(tiny_cfg(), PMUConfig(variant="baseline",
-                                                   ctc_units="pasm",
-                                                   trans_units="bpe"))
-
     def test_errors_are_enumerated_together(self):
         bad = pmu_for("pca_ctc", n1=1, n2=0, n3=2, alpha=2.0, beta=-1.0)
         with pytest.raises(InputError) as exc:
             validate_configs(tiny_cfg(), bad)
         msg = str(exc.value)
         assert "alpha" in msg and "beta" in msg and "num_layers" in msg
+
+    def test_model_problems_do_not_hide_pmu_problems(self):
+        cfg = tiny_cfg(0, input_dim=0)
+        cfg.encoder.conv_kernel = 4
+        cfg.encoder.heads = 0
+        with pytest.raises(InputError) as exc:
+            validate_configs(cfg, PMUConfig(variant="bogus"))
+        msg = str(exc.value)
+        for problem in ("num_layers must be >= 1", "conv_kernel must be odd",
+                        "heads must be >= 1", "input_dim must be >= 1",
+                        "variant must be one of"):
+            assert problem in msg
 
     def test_config_dict_round_trip(self):
         model = ConformerTransducer(tiny_cfg(3),
@@ -140,7 +135,7 @@ class TestHeadLayout:
         """(name, units, tap, group, weight, sc, shares) of every head."""
         table = [
             (pmu_for("baseline"), [("bpe", "bpe", None, 0, 1.0, None, None)]),
-            (pmu_for("baseline", ctc_units="pasm", trans_units="pasm"),
+            (pmu_for("baseline", trans_units="pasm"),
              [("pasm", "pasm", None, 0, 1.0, None, None)]),
             (pmu_for("basic_pmu"), [("pasm", "pasm", None, 0, 1.0, None, None)]),
             (pmu_for("para_ctc", alpha=0.7),
