@@ -311,21 +311,6 @@ def take_slice(a, index) -> Node:
     return out
 
 
-def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
-    nodes = [as_node(n) for n in nodes]
-    out = Node(np.concatenate([n.value for n in nodes], axis=axis),
-               tuple(nodes), "concat")
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
-
-    def _bw(g):
-        for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
-            _acc(n, piece)
-
-    out._backward = _bw
-    return out
-
-
 def gather_rows(table, ids) -> Node:
     """Embedding lookup: rows `ids` of a 2-D table, scatter-add backward."""
     table = as_node(table)
@@ -444,29 +429,3 @@ def finite_diff_grad(f: Callable[[], float], arrays: Sequence[np.ndarray],
         grads.append(g)
     return grads
 
-
-def finite_diff_sample(f: Callable[[], float], arrays: Sequence[np.ndarray],
-                       per_array: int, rng: np.random.Generator,
-                       eps: float = 1e-4) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Central differences at `per_array` random entries of each array.
-
-    Full finite differencing over a whole model is quadratic-cost; spot
-    checks at sampled coordinates keep end-to-end gradient verification
-    tractable.  Returns (flat_indices, estimates) per array.
-    """
-    out = []
-    for arr in arrays:
-        flat = arr.reshape(-1)
-        k = min(per_array, flat.size)
-        idx = rng.choice(flat.size, size=k, replace=False)
-        est = np.zeros(k)
-        for j, i in enumerate(idx):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f()
-            flat[i] = orig - eps
-            lo = f()
-            flat[i] = orig
-            est[j] = (hi - lo) / (2.0 * eps)
-        out.append((idx, est))
-    return out

@@ -93,6 +93,7 @@ def _cmd_eval_wer(args) -> int:
     from .data import load_manifest
     from .metrics import wer_corpus
     refs = load_manifest(args.ref, with_features=False)
+    known = {u.id for u in refs}
     hyps: dict[str, str] = {}
     for lineno, line in enumerate(read_lines(args.hyp), 1):
         if not line:
@@ -101,6 +102,9 @@ def _cmd_eval_wer(args) -> int:
             raise FormatError(f"{args.hyp}:{lineno}: expected "
                               f"`id<TAB>hypothesis`")
         utt_id, _, text = line.partition("\t")
+        if utt_id in hyps or utt_id not in known:
+            why = "is a duplicate" if utt_id in hyps else f"is not in {args.ref}"
+            raise FormatError(f"{args.hyp}:{lineno}: utterance id {utt_id!r} {why}")
         hyps[utt_id] = text
     missing = [u.id for u in refs if u.id not in hyps]
     if missing:

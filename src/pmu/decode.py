@@ -28,19 +28,19 @@ def greedy_decode_transducer(model: ConformerTransducer, x,
 
     The label state changes only when a symbol is emitted, so one joint call
     scores every remaining frame against it and the search jumps to the
-    first frame whose argmax is not blank.  Only the state's values are
-    carried from one emission to the next."""
+    first frame whose argmax is not blank.  The label state advances off
+    the tape, by the same LSTM cell that training runs."""
     if max_symbols_per_frame < 1:
         raise InputError(f"max_symbols_per_frame must be >= 1, "
                          f"got {max_symbols_per_frame}")
     ps = model.params
     h_t = model.encode(x).h_n3.value
     zeros = np.zeros((1, ps.get("lab/embed").value.shape[1]))
-    h_u, state = label_encoder_step(0, (zeros, zeros), ps)
+    state = label_encoder_step(0, (zeros, zeros), ps)
     out: list[int] = []
     t, at_t = 0, 0  # at_t: symbols emitted at frame t so far
     while t < h_t.shape[0]:
-        best = joint(h_t[t:], h_u.value, ps).value[:, 0].argmax(axis=-1)
+        best = joint(h_t[t:], state[0], ps).value[:, 0].argmax(axis=-1)
         hits = np.flatnonzero(best != 0)
         if hits.size == 0:
             break
@@ -48,7 +48,7 @@ def greedy_decode_transducer(model: ConformerTransducer, x,
             t, at_t = t + int(hits[0]), 0
         k = int(best[hits[0]])
         out.append(k)
-        h_u, state = label_encoder_step(k, tuple(s.value for s in state), ps)
+        state = label_encoder_step(k, state, ps)
         at_t += 1
         if at_t == max_symbols_per_frame:
             t, at_t = t + 1, 0

@@ -62,34 +62,32 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
         raise ContractViolation("ctc_loss: labels must not contain blank id 0")
     if any(not (0 < i < V) for i in y):
         raise ContractViolation(f"ctc_loss: label id out of range for V={V}")
-    U = len(y)
-    repeats = sum(1 for a, b in zip(y, y[1:]) if a == b)
-    if T < U + repeats:
+    U, ids = len(y), np.asarray(y, dtype=np.intp)
+    if T < U + int(np.count_nonzero(ids[1:] == ids[:-1])):
         return LossResult(math.inf, np.zeros_like(lp), "unreachable")
 
-    ext = [0]
-    for i in y:
-        ext.extend([i, 0])
+    ext = np.zeros(2 * U + 1, dtype=np.intp)
+    ext[1::2] = ids
     S = len(ext)
-    ext = np.asarray(ext)
-    # skip[s]: path may jump from s-2 to s (distinct non-blank labels only)
-    skip = np.zeros(S, dtype=bool)
-    for s in range(2, S):
-        skip[s] = ext[s] != 0 and ext[s] != ext[s - 2]
-
     NEG = -np.inf
-    alpha = np.full((T, S), NEG)
-    alpha[0, 0] = lp[0, 0]
-    if S > 1:
-        alpha[0, 1] = lp[0, ext[1]]
+    # mask[s] is 0 where a path may jump from state s-2 to s (distinct
+    # non-blank labels), else -inf, as on its two padding states past S
+    mask = np.full(S + 2, NEG)
+    mask[2:S][(ext[2:] != 0) & (ext[2:] != ext[:-2])] = 0.0
+    emit = lp[:, ext]
+    # Shifted rows are views of rows padded with two -inf states: before
+    # the S states in alpha, after them in `nxt`.  `jump` is the one
+    # buffer the frame loops write.
+    jump = np.empty(S)
+    alpha_p = np.full((T, S + 2), NEG)
+    alpha = alpha_p[:, 2:]
+    alpha[0, :2] = emit[0, :2]
     for t in range(1, T):
-        stay = alpha[t - 1]
-        move = np.full(S, NEG)
-        move[1:] = alpha[t - 1, :-1]
-        jump = np.full(S, NEG)
-        jump[2:] = alpha[t - 1, :-2]
-        jump[~skip] = NEG
-        alpha[t] = np.logaddexp(np.logaddexp(stay, move), jump) + lp[t, ext]
+        prev, cur = alpha_p[t - 1], alpha[t]
+        np.logaddexp(prev[2:], prev[1:-1], out=cur)
+        np.add(prev[:-2], mask[:S], out=jump)
+        np.logaddexp(cur, jump, out=cur)
+        cur += emit[t]
 
     logz = alpha[T - 1, S - 1] if S == 1 else np.logaddexp(alpha[T - 1, S - 1],
                                                            alpha[T - 1, S - 2])
@@ -99,24 +97,19 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
     # beta[t, s]: log prob of completing from state s at time t, not counting
     # the emission at time t (it already sits inside alpha).
     beta = np.full((T, S), NEG)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
+    beta[T - 1, S - 2:] = 0.0
+    nxt = np.full(S + 2, NEG)
     for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1, ext]
-        stay = nxt
-        move = np.full(S, NEG)
-        move[:-1] = nxt[1:]
-        jump = np.full(S, NEG)
-        jump[:-2] = np.where(skip[2:], nxt[2:], NEG)
-        beta[t] = np.logaddexp(np.logaddexp(stay, move), jump)
+        np.add(beta[t + 1], emit[t + 1], out=nxt[:S])
+        np.logaddexp(nxt[:S], nxt[1:-1], out=beta[t])
+        np.add(nxt[2:], mask[2:], out=jump)
+        np.logaddexp(beta[t], jump, out=beta[t])
 
     grad = np.zeros_like(lp)
     post = alpha + beta - logz  # (T, S) state posteriors
     with np.errstate(under="ignore"):
         post = np.exp(post)
-    for s in range(S):
-        grad[:, ext[s]] -= post[:, s]
+    np.subtract.at(grad, (slice(None), ext), post)  # in state order
     return LossResult(float(-logz), grad, "ok")
 
 

@@ -411,25 +411,23 @@ def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
     """LSTM over the label prefix; row u is the state after consuming the
     first u labels, with the blank (id 0) embedding as the start symbol."""
     embed = ps.get("lab/embed")
-    V, dim = embed.value.shape
+    V = embed.value.shape[0]
     ids = [0] + [int(t) for t in y_prefix]
     for t in ids:
         if not (0 <= t < V):
             raise ContractViolation(f"label id {t} outside vocabulary of {V}")
-    state = (Node(np.zeros((1, dim))), Node(np.zeros((1, dim))))
-    rows = []
-    for t in ids:
-        out, state = label_encoder_step(t, state, ps)
-        rows.append(out)
-    return ad.concat(rows, axis=0)
+    return nn.lstm_sequence(embed, ids, ps.get("lab/lstm/wx"),
+                            ps.get("lab/lstm/wh"), ps.get("lab/lstm/b"))
 
 
 def label_encoder_step(token: int, state, ps: ParamStore):
-    """Consume one label: embed it and advance the LSTM from `state`, an
-    (h, c) pair of (1, d) rows.  Returns (output, new_state)."""
-    x = ad.gather_rows(ps.get("lab/embed"), [token])
-    return nn.lstm_step(x, state, ps.get("lab/lstm/wx"), ps.get("lab/lstm/wh"),
-                        ps.get("lab/lstm/b"))
+    """Consume one label off the tape: embed it and advance the LSTM from
+    `state`, an (h, c) pair of (1, d) arrays.  Returns the new (h, c)."""
+    h, c, *_ = nn.lstm_cell(ps.get("lab/embed").value[[token]], *state,
+                            ps.get("lab/lstm/wx").value,
+                            ps.get("lab/lstm/wh").value,
+                            ps.get("lab/lstm/b").value)
+    return h, c
 
 
 def joint(h_t_all, h_u_all, ps: ParamStore) -> Node:

@@ -1,8 +1,10 @@
 """Neural-network primitives built on the autodiff tape.
 
-Composite layers (linear, glu, attention, lstm_step) are compositions of
-tape ops and inherit their gradients; layer_norm and the convolutions carry
-hand-written backward rules, all verified against finite differences.
+Composite layers (linear, glu, attention) are compositions of tape ops and
+inherit their gradients; layer_norm, the convolutions and the LSTM sequence
+node carry hand-written backward rules, all verified against finite
+differences.  `lstm_cell` is the one LSTM formula: the sequence node runs it
+for training and decode calls it directly, off the tape.
 """
 
 from __future__ import annotations
@@ -172,26 +174,70 @@ def multi_head_attention(q, k, v, num_heads: int, mask=None) -> Node:
     return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (Tq, d))
 
 
-def lstm_step(x, state, wx, wh, b):
-    """One LSTM step; x is (1, d_in), state is ((1, d), (1, d)).
+def lstm_cell(x, h, c, wx, wh, b):
+    """One LSTM step on numpy (1, d) rows, off the tape, with the gates
+    [input, forget, cell, output] along the 4d axis.  Returns (h, c, sig, g,
+    tc): the new state, every gate's sigmoid, the cell gate and tanh(c)."""
+    d = h.shape[-1]
+    z = (x @ wx + h @ wh) + b
+    sig = 1.0 / (1.0 + np.exp(-z))
+    g = np.tanh(z[:, 2 * d:3 * d])
+    c = sig[:, d:2 * d] * c + sig[:, :d] * g
+    tc = np.tanh(c)
+    return sig[:, 3 * d:] * tc, c, sig, g, tc
 
-    Gate layout along the 4d axis is [input, forget, cell, output].
-    Returns (output, new_state); output aliases the new hidden state.
-    """
-    h, c = state
-    x, h, c = as_node(x), as_node(h), as_node(c)
-    d4 = as_node(wx).value.shape[1]
-    if d4 % 4 != 0 or as_node(wh).value.shape[1] != d4:
-        raise ContractViolation("lstm_step: gate weights must have 4*d columns")
+
+def lstm_sequence(table, ids, wx, wh, b) -> Node:
+    """Embed `ids` as rows of `table` and run `lstm_cell` over them from a
+    zero state, as one tape node; row u is the hidden state after ids[u].
+
+    The forward keeps every gate; the backward is hand-written BPTT.  Each
+    row is its own (1, d) matmul and every parameter gradient gets one
+    addition per step, last step first, so value and gradients equal those
+    of a chain of per-step tape ops bit for bit."""
+    table, wx, wh, b = as_node(table), as_node(wx), as_node(wh), as_node(b)
+    d4 = wx.value.shape[1]
+    if d4 % 4 != 0 or wh.value.shape != (d4 // 4, d4) or b.value.shape != (d4,):
+        raise ContractViolation("lstm_sequence: gate weights must have 4*d columns")
     d = d4 // 4
-    z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
-    i = ad.sigmoid(ad.take_slice(z, (slice(None), slice(0, d))))
-    f = ad.sigmoid(ad.take_slice(z, (slice(None), slice(d, 2 * d))))
-    g = ad.tanh(ad.take_slice(z, (slice(None), slice(2 * d, 3 * d))))
-    o = ad.sigmoid(ad.take_slice(z, (slice(None), slice(3 * d, 4 * d))))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, (h_new, c_new)
+    ids = np.asarray(ids, dtype=np.intp)
+    n = len(ids)
+    xs = table.value[ids]
+    h = c = np.zeros((1, d))
+    steps = []
+    for u in range(n):
+        steps.append(lstm_cell(xs[u:u + 1], h, c, wx.value, wh.value, b.value))
+        h, c = steps[-1][:2]
+    hs, cs, sig, g, tc = (np.concatenate(rows, axis=0) for rows in zip(*steps))
+    h_prev, c_prev = (np.concatenate([np.zeros((1, d)), m[:-1]]) for m in (hs, cs))
+    # dz = ([dc, dc, dc, dh] * partner * act) * dact is each gate's gradient
+    # as the tape's mul, sigmoid and tanh rules compute it
+    partner = np.concatenate([g, c_prev, sig[:, :d], tc], axis=1)
+    act, dact = sig.copy(), 1.0 - sig
+    act[:, 2 * d:3 * d], dact[:, 2 * d:3 * d] = 1.0, 1.0 - g * g
+    dtanh_c = 1.0 - tc * tc
+    out = Node(hs, (table, wx, wh, b), "lstm_sequence")
+
+    def _bw(grad):
+        gwx, gwh, gb = wx.ensure_grad(), wh.ensure_grad(), b.ensure_grad()
+        dz = np.empty((n, 1, d4))
+        dh_next = dc_next = 0.0
+        for u in range(n - 1, -1, -1):
+            dh = grad[u:u + 1] + dh_next
+            dc = (dh * sig[u, 3 * d:]) * dtanh_c[u] + dc_next
+            dz[u] = (np.concatenate([dc, dc, dc, dh], axis=1) * partner[u]
+                     * act[u]) * dact[u]
+            dh_next = dz[u] @ wh.value.T
+            dc_next = dc * sig[u, d:2 * d]
+            # x^T dz and h^T dz hold one product per entry, as matmul's do
+            gwx += xs[u:u + 1].T * dz[u]
+            gwh += h_prev[u:u + 1].T * dz[u]
+            gb += dz[u, 0]
+        # one (1, 4d) @ (4d, d) product per row, added last step first
+        np.add.at(table.ensure_grad(), ids[::-1], (dz @ wx.value.T)[::-1, 0])
+
+    out._backward = _bw
+    return out
 
 
 def dropout(x, p: float, seed: int, step: int, site: str, train: bool) -> Node:

@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 import pmu.autodiff as ad
-from pmu.autodiff import finite_diff_grad, finite_diff_sample
+import pmu.nn as nn
+from finite_diff import finite_diff_sample
+from pmu.autodiff import finite_diff_grad
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.losses import (
     gradient_suite,
@@ -90,6 +92,8 @@ def _primitive_worst(seeds: int) -> float:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         m = rng.normal(size=(4, 5))
+        lstm = [rng.normal(size=(3, 2)), rng.normal(size=(2, 8)),
+                rng.normal(size=(2, 8)), rng.normal(size=(8,))]
         cases = [
             (lambda x, y: ad.add(x, y), [a.copy(), b.copy()]),
             (lambda x, y: ad.sub(x, y), [a.copy(), b.copy()]),
@@ -111,7 +115,8 @@ def _primitive_worst(seeds: int) -> float:
             (lambda x: ad.reshape(x, (4, 3)), [a.copy()]),
             (lambda x: ad.transpose(x, (1, 0)), [a.copy()]),
             (lambda x: ad.take_slice(x, 1), [a.copy()]),
-            (lambda x, y: ad.concat([x, y], axis=0), [a.copy(), b.copy()]),
+            (lambda t, wx, wh, bias: nn.lstm_sequence(t, [0, 2, 2, 1], wx, wh, bias),
+             [arr.copy() for arr in lstm]),
             (lambda x: ad.gather_rows(x, [2, 0, 2]), [m.copy()]),
         ]
         for build, arrays in cases:

@@ -1,9 +1,12 @@
-"""Reverse-mode engine: primitive gradients, graph laws, ParamStore."""
+"""Reverse-mode engine: primitive gradients (and the fused LSTM sequence
+node's), graph laws, ParamStore, finite-difference oracles."""
 
 import numpy as np
 import pytest
 
 import pmu.autodiff as ad
+import pmu.nn as nn
+from finite_diff import finite_diff_sample
 from pmu.errors import ContractViolation
 
 
@@ -31,6 +34,8 @@ def test_primitive_gradients():
     b = rng.normal(size=(3, 4))
     v = rng.normal(size=(4,))
     m = rng.normal(size=(4, 5))
+    lstm = [rng.normal(size=(3, 2)), rng.normal(size=(2, 8)),
+            rng.normal(size=(2, 8)), rng.normal(size=(8,))]
     cases = [
         (lambda x, y: ad.add(x, y), [a.copy(), b.copy()]),
         (lambda x, y: ad.sub(x, y), [a.copy(), b.copy()]),
@@ -51,7 +56,8 @@ def test_primitive_gradients():
         (lambda x: ad.reshape(x, (4, 3)), [a.copy()]),
         (lambda x: ad.transpose(x, (1, 0)), [a.copy()]),
         (lambda x: ad.take_slice(x, 1), [a.copy()]),
-        (lambda x, y: ad.concat([x, y], axis=0), [a.copy(), b.copy()]),
+        (lambda t, wx, wh, bias: nn.lstm_sequence(t, [0, 2, 2, 1], wx, wh, bias),
+         [arr.copy() for arr in lstm]),
         (lambda x: ad.gather_rows(x, [2, 0, 2]), [m.copy()]),
     ]
     for build, arrays in cases:
@@ -133,7 +139,7 @@ def test_finite_diff_constant_function():
 def test_finite_diff_sample_hits_requested_count():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(6, 6))
-    picks = ad.finite_diff_sample(lambda: float((w * w).sum()), [w],
+    picks = finite_diff_sample(lambda: float((w * w).sum()), [w],
                                   per_array=5, rng=rng)
     idx, est = picks[0]
     assert len(idx) == 5

@@ -100,6 +100,26 @@ def test_decode_then_score(workspace, capsys):
     assert "ref_words" in out
 
 
+@pytest.mark.parametrize("extra, message", [
+    (lambda lines: lines[0], "is a duplicate"),
+    (lambda lines: "bogus_id\tx", "'bogus_id' is not in"),
+], ids=["duplicate-id", "unknown-id"])
+def test_eval_wer_rejects_bad_hypothesis_ids(workspace, capsys, tmp_path,
+                                             extra, message):
+    """A hypothesis file may name each reference utterance once and no
+    other; the error names the offending line."""
+    ref = workspace / "toy" / "dev.tsv"
+    lines = []
+    for line in ref.read_text(encoding="utf-8").splitlines():
+        utt_id, _, text = line.split("\t")
+        lines.append(f"{utt_id}\t{text}")
+    hyp = tmp_path / "bad.hyp"
+    hyp.write_text("\n".join(lines + [extra(lines)]) + "\n", encoding="utf-8")
+    assert main(["eval-wer", "--ref", str(ref), "--hyp", str(hyp)]) == 2
+    err = assert_one_error_naming(capsys, f"{hyp}:{len(lines) + 1}:")
+    assert message in err
+
+
 def test_resume_continues_from_checkpoint(workspace, capsys):
     cfg = (workspace / "exp.cfg").read_text(encoding="utf-8")
     longer = workspace / "exp8.cfg"

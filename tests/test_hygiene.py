@@ -21,8 +21,6 @@ FILES = PROGRAM + sorted((ROOT / "tests").rglob("*.py"))
 # where a definition may be named: the program, its re-exports, perfbench
 CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 UNREFERENCED_ALLOWED = {
-    # the sampled finite-difference oracle of acceptance criterion 2
-    "finite_diff_sample",
     # per-tap unit error rates at eval will decode every CTC tap with it
     # (ROADMAP item 6)
     "greedy_decode_ctc",

@@ -10,6 +10,7 @@ import pmu.autodiff as ad
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import (
     LOG_FLOOR,
+    LossResult,
     ctc_brute_force,
     ctc_loss,
     loss_node,
@@ -309,6 +310,106 @@ def test_ctc_matches_brute_force_property(T, V, raw, seed):
     else:
         assert res.status == "ok"
         assert res.value == pytest.approx(want, abs=1e-12)
+
+
+def reference_ctc_loss(emissions, labels) -> LossResult:
+    """The frame-by-frame CTC kernel that `ctc_loss` replaced, kept verbatim
+    (clamping inlined) as the reference its values and gradients must equal
+    bit for bit."""
+    lp = np.maximum(np.asarray(emissions, dtype=np.float64), LOG_FLOOR)
+    T, V = lp.shape
+    y = [int(i) for i in labels]
+    if any(i == 0 for i in y):
+        raise ContractViolation("ctc_loss: labels must not contain blank id 0")
+    if any(not (0 < i < V) for i in y):
+        raise ContractViolation(f"ctc_loss: label id out of range for V={V}")
+    U = len(y)
+    repeats = sum(1 for a, b in zip(y, y[1:]) if a == b)
+    if T < U + repeats:
+        return LossResult(math.inf, np.zeros_like(lp), "unreachable")
+
+    ext = [0]
+    for i in y:
+        ext.extend([i, 0])
+    S = len(ext)
+    ext = np.asarray(ext)
+    # skip[s]: path may jump from s-2 to s (distinct non-blank labels only)
+    skip = np.zeros(S, dtype=bool)
+    for s in range(2, S):
+        skip[s] = ext[s] != 0 and ext[s] != ext[s - 2]
+
+    NEG = -np.inf
+    alpha = np.full((T, S), NEG)
+    alpha[0, 0] = lp[0, 0]
+    if S > 1:
+        alpha[0, 1] = lp[0, ext[1]]
+    for t in range(1, T):
+        stay = alpha[t - 1]
+        move = np.full(S, NEG)
+        move[1:] = alpha[t - 1, :-1]
+        jump = np.full(S, NEG)
+        jump[2:] = alpha[t - 1, :-2]
+        jump[~skip] = NEG
+        alpha[t] = np.logaddexp(np.logaddexp(stay, move), jump) + lp[t, ext]
+
+    logz = alpha[T - 1, S - 1] if S == 1 else np.logaddexp(alpha[T - 1, S - 1],
+                                                           alpha[T - 1, S - 2])
+    if not np.isfinite(logz):
+        return LossResult(math.inf, np.zeros_like(lp), "unreachable")
+
+    # beta[t, s]: log prob of completing from state s at time t, not counting
+    # the emission at time t (it already sits inside alpha).
+    beta = np.full((T, S), NEG)
+    beta[T - 1, S - 1] = 0.0
+    if S > 1:
+        beta[T - 1, S - 2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1] + lp[t + 1, ext]
+        stay = nxt
+        move = np.full(S, NEG)
+        move[:-1] = nxt[1:]
+        jump = np.full(S, NEG)
+        jump[:-2] = np.where(skip[2:], nxt[2:], NEG)
+        beta[t] = np.logaddexp(np.logaddexp(stay, move), jump)
+
+    grad = np.zeros_like(lp)
+    post = alpha + beta - logz  # (T, S) state posteriors
+    with np.errstate(under="ignore"):
+        post = np.exp(post)
+    for s in range(S):
+        grad[:, ext[s]] -= post[:, s]
+    return LossResult(float(-logz), grad, "ok")
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.integers(1, 40), V=st.integers(2, 9),
+       raw=st.lists(st.integers(1, 8), max_size=16),
+       peaked=st.booleans(), floored=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(T=1, V=3, raw=[], peaked=False, floored=False, seed=0)  # T=1, U=0
+@example(T=7, V=2, raw=[], peaked=False, floored=False, seed=1)  # U=0
+@example(T=1, V=3, raw=[2], peaked=False, floored=False, seed=2)  # T=1
+@example(T=6, V=2, raw=[1, 1, 1], peaked=True, floored=False, seed=3)  # repeats
+@example(T=9, V=5, raw=[2, 2, 3, 3, 3, 1], peaked=False, floored=True, seed=4)
+@example(T=2, V=2, raw=[1, 1], peaked=False, floored=False, seed=5)  # unreachable
+@example(T=3, V=5, raw=[1, 2, 3, 4], peaked=False, floored=False, seed=6)  # U > T
+@example(T=4, V=3, raw=[2], peaked=False, floored=True, seed=7)
+def test_ctc_equals_the_reference_kernel_bit_for_bit(T, V, raw, peaked,
+                                                    floored, seed):
+    y = [1 + (k - 1) % (V - 1) for k in raw]
+    rng = np.random.default_rng(seed)
+    em = random_logprob_matrix(rng, T, V)
+    if peaked:
+        em *= 40.0  # wide dynamic range
+    if floored:
+        em[rng.random(em.shape) < 0.3] = 2 * LOG_FLOOR
+    # where every path crosses a floored entry, logz is ~-1e30 and both
+    # kernels' posterior exp overflows alike
+    with np.errstate(over="ignore"):
+        res = ctc_loss(em, y)
+        want = reference_ctc_loss(em, y)
+    assert (res.status, res.value) == (want.status, want.value), (T, V, y)
+    assert np.array_equal(res.grad, want.grad), (T, V, y)
 
 
 class TestRegularizers:

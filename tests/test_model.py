@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import pmu.autodiff as ad
-import pmu.nn as nn
-from pmu.autodiff import finite_diff_sample
+from finite_diff import finite_diff_sample
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import LOG_FLOOR
 from pmu.model import (
@@ -23,6 +22,7 @@ from pmu.model import (
     head_specs,
     joint,
     label_encoder_forward,
+    label_encoder_step,
     self_condition,
     subsampled_length,
     validate_configs,
@@ -295,8 +295,9 @@ class TestLabelEncoder:
             label_encoder_forward([1, 9], ps)
 
     def test_equals_a_per_step_composition(self):
-        """Value and every parameter gradient equal (==) a hand-built chain
-        of gather_rows + lstm_step, so training sees the same tape."""
+        """Value and every parameter gradient equal (==) a chain of per-step
+        tape ops (gather_rows, then the LSTM step and row concatenation the
+        fused node replaced), so training sees the same arithmetic."""
 
         def run(build):
             ps = build_params(tiny_cfg(), pmu_for("baseline"), seed=4)
@@ -310,11 +311,11 @@ class TestLabelEncoder:
             rows = []
             for t in [0, 1, 3, 3, 2, 4]:
                 x = ad.gather_rows(ps.get("lab/embed"), [t])
-                out, state = nn.lstm_step(x, state, ps.get("lab/lstm/wx"),
-                                          ps.get("lab/lstm/wh"),
-                                          ps.get("lab/lstm/b"))
+                out, state = per_step_lstm(x, state, ps.get("lab/lstm/wx"),
+                                           ps.get("lab/lstm/wh"),
+                                           ps.get("lab/lstm/b"))
                 rows.append(out)
-            return ad.concat(rows, axis=0)
+            return concat_rows(rows)
 
         value, grads = run(lambda ps: label_encoder_forward([1, 3, 3, 2, 4], ps))
         want_value, want_grads = run(by_steps)
@@ -325,6 +326,56 @@ class TestLabelEncoder:
                 assert g is not None and np.any(g != 0), path
             assert (g is None and grads[path] is None) or np.array_equal(
                 grads[path], g), path
+
+    def test_tape_nodes_do_not_grow_with_the_prefix(self):
+        ps = build_params(tiny_cfg(), pmu_for("baseline"))
+        added = set()
+        for prefix in ([], [1], [1, 3, 3, 2, 4], [2, 4] * 30):
+            before = next(ad._node_ids)
+            label_encoder_forward(prefix, ps)
+            added.add(next(ad._node_ids) - before)
+        assert len(added) == 1, added
+
+    def test_decode_step_equals_the_training_rows(self):
+        """label_encoder_step, fed its own state, reproduces every row of
+        label_encoder_forward bit for bit."""
+        ps = build_params(tiny_cfg(), pmu_for("baseline"), seed=4)
+        prefix = [1, 3, 3, 2, 4]
+        want = label_encoder_forward(prefix, ps).value
+        state = (np.zeros((1, 8)), np.zeros((1, 8)))
+        for u, t in enumerate([0] + prefix):
+            state = label_encoder_step(t, state, ps)
+            assert np.array_equal(state[0], want[u:u + 1]), u
+
+
+def per_step_lstm(x, state, wx, wh, b):
+    """One LSTM step composed of tape ops: the label encoder's former graph
+    (gate layout [input, forget, cell, output])."""
+    h, c = state
+    x, h, c = ad.as_node(x), ad.as_node(h), ad.as_node(c)
+    d = ad.as_node(wx).value.shape[1] // 4
+    z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
+    i = ad.sigmoid(ad.take_slice(z, (slice(None), slice(0, d))))
+    f = ad.sigmoid(ad.take_slice(z, (slice(None), slice(d, 2 * d))))
+    g = ad.tanh(ad.take_slice(z, (slice(None), slice(2 * d, 3 * d))))
+    o = ad.sigmoid(ad.take_slice(z, (slice(None), slice(3 * d, 4 * d))))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, (h_new, c_new)
+
+
+def concat_rows(rows):
+    """Stack (1, d) row nodes into one (n, d) node, scattering its gradient
+    back row by row."""
+    out = ad.Node(np.concatenate([r.value for r in rows], axis=0), tuple(rows),
+                  "concat")
+
+    def _bw(g):
+        for u, r in enumerate(rows):
+            ad._acc(r, g[u:u + 1])
+
+    out._backward = _bw
+    return out
 
 
 class TestSharing:
