@@ -140,7 +140,7 @@ def test_finite_diff_sample_hits_requested_count():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(6, 6))
     picks = finite_diff_sample(lambda: float((w * w).sum()), [w],
-                                  per_array=5, rng=rng)
+                               per_array=5, rng=rng)
     idx, est = picks[0]
     assert len(idx) == 5
     assert np.allclose(est, 2 * w.reshape(-1)[idx], atol=1e-6)
