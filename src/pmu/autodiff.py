@@ -131,18 +131,6 @@ def add(a, b) -> Node:
     return out
 
 
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = Node(_combine("sub", lambda x, y: x - y, a, b), (a, b), "sub")
-
-    def _bw(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    out._backward = _bw
-    return out
-
-
 def mul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     out = Node(_combine("mul", lambda x, y: x * y, a, b), (a, b), "mul")
@@ -155,33 +143,11 @@ def mul(a, b) -> Node:
     return out
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    out = Node(-a.value, (a,), "neg")
-    out._backward = lambda g: _acc(a, -g)
-    return out
-
-
 def scale(a, c: float) -> Node:
     """Multiply by a python constant (no gradient to the constant)."""
     a = as_node(a)
     out = Node(a.value * c, (a,), "scale")
     out._backward = lambda g: _acc(a, g * c)
-    return out
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    y = np.exp(a.value)
-    out = Node(y, (a,), "exp")
-    out._backward = lambda g: _acc(a, g * y)
-    return out
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    out = Node(np.log(a.value), (a,), "log")
-    out._backward = lambda g: _acc(a, g / a.value)
     return out
 
 
@@ -214,51 +180,40 @@ def swish(a) -> Node:
 # ---------------------------------------------------------------------------
 # reductions and normalizers
 
-def sum_(a, axis=None, keepdims=False) -> Node:
+def sum_(a) -> Node:
+    """Sum of every entry."""
     a = as_node(a)
-    out = Node(a.value.sum(axis=axis, keepdims=keepdims), (a,), "sum")
-
-    def _bw(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _acc(a, np.broadcast_to(g, a.value.shape))
-
-    out._backward = _bw
+    out = Node(a.value.sum(), (a,), "sum")
+    out._backward = lambda g: _acc(a, np.broadcast_to(g, a.value.shape))
     return out
 
 
-def mean(a, axis=None, keepdims=False) -> Node:
-    a = as_node(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def softmax(z, axis: int = -1) -> Node:
-    """Numerically stabilized softmax along `axis`."""
+def softmax(z) -> Node:
+    """Numerically stabilized softmax along the last axis."""
     z = as_node(z)
-    shifted = z.value - z.value.max(axis=axis, keepdims=True)
+    shifted = z.value - z.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Node(y, (z,), "softmax")
 
     def _bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         _acc(z, (g - dot) * y)
 
     out._backward = _bw
     return out
 
 
-def log_softmax(z, axis: int = -1) -> Node:
+def log_softmax(z) -> Node:
+    """Numerically stabilized log-softmax along the last axis."""
     z = as_node(z)
-    shifted = z.value - z.value.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = z.value - z.value.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = Node(y, (z,), "log_softmax")
 
     def _bw(g):
-        _acc(z, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        _acc(z, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     out._backward = _bw
     return out
@@ -311,21 +266,6 @@ def take_slice(a, index) -> Node:
     return out
 
 
-def gather_rows(table, ids) -> Node:
-    """Embedding lookup: rows `ids` of a 2-D table, scatter-add backward."""
-    table = as_node(table)
-    idx = np.asarray(ids, dtype=np.intp)
-    out = Node(table.value[idx], (table,), "gather_rows")
-
-    def _bw(g):
-        buf = np.zeros_like(table.value)
-        np.add.at(buf, idx, g)
-        _acc(table, buf)
-
-    out._backward = _bw
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -348,9 +288,6 @@ class ParamStore:
         self.rng_seed = rng_seed
         self._params: dict[str, Node] = {}
         self._aliases: dict[str, str] = {}
-
-    def resolve(self, path: str) -> str:
-        return self._aliases.get(path, path)
 
     def create(self, path: str, shape: tuple, init: str = "uniform_fanin",
                fan_in: int | None = None) -> Node:
@@ -382,13 +319,10 @@ class ParamStore:
         self._aliases[path] = target
 
     def get(self, path: str) -> Node:
-        real = self.resolve(path)
+        real = self._aliases.get(path, path)
         if real not in self._params:
             raise KeyError(path)
         return self._params[real]
-
-    def __contains__(self, path: str) -> bool:
-        return self.resolve(path) in self._params
 
     def items(self) -> Iterable[tuple[str, Node]]:
         """Real (non-alias) parameters in sorted path order."""

@@ -52,6 +52,8 @@ def load_features(path: str) -> np.ndarray:
     version, T, D = struct.unpack("<III", blob[4:16])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
+    if T < 1 or D < 1:
+        raise FormatError(f"{path}: empty feature matrix of shape ({T}, {D})")
     expected = 16 + T * D * 4
     if len(blob) != expected:
         raise FormatError(f"{path}: payload ends at byte {len(blob)}, "

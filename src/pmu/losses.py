@@ -51,9 +51,10 @@ def _clamp(logprobs: np.ndarray) -> np.ndarray:
 def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
     """Forward-backward CTC loss over a (T, V) matrix of log-probs.
 
-    Blank id is 0.  Unreachable targets (T too short for the label string)
-    give value +inf, zero gradient, and status "unreachable" so callers can
-    skip the sample instead of aborting.
+    Blank id is 0.  Unreachable targets (T too short for the label string,
+    or every path crossing a LOG_FLOOR entry) give value +inf, zero
+    gradient, and status "unreachable" so callers can skip the sample
+    instead of aborting.
     """
     lp = _clamp(emissions)
     T, V = lp.shape
@@ -91,7 +92,7 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
 
     logz = alpha[T - 1, S - 1] if S == 1 else np.logaddexp(alpha[T - 1, S - 1],
                                                            alpha[T - 1, S - 2])
-    if not np.isfinite(logz):
+    if logz < LOG_FLOOR / 2:  # every path crosses a floored emission
         return LossResult(math.inf, np.zeros_like(lp), "unreachable")
 
     # beta[t, s]: log prob of completing from state s at time t, not counting
@@ -265,7 +266,8 @@ def uniform_kl(logprobs_node: Node) -> Node:
     Used as the label-smoothing regularizer on head outputs.
     """
     V = logprobs_node.value.shape[-1]
-    ce = ad.mean(ad.neg(logprobs_node))  # mean over positions and vocab
+    # -mean(logprobs), the cross-entropy against uniform over positions and vocab
+    ce = ad.scale(ad.sum_(logprobs_node), -1.0 / logprobs_node.value.size)
     return ad.add(ce, Node(np.asarray(-math.log(V))))
 
 

@@ -21,8 +21,6 @@ import operator
 from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
-import numpy as np
-
 from . import autodiff as ad
 from . import losses, nn
 from .autodiff import Node, ParamStore
@@ -344,8 +342,7 @@ def _subsample(x, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx):
                                 f"got {x.value.shape}")
     y = ad.reshape(x, (T, cfg.input_dim, 1))
     for conv in ("sub/conv1", "sub/conv2"):
-        y = ad.swish(nn.conv2d(y, ps.get(f"{conv}/w"), ps.get(f"{conv}/b"),
-                               stride=2, pad=1))
+        y = ad.swish(nn.conv2d(y, ps.get(f"{conv}/w"), ps.get(f"{conv}/b")))
     Tp, f, C = y.value.shape
     h = nn.linear(ad.reshape(y, (Tp, f * C)), ps.get("sub/proj/w"),
                   ps.get("sub/proj/b"))
@@ -358,7 +355,7 @@ def ctc_head(h, ps: ParamStore, name: str):
     """Returns (logprobs, posterior) of the tap's emission head; both views
     share the same logits node."""
     logits = nn.linear(h, ps.get(f"tap/{name}/w"), ps.get(f"tap/{name}/b"))
-    return ad.log_softmax(logits, axis=-1), ad.softmax(logits, axis=-1)
+    return ad.log_softmax(logits), ad.softmax(logits)
 
 
 def self_condition(h, ctc_posterior, w, b):
@@ -370,10 +367,6 @@ def self_condition(h, ctc_posterior, w, b):
         raise ContractViolation(
             f"self_condition: posterior {post.value.shape} and projection "
             f"({V},{d}) incompatible with trunk {h.value.shape}")
-    sums = post.value.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
-        raise ContractViolation("self_condition: posterior rows must be "
-                                "normalized distributions")
     return ad.add(h, nn.linear(post, w, b))
 
 
@@ -441,7 +434,7 @@ def joint(h_t_all, h_u_all, ps: ParamStore) -> Node:
                     (1, U1, J))
     z = ad.tanh(ad.add(at, au))
     logits = ad.add(ad.matmul(z, ps.get("joint/out_w")), ps.get("joint/out_b"))
-    return ad.log_softmax(logits, axis=-1)
+    return ad.log_softmax(logits)
 
 
 # ---------------------------------------------------------------------------

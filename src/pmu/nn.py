@@ -17,9 +17,6 @@ from . import autodiff as ad
 from .autodiff import Node, as_node
 from .errors import ContractViolation
 
-# Additive attention-mask constant: large enough to zero the softmax slot,
-# small enough never to overflow in 64-bit.
-MASK_NEG = -1e30
 # Variance floor of layer_norm.
 LN_EPS = 1e-5
 
@@ -103,27 +100,24 @@ def depthwise_conv1d(x, kernel) -> Node:
     return out
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Node:
-    """2-D convolution: x (H, W, Cin), w (kh, kw, Cin, Cout), optional bias (Cout,)."""
-    x, w = as_node(x), as_node(w)
+def conv2d(x, w, b) -> Node:
+    """2-D convolution with stride 2 and zero padding 1 on both spatial axes:
+    x (H, W, Cin), w (kh, kw, Cin, Cout), bias b (Cout,)."""
+    x, w, b = as_node(x), as_node(w), as_node(b)
     H, W, cin = x.value.shape
     kh, kw, wcin, cout = w.value.shape
     if wcin != cin:
         raise ContractViolation(f"conv2d: input channels {cin} != weight channels {wcin}")
-    xp = np.pad(x.value, ((pad, pad), (pad, pad), (0, 0)))
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
+    xp = np.pad(x.value, ((1, 1), (1, 1), (0, 0)))
+    Ho = (H + 2 - kh) // 2 + 1
+    Wo = (W + 2 - kw) // 2 + 1
     if Ho < 1 or Wo < 1:
         raise ContractViolation(
             f"conv2d: output would be empty for input {x.value.shape} kernel ({kh},{kw})")
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    cols = win[::stride, ::stride]  # (Ho, Wo, Cin, kh, kw)
-    y = np.einsum("xycij,ijco->xyo", cols, w.value, optimize=True)
-    parents = (x, w) if b is None else (x, w, as_node(b))
-    if b is not None:
-        bn = parents[2]
-        y = y + bn.value
-    out = Node(y, parents, "conv2d")
+    cols = win[::2, ::2]  # (Ho, Wo, Cin, kh, kw)
+    y = np.einsum("xycij,ijco->xyo", cols, w.value, optimize=True) + b.value
+    out = Node(y, (x, w, b), "conv2d")
 
     def _bw(g):
         dw = np.einsum("xycij,xyo->ijco", cols, g, optimize=True)
@@ -131,23 +125,17 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Node:
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                dxp[i:i + Ho * stride:stride, j:j + Wo * stride:stride] += dcols[:, :, :, i, j]
-        dx = dxp[pad:pad + H, pad:pad + W] if pad else dxp
-        ad._acc(x, dx)
+                dxp[i:i + Ho * 2:2, j:j + Wo * 2:2] += dcols[:, :, :, i, j]
+        ad._acc(x, dxp[1:1 + H, 1:1 + W])
         ad._acc(w, dw)
-        if b is not None:
-            ad._acc(parents[2], g.sum(axis=(0, 1)))
+        ad._acc(b, g.sum(axis=(0, 1)))
 
     out._backward = _bw
     return out
 
 
-def multi_head_attention(q, k, v, num_heads: int, mask=None) -> Node:
-    """Scaled dot-product attention over (T, d) sequences.
-
-    `mask`, when given, is an additive array broadcastable to the score
-    shape (heads, Tq, Tk); blocked slots should hold MASK_NEG.
-    """
+def multi_head_attention(q, k, v, num_heads: int) -> Node:
+    """Scaled dot-product attention over (T, d) sequences."""
     q, k, v = as_node(q), as_node(k), as_node(v)
     Tq, d = q.value.shape
     Tk, dk_ = k.value.shape
@@ -167,9 +155,7 @@ def multi_head_attention(q, k, v, num_heads: int, mask=None) -> Node:
     kh = split(k, Tk)
     vh = split(v, Tk)
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, Node(np.asarray(mask, dtype=scores.value.dtype)))
-    attn = ad.softmax(scores, axis=-1)
+    attn = ad.softmax(scores)
     ctx = ad.matmul(attn, vh)  # (h, Tq, dh)
     return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (Tq, d))
 

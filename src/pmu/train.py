@@ -287,30 +287,31 @@ def load_checkpoint(path: str):
 
 
 def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
-    """Rebuild a model + optimizer from a checkpoint, validating every
-    parameter shape against the stored config."""
+    """Rebuild a model + optimizer from a checkpoint, validating its integer
+    header fields and every parameter and moment shape against its config."""
     header, records = load_checkpoint(path)
+    for key in ("seed", "opt_t", "next_step"):
+        if type(header.get(key)) is not int:
+            raise FormatError(f"{path}: checkpoint header has no integer {key!r}")
     try:
         cfg, pmu = configs_from_dict(header)
-        model = ConformerTransducer(cfg, pmu, seed=header.get("seed", 0))
+        model = ConformerTransducer(cfg, pmu, seed=header["seed"])
     except (AttributeError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: checkpoint header does not hold a model "
                           f"config ({type(e).__name__}: {e})")
     opt = AdamState.for_params(model.params)
-    opt.t = int(header.get("opt_t", 0))
+    opt.t = header["opt_t"]
     for p, node in model.params.items():
-        if p not in records:
-            raise FormatError(f"{path}: missing parameter record {p!r}")
-        if records[p].shape != node.value.shape:
-            raise FormatError(f"{path}: parameter {p!r} has shape "
-                              f"{records[p].shape}, config implies "
-                              f"{node.value.shape}")
-        node.value[...] = records[p]
-        mkey, vkey = f"opt/m/{p}", f"opt/v/{p}"
-        if mkey in records:
-            opt.m[p][...] = records[mkey]
-        if vkey in records:
-            opt.v[p][...] = records[vkey]
+        for key, dest in ((p, node.value), (f"opt/m/{p}", opt.m[p]),
+                          (f"opt/v/{p}", opt.v[p])):
+            what = "optimizer" if key.startswith("opt/") else "parameter"
+            if key not in records:
+                raise FormatError(f"{path}: missing {what} record {key!r}")
+            if records[key].shape != dest.shape:
+                raise FormatError(f"{path}: {what} record {key!r} has shape "
+                                  f"{records[key].shape}, config implies "
+                                  f"{dest.shape}")
+            dest[...] = records[key]
     known = {p for p, _ in model.params.items()}
     for rpath in records:
         base = rpath.split("/", 2)[-1] if rpath.startswith("opt/") else rpath
@@ -387,7 +388,7 @@ def run_experiment(exp: Experiment, resume: str | None = None,
         if model.config_dict() != want or model.seed != tcfg.seed:
             raise InputError(f"{resume}: checkpoint config does not match "
                              f"the experiment config")
-        start_step = int(header.get("next_step", 1))
+        start_step = header["next_step"]
     else:
         model = ConformerTransducer(mcfg, pmu, seed=tcfg.seed)
         opt = AdamState.for_params(model.params)

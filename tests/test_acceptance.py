@@ -96,28 +96,20 @@ def _primitive_worst(seeds: int) -> float:
                 rng.normal(size=(2, 8)), rng.normal(size=(8,))]
         cases = [
             (lambda x, y: ad.add(x, y), [a.copy(), b.copy()]),
-            (lambda x, y: ad.sub(x, y), [a.copy(), b.copy()]),
             (lambda x, y: ad.mul(x, y), [a.copy(), b.copy()]),
-            (lambda x: ad.neg(x), [a.copy()]),
             (lambda x: ad.scale(x, 1.7), [a.copy()]),
-            (lambda x: ad.exp(ad.scale(x, 0.3)), [a.copy()]),
-            (lambda x: ad.log(ad.add(ad.mul(x, x),
-                                     ad.Node(np.full_like(a, 1.5)))),
-             [a.copy()]),
             (lambda x: ad.tanh(x), [a.copy()]),
             (lambda x: ad.sigmoid(x), [a.copy()]),
             (lambda x: ad.swish(x), [a.copy()]),
-            (lambda x: ad.sum_(x, axis=0, keepdims=True), [a.copy()]),
-            (lambda x: ad.mean(x, axis=1, keepdims=True), [a.copy()]),
-            (lambda x: ad.softmax(x, axis=-1), [a.copy()]),
-            (lambda x: ad.log_softmax(x, axis=-1), [a.copy()]),
+            (lambda x: ad.sum_(x), [a.copy()]),
+            (lambda x: ad.softmax(x), [a.copy()]),
+            (lambda x: ad.log_softmax(x), [a.copy()]),
             (lambda x, y: ad.matmul(x, y), [a[:, :4].copy(), m.copy()]),
             (lambda x: ad.reshape(x, (4, 3)), [a.copy()]),
             (lambda x: ad.transpose(x, (1, 0)), [a.copy()]),
             (lambda x: ad.take_slice(x, 1), [a.copy()]),
             (lambda t, wx, wh, bias: nn.lstm_sequence(t, [0, 2, 2, 1], wx, wh, bias),
              [arr.copy() for arr in lstm]),
-            (lambda x: ad.gather_rows(x, [2, 0, 2]), [m.copy()]),
         ]
         for build, arrays in cases:
             nodes = [ad.Node(arr) for arr in arrays]
@@ -146,7 +138,7 @@ def _sc_path_worst(seeds: int) -> float:
                   rng.normal(size=(6,)) * 0.1]          # feedback bias
 
         def build(h, w, b, sw, sb):
-            post = ad.softmax(ad.add(ad.matmul(h, w), b), axis=-1)
+            post = ad.softmax(ad.add(ad.matmul(h, w), b))
             return self_condition(h, post, sw, sb)
 
         nodes = [ad.Node(arr) for arr in arrays]

@@ -214,8 +214,12 @@ def edited_config(workspace, tmp_path, old, new):
     # headers from before the variant fixed the CTC units and subsampling
     json_edit(lambda h: h["pmu"].update(ctc_units=h["pmu"]["trans_units"])),
     json_edit(lambda h: h["model"]["encoder"].update(subsample_factor=4)),
+    # the run counters have no default: a resume would restart the schedule
+    json_edit(lambda h: h.pop("seed")),
+    json_edit(lambda h: h.pop("opt_t")),
+    json_edit(lambda h: h.pop("next_step")),
 ], ids=["extra-config-key", "no-pmu", "not-json", "vocab-fields", "ctc-units",
-        "subsample-factor"])
+        "subsample-factor", "no-seed", "no-opt-t", "no-next-step"])
 def test_malformed_checkpoint_header_exits_2(workspace, capsys, tmp_path, edit):
     ckpt = tmp_path / "bad.ckpt"
     with_header(workspace / "run" / "final.ckpt", ckpt, edit)
@@ -223,6 +227,16 @@ def test_malformed_checkpoint_header_exits_2(workspace, capsys, tmp_path, edit):
                  "--data", str(workspace / "toy" / "dev.tsv"),
                  "--out", str(tmp_path / "dev.hyp")]) == 2
     assert_one_error_naming(capsys, ckpt)
+
+
+def test_zero_frame_features_exit_2(workspace, capsys, tmp_path):
+    empty = tmp_path / "empty.pmuf"
+    empty.write_bytes(b"PMUF" + struct.pack("<III", 1, 0, 8))
+    manifest = tmp_path / "dev.tsv"
+    manifest.write_text(f"u0\t{empty}\tbad cab\n", encoding="utf-8")
+    assert main(["decode", "--ckpt", str(workspace / "run" / "final.ckpt"),
+                 "--data", str(manifest), "--out", str(tmp_path / "dev.hyp")]) == 2
+    assert "empty feature matrix" in assert_one_error_naming(capsys, empty)
 
 
 def test_resume_against_best_without_its_wer_exits_2(workspace, capsys):

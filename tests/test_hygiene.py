@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in the program and its tests is
-used, every module-level function or class of the program is named
-somewhere else in the program or the benchmark, every default-valued
-parameter that the program or the benchmark calls is set by some call,
-and text input files are read through `errors.read_lines` alone.
+used, every module-level function or class of the program is reached by an
+expression elsewhere in the program or the benchmark, every default-valued
+parameter that the program or the benchmark calls is set by some call and
+not always to one literal, and text input files are read through
+`errors.read_lines` alone.
 
 The package `__init__.py` files re-export names and are skipped.
 """
@@ -10,7 +11,6 @@ The package `__init__.py` files re-export names and are skipped.
 import ast
 import collections
 import pathlib
-import re
 
 import pytest
 
@@ -23,16 +23,19 @@ CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 UNREFERENCED_ALLOWED = {
     # per-tap unit error rates at eval will decode every CTC tap with it
     # (ROADMAP item 6)
-    "greedy_decode_ctc",
+    "pmu.decode.greedy_decode_ctc",
 }
 # default-valued parameters that no call in the program or the benchmark
 # sets, each with the reason it stays
 UNSET_DEFAULTS_ALLOWED = {
     "main(argv)": "tests drive the CLI through it",
-    "multi_head_attention(mask)": "the batched, padded train step will pass "
-                                  "length masks (ROADMAP item 3)",
     "oracle_equivalence_suite(seed)": "tests choose another seed",
     "finite_diff_grad(eps)": "gradient tests choose a smaller step",
+}
+# default-valued parameters that every call in the program or the benchmark
+# passes as the same literal, each with the reason it stays a parameter
+CONSTANT_DEFAULTS_ALLOWED = {
+    "loss(train)": "tests evaluate with dropout off",
 }
 # functions of the program that open files for reading in text mode, each
 # with the reason; everywhere else a non-UTF-8 file must become a
@@ -82,27 +85,135 @@ def definitions(source: str) -> list[str]:
                               ast.ClassDef))]
 
 
-def unreferenced(defined: list[str], corpus: str) -> list[str]:
-    """Names of `defined` that occur in `corpus` no more often than they
-    are defined: nothing names them but their own `def` or `class`."""
-    return sorted(name for name, n in collections.Counter(defined).items()
-                  if len(re.findall(rf"\b{re.escape(name)}\b", corpus)) <= n)
+def module_name(path: pathlib.Path) -> str:
+    """Dotted import name of a program or benchmark file: `pmu.nn` for
+    src/pmu/nn.py, `pmu.tokenizers` for its `__init__.py`, `workloads` for
+    perfbench/workloads.py (the benchmark imports its files top-level)."""
+    base = ROOT / "src" if ROOT / "src" in path.parents else path.parent
+    parts = path.relative_to(base).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def import_bindings(tree, module: str, is_package: bool, modules) -> dict:
+    """Local name -> ("module", name) or ("name", module, name) for every
+    import statement in `tree`, wherever it sits; relative imports resolve
+    against `module`, and `modules` tells submodules from names."""
+    package = module if is_package else module.rpartition(".")[0]
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                head = a.name.partition(".")[0]
+                out[a.asname or head] = ("module", a.name if a.asname else head)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            for a in node.names:
+                full = f"{base}.{a.name}"
+                out[a.asname or a.name] = (("module", full) if full in modules
+                                           else ("name", base, a.name))
+    return out
+
+
+def resolve(modules: dict, module: str, name: str):
+    """What `name` is in `module`: ("def", module, name) for a function or
+    class defined there, ("module", dotted name) for a module, following
+    imports and re-exports; None outside the scanned modules."""
+    if module not in modules:
+        return None
+    defs, bindings = modules[module][1:]
+    if name in defs:
+        return ("def", module, name)
+    if f"{module}.{name}" in modules:
+        return ("module", f"{module}.{name}")
+    bound = bindings.get(name)
+    if bound is None or bound[0] == "module":
+        return bound
+    return resolve(modules, *bound[1:])
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+          ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope) -> set[str]:
+    """Names a function, lambda or comprehension binds: parameters,
+    assignment targets and nested definitions (those of nested scopes too,
+    which only ever hides a reference), less its `global` names."""
+    nodes = list(ast.walk(scope))
+    names = {n.arg for n in nodes if isinstance(n, ast.arg)}
+    names |= {n.id for n in nodes
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    names |= {n.name for n in nodes if n is not scope and isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return names - {g for n in nodes if isinstance(n, ast.Global) for g in n.names}
+
+
+def unreferenced(sources: dict[str, tuple[str, bool]],
+                 program: list[str]) -> list[str]:
+    """`module.name` of each module-level function or class of a `program`
+    module that no Name or Attribute expression in `sources` resolves to
+    through imports, module aliases and package re-exports.  `sources` maps
+    module name -> (source text, is package).  String literals, names bound
+    locally and a definition's uses of itself do not count."""
+    modules = {m: [ast.parse(text), set(), {}] for m, (text, _) in sources.items()}
+    for m, (tree, defs, bindings) in modules.items():
+        defs.update(definitions(sources[m][0]))
+        bindings.update(import_bindings(tree, m, sources[m][1], modules))
+    used = set()
+
+    def target(node, module, local):
+        if isinstance(node, ast.Name):
+            return None if node.id in local else resolve(modules, module, node.id)
+        if isinstance(node, ast.Attribute):
+            owner = target(node.value, module, local)
+            if owner and owner[0] == "module":
+                return resolve(modules, owner[1], node.attr)
+        return None
+
+    def visit(node, module, local, owner):
+        if isinstance(node, SCOPES):
+            local = local | local_names(node)
+        if owner is None and isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = ("def", module, node.name)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            found = target(node, module, local)
+            if found and found[0] == "def" and found != owner:
+                used.add(found)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, local, owner)
+
+    for m, (tree, _, _) in modules.items():
+        visit(tree, m, frozenset(), None)
+    return sorted(f"{m}.{name}" for m in program for name in modules[m][1]
+                  if ("def", m, name) not in used)
 
 
 def test_scanner_flags_only_unreferenced_definitions():
-    source = ("def used():\n    pass\n\n\ndef dead():\n    used()\n\n\n"
-              "class Gone:\n    def method(self):\n        pass\n")
-    assert definitions(source) == ["used", "dead", "Gone"]
-    assert unreferenced(definitions(source), source) == ["Gone", "dead"]
+    ops = ("import math\n\n\ndef exported():\n    pass\n\n\n"
+           "def aliased():\n    pass\n\n\ndef imported():\n    pass\n\n\n"
+           "def recursive():\n    return recursive()\n\n\n"
+           "def log():\n    return math.log(2)\n\n\ndef sub():\n    pass\n\n\n"
+           "def shadowed(sub):\n    return sub() + [log for log in ()]\n")
+    user = ("import pkg\nimport pkg.ops as o\n\n\ndef main():\n"
+            "    from pkg.ops import imported\n"
+            "    return pkg.exported(), o.aliased(), imported(), 'log', 'sub'\n")
+    sources = {"pkg": ("from .ops import exported\n", True),
+               "pkg.ops": (ops, False), "user": (user, False)}
+    assert unreferenced(sources, ["pkg.ops"]) == [
+        "pkg.ops.log", "pkg.ops.recursive", "pkg.ops.shadowed", "pkg.ops.sub"]
+    assert unreferenced(sources, ["user"]) == ["user.main"]
 
 
 def test_every_definition_is_referenced():
-    defined = [name for p in PROGRAM
-               for name in definitions(p.read_text(encoding="utf-8"))]
-    corpus = "\n".join(p.read_text(encoding="utf-8") for p in CALLERS)
-    assert UNREFERENCED_ALLOWED <= set(defined)
-    assert [n for n in unreferenced(defined, corpus)
-            if n not in UNREFERENCED_ALLOWED] == []
+    sources = {module_name(p): (p.read_text(encoding="utf-8"),
+                                p.name == "__init__.py") for p in CALLERS}
+    dead = unreferenced(sources, [module_name(p) for p in PROGRAM])
+    assert UNREFERENCED_ALLOWED <= set(dead)
+    assert [n for n in dead if n not in UNREFERENCED_ALLOWED] == []
 
 
 def defaulted_parameters(source: str) -> list[tuple[str, list[str], list[str]]]:
@@ -129,28 +240,40 @@ def defaulted_parameters(source: str) -> list[tuple[str, list[str], list[str]]]:
     return out
 
 
-def unset_defaults(program: list[str], callers: list[str]) -> list[str]:
-    """`name(param)` for each default-valued parameter of a `program`
-    function that `callers` call while no call passes that parameter, by
-    keyword or by position.  Calls match by the callee's last name; a call
-    with `*` or `**` passes every parameter."""
+def calls_by_name(callers: list[str]) -> dict[str, list[ast.Call]]:
+    """Every call in `callers`, keyed by the callee's last name."""
     calls = collections.defaultdict(list)
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 f = node.func
-                name = getattr(f, "id", None) or getattr(f, "attr", None)
-                calls[name].append(node)
+                calls[getattr(f, "id", None) or getattr(f, "attr", None)].append(node)
+    return calls
+
+
+def arguments(call: ast.Call, positional: list[str]) -> dict | None:
+    """Parameter -> argument expression of `call`; None when a `*` or `**`
+    argument may pass any parameter."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return None
+    return {**dict(zip(positional, call.args)),
+            **{k.arg: k.value for k in call.keywords}}
+
+
+def unset_defaults(program: list[str], callers: list[str]) -> list[str]:
+    """`name(param)` for each default-valued parameter of a `program`
+    function that `callers` call while no call passes that parameter, by
+    keyword or by position.  Calls match by the callee's last name; a call
+    with `*` or `**` passes every parameter."""
+    calls = calls_by_name(callers)
     out = set()
     for source in program:
         for name, positional, defaulted in defaulted_parameters(source):
             passed = set()
             for call in calls.get(name, []):
-                if (any(isinstance(a, ast.Starred) for a in call.args)
-                        or any(k.arg is None for k in call.keywords)):
-                    passed.update(defaulted)
-                passed.update(positional[:len(call.args)])
-                passed.update(k.arg for k in call.keywords)
+                args = arguments(call, positional)
+                passed.update(defaulted if args is None else args)
             if name in calls:
                 out.update(f"{name}({p})" for p in defaulted if p not in passed)
     return sorted(out)
@@ -172,6 +295,51 @@ def test_every_default_is_set_by_some_call():
                            [p.read_text(encoding="utf-8") for p in CALLERS])
     assert [d for d in found if d not in UNSET_DEFAULTS_ALLOWED] == []
     assert set(UNSET_DEFAULTS_ALLOWED) <= set(found)
+
+
+def is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def constant_defaults(program: list[str], callers: list[str]) -> list[str]:
+    """`name(param)` for each default-valued parameter of a `program`
+    function that every call in `callers` passes, as one and the same
+    literal: a constant, not a parameter.  A function with a `*` or `**`
+    call may be passed anything and is left out."""
+    calls = calls_by_name(callers)
+    out = set()
+    for source in program:
+        for name, positional, defaulted in defaulted_parameters(source):
+            args = [arguments(c, positional) for c in calls.get(name, [])]
+            if not args or None in args:
+                continue
+            for p in defaulted:
+                values = {ast.dump(a[p]) if p in a and is_literal(a[p]) else None
+                          for a in args}
+                if None not in values and len(values) == 1:
+                    out.add(f"{name}({p})")
+    return sorted(out)
+
+
+def test_scanner_flags_only_constant_defaults():
+    program = ("def f(a, axis=-1, pad=0, b=None):\n    pass\n\n\n"
+               "def g(k=1):\n    pass\n\n\ndef h(m=0):\n    pass\n\n\n"
+               "class K:\n    def run(self, train=False):\n        pass\n")
+    callers = ("f(x, axis=-1, pad=1, b=y)\nf(x, -1, 1, None)\n"
+               "f(z, axis=-1, pad=2, b=None)\ng(k=2)\ng()\nh(m=3)\nh(*a)\n"
+               "k.run(train=True)\nk.run(True)\n")
+    assert constant_defaults([program], [callers]) == ["f(axis)", "run(train)"]
+
+
+def test_no_default_is_always_passed_the_same_literal():
+    found = constant_defaults([p.read_text(encoding="utf-8") for p in PACKAGE],
+                              [p.read_text(encoding="utf-8") for p in CALLERS])
+    assert [d for d in found if d not in CONSTANT_DEFAULTS_ALLOWED] == []
+    assert set(CONSTANT_DEFAULTS_ALLOWED) <= set(found)
 
 
 def text_mode_reads(source: str) -> list[str]:

@@ -109,6 +109,16 @@ class TestCtc:
         assert math.isfinite(res.value)
         assert np.isfinite(res.grad).all()
 
+    def test_floored_emissions_are_unreachable(self):
+        """Every path emits label 1 once; flooring that column leaves no
+        path above LOG_FLOOR, so the posteriors would overflow."""
+        em = random_logprob_matrix(np.random.default_rng(7), 3, 3)
+        em[:, 1] = 2 * LOG_FLOOR
+        with np.errstate(over="raise"):
+            res = ctc_loss(em, [1])
+        assert (res.status, res.value) == ("unreachable", math.inf)
+        assert res.grad.shape == em.shape and not res.grad.any()
+
     def test_brute_force_refuses_huge_instances(self):
         em = random_logprob_matrix(np.random.default_rng(6), 25, 10)
         with pytest.raises(InputError):
@@ -403,11 +413,16 @@ def test_ctc_equals_the_reference_kernel_bit_for_bit(T, V, raw, peaked,
         em *= 40.0  # wide dynamic range
     if floored:
         em[rng.random(em.shape) < 0.3] = 2 * LOG_FLOOR
-    # where every path crosses a floored entry, logz is ~-1e30 and both
-    # kernels' posterior exp overflows alike
+    res = ctc_loss(em, y)
+    # where every path crosses a floored entry, logz is ~-1e30 and the
+    # reference's posterior exp overflows; the kernel reports those targets
+    # unreachable before it computes a gradient
     with np.errstate(over="ignore"):
-        res = ctc_loss(em, y)
         want = reference_ctc_loss(em, y)
+    if want.status == "ok" and -want.value < LOG_FLOOR / 2:
+        assert (res.status, res.value) == ("unreachable", math.inf), (T, V, y)
+        assert not res.grad.any(), (T, V, y)
+        return
     assert (res.status, res.value) == (want.status, want.value), (T, V, y)
     assert np.array_equal(res.grad, want.grad), (T, V, y)
 

@@ -317,15 +317,15 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="truncated while reading"):
             load_checkpoint(p)
 
-    def test_missing_record_rejected(self, tmp_path):
+    @staticmethod
+    def rewritten_checkpoint(tmp_path, edit) -> str:
+        """A tiny model's checkpoint, rebuilt with `edit(records)` applied."""
         model = tiny_model()
         opt = AdamState.for_params(model.params)
         p = str(tmp_path / "m.ckpt")
         save_checkpoint(p, model, opt, next_step=1)
         header, records = load_checkpoint(p)
-        # rebuild the file without one parameter record
-        victim = "joint/out_b"
-        del records[victim]
+        edit(records)
         blob = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode()
         with open(p, "wb") as fh:
@@ -341,32 +341,34 @@ class TestCheckpoints:
                 for dim in arr.shape:
                     fh.write(struct.pack("<I", dim))
                 fh.write(arr.astype("<f8").tobytes())
+        return p
+
+    def test_missing_record_rejected(self, tmp_path):
+        # rebuild the file without one parameter record
+        p = self.rewritten_checkpoint(tmp_path,
+                                      lambda r: r.pop("joint/out_b"))
         with pytest.raises(FormatError, match="missing parameter record"):
             restore_model(p)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        model = tiny_model()
-        opt = AdamState.for_params(model.params)
-        p = str(tmp_path / "m.ckpt")
-        save_checkpoint(p, model, opt, next_step=1)
-        header, records = load_checkpoint(p)
-        records["joint/out_b"] = np.zeros(3)  # config implies 5
-        blob = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        with open(p, "wb") as fh:
-            fh.write(b"PMU1")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(records)))
-            for rp, arr in records.items():
-                raw = rp.encode()
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(arr.astype("<f8").tobytes())
+        p = self.rewritten_checkpoint(  # config implies 5
+            tmp_path, lambda r: r.update({"joint/out_b": np.zeros(3)}))
         with pytest.raises(FormatError, match="shape"):
+            restore_model(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("opt/m/joint/out_b"),
+         "missing optimizer record 'opt/m/joint/out_b'"),
+        (lambda r: r.update({"opt/v/joint/out_b": np.zeros(1)}),
+         r"'opt/v/joint/out_b' has shape \(1,\)"),
+        (lambda r: r.update({"opt/v/joint/out_b": np.zeros(3)}),
+         r"'opt/v/joint/out_b' has shape \(3,\)"),
+    ], ids=["missing-moment", "broadcastable-moment", "short-moment"])
+    def test_bad_optimizer_record_rejected(self, tmp_path, edit, message):
+        """Adam moments are validated like parameters: none loads as zeros
+        or broadcasts into the state."""
+        p = self.rewritten_checkpoint(tmp_path, edit)
+        with pytest.raises(FormatError, match=message):
             restore_model(p)
 
 
