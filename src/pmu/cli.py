@@ -74,13 +74,14 @@ def _vocab_from_meta(header: dict, path: str, size: int) -> Vocabulary:
 
 
 def _cmd_decode(args) -> int:
-    from .data import load_manifest
+    from .data import check_feature_dim, load_manifest
     from .decode import decode_dataset
     from .train import restore_model
     model, _, header = restore_model(args.ckpt)
     vocab = _vocab_from_meta(header, args.ckpt,
                              model.cfg.vocab[model.pmu.trans_units])
     utts = load_manifest(args.data)
+    check_feature_dim(utts, model.cfg.input_dim)
     hyps = decode_dataset(model, utts, vocab, args.max_symbols)
     with open(args.out, "w", encoding="utf-8") as fh:
         for utt_id, text in hyps.items():

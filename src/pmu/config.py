@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import InputError, read_lines
+from .errors import raise_problems, read_lines
 from .model import ModelConfig, PMUConfig
 
 
@@ -26,7 +26,7 @@ class TrainConfig:
     max_symbols_per_frame: int = 5
     out_dir: str = "runs/exp"
 
-    def validate(self):
+    def problems(self) -> list[str]:
         errors = []
         for name in ("base_lr", "warmup_steps", "max_steps", "batch_size",
                      "grad_clip_norm", "eval_every", "max_symbols_per_frame"):
@@ -36,8 +36,7 @@ class TrainConfig:
             errors.append(f"label_smoothing {self.label_smoothing} not in [0,1)")
         if self.seed < 0:
             errors.append("seed must be >= 0")
-        if errors:
-            raise InputError("; ".join(errors))
+        return errors
 
 
 @dataclass
@@ -118,8 +117,7 @@ def parse_config_text(lines, path: str = "<config>",
             where = f" in [{section}]" if section else ""
             errors.append(f"{path}:{lineno}: duplicate key {key!r}{where}")
         table[section][key] = value
-    if errors:
-        raise InputError("\n".join(errors))
+    raise_problems(errors, "\n")
     return table
 
 
@@ -142,17 +140,10 @@ def config_from_table(table: dict, path: str = "<config>") -> Experiment:
                    else [getattr(exp, section)])
         errors += assign_fields(table.get(section, {}), targets,
                                 f"{path}: [{section}]")
-    if errors:
-        raise InputError("\n".join(errors))
-
-    # semantic validation, also with every problem listed
-    for check in (mcfg.validate, exp.pmu.validate, exp.train.validate):
-        try:
-            check()
-        except InputError as e:
-            errors.append(f"{path}: {e}")
-    if errors:
-        raise InputError("\n".join(errors))
+    errors += [f"{path}: {p}" for p in mcfg.problems()
+               + exp.pmu.problems(mcfg.encoder.num_layers)
+               + exp.train.problems()]
+    raise_problems(errors, "\n")
     return exp
 
 

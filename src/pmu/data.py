@@ -98,3 +98,12 @@ def load_manifest(path: str, with_features: bool = True) -> list[Utterance]:
     if not utts:
         raise InputError(f"{path}: empty manifest")
     return utts
+
+
+def check_feature_dim(utts: list[Utterance], input_dim: int):
+    """InputError naming the first utterance not `input_dim` features wide."""
+    for u in utts:
+        if u.features.shape[1] != input_dim:
+            raise InputError(f"utterance {u.id!r} has feature dim "
+                             f"{u.features.shape[1]}, [model] input_dim is "
+                             f"{input_dim}")

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one reader of text input files."""
+"""Shared exception types, `raise_problems`, and the one text-file reader."""
 
 
 class ContractViolation(ValueError):
@@ -15,6 +15,12 @@ class FormatError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training hit a state it cannot recover from (e.g. non-finite loss)."""
+
+
+def raise_problems(problems: list[str], sep: str = "; "):
+    """Raise one InputError listing every problem, if there is any."""
+    if problems:
+        raise InputError(sep.join(problems))
 
 
 def read_lines(path: str) -> list[str]:

@@ -24,7 +24,7 @@ from typing import ClassVar
 from . import autodiff as ad
 from . import losses, nn
 from .autodiff import Node, ParamStore
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation, InputError, raise_problems
 
 VARIANTS = ("baseline", "basic_pmu", "para_ctc", "pca_ctc")
 UNIT_CHOICES = ("pasm", "bpe")
@@ -44,7 +44,7 @@ class EncoderConfig:
     # two stride-2 convolutions; a class constant, not a settable field
     subsample_factor: ClassVar[int] = 4
 
-    def validate(self):
+    def problems(self) -> list[str]:
         errors = []
         if self.num_layers < 1:
             errors.append(f"num_layers must be >= 1, got {self.num_layers}")
@@ -58,8 +58,7 @@ class EncoderConfig:
                           f"got {self.conv_kernel}")
         if not (0.0 <= self.dropout < 1.0):
             errors.append(f"dropout must be in [0,1), got {self.dropout}")
-        if errors:
-            raise InputError("; ".join(errors))
+        return errors
 
 
 @dataclass
@@ -71,17 +70,11 @@ class ModelConfig:
     subsample_channels: int = 16
     vocab: dict = field(default_factory=dict)  # unit kind -> vocabulary size
 
-    def validate(self):
-        errors = []
-        try:
-            self.encoder.validate()
-        except InputError as e:
-            errors.append(str(e))
-        for name in ("input_dim", "lstm_dim", "joint_dim", "subsample_channels"):
-            if getattr(self, name) < 1:
-                errors.append(f"{name} must be >= 1")
-        if errors:
-            raise InputError("; ".join(errors))
+    def problems(self) -> list[str]:
+        return self.encoder.problems() + [
+            f"{name} must be >= 1"
+            for name in ("input_dim", "lstm_dim", "joint_dim", "subsample_channels")
+            if getattr(self, name) < 1]
 
 
 @dataclass
@@ -98,7 +91,7 @@ class PMUConfig:
     heads_shared: bool = False
     trans_units: str = "bpe"
 
-    def validate(self):
+    def problems(self, num_layers: int) -> list[str]:
         errors = []
         if self.variant not in VARIANTS:
             errors.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -116,6 +109,9 @@ class PMUConfig:
             if min(self.n1, self.n2, self.n3) < 0 or self.n1 < 1 or self.n3 < 1:
                 errors.append(f"pca_ctc needs n1 >= 1, n2 >= 0, n3 >= 1, "
                               f"got ({self.n1},{self.n2},{self.n3})")
+            layers = self.n1 + self.n2 + self.n3
+            if layers != num_layers:
+                errors.append(f"n1+n2+n3 = {layers} != num_layers = {num_layers}")
         else:
             if self.sc_enabled:
                 errors.append("sc_enabled requires variant pca_ctc")
@@ -127,23 +123,12 @@ class PMUConfig:
                               "projections are the SC layers)")
             if self.n2 == 0:
                 errors.append("heads_shared requires n2 > 0 (two taps to share)")
-        if errors:
-            raise InputError("; ".join(errors))
+        return errors
 
 
 def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
-    """Enumerates every config problem in one error instead of stopping at
-    the first one."""
-    errors = []
-    for check in (cfg.validate, pmu.validate):
-        try:
-            check()
-        except InputError as e:
-            errors.append(str(e))
-    layers = pmu.n1 + pmu.n2 + pmu.n3
-    if pmu.variant == "pca_ctc" and layers != cfg.encoder.num_layers:
-        errors.append(f"n1+n2+n3 = {layers} != num_layers = "
-                      f"{cfg.encoder.num_layers}")
+    """One InputError listing every config problem, vocabulary sizes too."""
+    errors = cfg.problems() + pmu.problems(cfg.encoder.num_layers)
     pasm, small = cfg.vocab.get("pasm", 0), cfg.vocab.get("bpe_small", 0)
     if pmu.heads_shared and pasm != small:
         errors.append(f"heads_shared requires equal head sizes, got "
@@ -152,8 +137,7 @@ def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
         if cfg.vocab.get(kind, 0) < 2:
             errors.append(f"the {kind} vocabulary needs >= 2 entries (blank "
                           f"plus one unit), got {cfg.vocab.get(kind, 0)}")
-    if errors:
-        raise InputError("; ".join(errors))
+    raise_problems(errors)
 
 
 @dataclass(frozen=True)
@@ -517,10 +501,6 @@ def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
                             ad.scale(losses.uniform_kl(outputs.lattice),
                                      label_smoothing))
     l_trans = float(trans_node.value)
-    if not math.isfinite(l_trans):
-        return LossBundle(l_trans=l_trans, l_ctc_components=comps,
-                          skipped_samples=1, status="nonfinite:trans")
-
     total = _weighted_total(pmu, trans_node, comp_nodes, ad.add, ad.scale)
     return LossBundle(l_trans=l_trans, l_ctc_components=comps,
                       l_total=float(total.value), node=total)

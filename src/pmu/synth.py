@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import assign_fields, parse_config_text
 from .data import Utterance, save_features, write_manifest
-from .errors import InputError, read_lines
+from .errors import InputError, raise_problems, read_lines
 from .tokenizers import Lexicon, normalize_text
 
 DEFAULT_WORDS = ("bad", "cab", "dab", "ace", "bead", "fad")
@@ -32,9 +32,7 @@ def parse_toy_spec(path: str) -> "ToySpec":
     spec = ToySpec()
     table = parse_config_text(read_lines(path), path, sections=("",))
     errors = assign_fields(table[""], [spec], f"{path}:")
-    if errors:
-        raise InputError("\n".join(errors))
-    spec.validate()
+    raise_problems(errors + [f"{path}: {p}" for p in spec.problems()], "\n")
     return spec
 
 
@@ -53,7 +51,7 @@ class ToySpec:
     dev_fraction: float = 0.1
     adjacent_repeats: bool = False
 
-    def validate(self):
+    def problems(self) -> list[str]:
         errors = []
         if not (1 <= len(self.words) <= 12):
             errors.append(f"need 1..12 word types, got {len(self.words)}")
@@ -79,8 +77,7 @@ class ToySpec:
             errors.append("noise_sigma must be >= 0")
         if not (0.0 <= self.dev_fraction < 1.0):
             errors.append("dev_fraction must be in [0,1)")
-        if errors:
-            raise InputError("; ".join(errors))
+        return errors
 
 
 def micro_lexicon(words) -> Lexicon:
@@ -98,7 +95,7 @@ def word_stencils(spec: ToySpec, seed: int) -> dict[str, np.ndarray]:
 
 
 def synth_toy_dataset(spec: ToySpec, seed: int) -> tuple[list[Utterance], Lexicon]:
-    spec.validate()
+    raise_problems(spec.problems())
     stencils = word_stencils(spec, seed)
     utts = []
     for i in range(spec.num_utts):

@@ -21,9 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore
 from .config import DataConfig, Experiment, TrainConfig
-from .data import Utterance, load_manifest
+from .data import Utterance, check_feature_dim, load_manifest
 from .decode import decode_dataset
-from .errors import FormatError, InputError, TrainingError
+from .errors import FormatError, InputError, TrainingError, raise_problems
 from .metrics import wer_corpus
 from .model import (ConformerTransducer, LossBundle, PMUConfig,
                     configs_from_dict, unit_kinds)
@@ -275,7 +275,10 @@ def load_checkpoint(path: str):
         records: dict[str, np.ndarray] = {}
         for _ in range(count):
             (plen,) = struct.unpack("<H", _read_exact(fh, 2, path, "path length"))
-            rpath = _read_exact(fh, plen, path, "path").decode("utf-8")
+            try:
+                rpath = _read_exact(fh, plen, path, "path").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: record path is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "ndim"))
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, path, "dim"))[0]
                           for _ in range(ndim))
@@ -295,6 +298,10 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
             raise FormatError(f"{path}: checkpoint header has no integer {key!r}")
     try:
         cfg, pmu = configs_from_dict(header)
+        problems = cfg.problems() + pmu.problems(cfg.encoder.num_layers)
+        if problems:
+            raise FormatError(f"{path}: checkpoint header holds an invalid "
+                              f"model config: {'; '.join(problems)}")
         model = ConformerTransducer(cfg, pmu, seed=header["seed"])
     except (AttributeError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: checkpoint header does not hold a model "
@@ -330,9 +337,9 @@ def build_samples(utts: list[Utterance], pmu: PMUConfig, tokenizers: dict) -> li
             for u in utts]
 
 
-def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> dict:
-    """Unit kind -> tokenizer, read from `[data] <kind>_model`; the "pasm"
-    kind takes a PASM model and the BPE kinds take BPE models."""
+def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> tuple[dict, list[str]]:
+    """(unit kind -> tokenizer, problems), read from `[data] <kind>_model`;
+    the "pasm" kind takes a PASM model and the BPE kinds take BPE models."""
     errors = []
     toks = {}
     for kind in unit_kinds(pmu):
@@ -348,44 +355,27 @@ def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> dict:
         if isinstance(toks[kind], PasmModel) != (kind == "pasm"):
             errors.append(f"[data] {kind}_model {path} holds a "
                           f"{type(toks[kind]).__name__}")
-    if errors:
-        raise InputError("; ".join(errors))
-    return toks
+    return toks, errors
 
 
 def run_experiment(exp: Experiment, resume: str | None = None,
                    quiet: bool = False) -> dict:
     """Tokenize, train, periodically evaluate, and checkpoint the best-WER
-    model.  All config problems are raised before any training compute."""
+    model.  One InputError lists every config, tokenizer and manifest-path
+    problem before any feature file is read."""
     tcfg, pmu, mcfg, dcfg = exp.train, exp.pmu, exp.model, exp.data
-    tcfg.validate()
-    toks = load_tokenizers(dcfg, pmu)
-
-    errors = []
-    if not dcfg.train_manifest:
-        errors.append("[data] train_manifest is required")
-    if not dcfg.dev_manifest:
-        errors.append("[data] dev_manifest is required")
-    if errors:
-        raise InputError("; ".join(errors))
-    train_utts = load_manifest(dcfg.train_manifest)
-    dev_utts = load_manifest(dcfg.dev_manifest)
-    for u in train_utts + dev_utts:
-        if u.features.shape[1] != mcfg.input_dim:
-            errors.append(f"utterance {u.id!r} has feature dim "
-                          f"{u.features.shape[1]}, [model] input_dim is "
-                          f"{mcfg.input_dim}")
-            break
-    if errors:
-        raise InputError("; ".join(errors))
-
+    toks, problems = load_tokenizers(dcfg, pmu)
+    problems += [f"[data] {key} is required"
+                 for key in ("train_manifest", "dev_manifest")
+                 if not getattr(dcfg, key)]
+    raise_problems(tcfg.problems() + mcfg.problems()
+                   + pmu.problems(mcfg.encoder.num_layers) + problems)
     mcfg.vocab = {kind: len(tok.vocab) for kind, tok in toks.items()}
     trans_tok = toks[pmu.trans_units]
 
     if resume:
         model, opt, header = restore_model(resume)
-        want = ConformerTransducer(mcfg, pmu, seed=tcfg.seed).config_dict()
-        if model.config_dict() != want or model.seed != tcfg.seed:
+        if (model.cfg, model.pmu, model.seed) != (mcfg, pmu, tcfg.seed):
             raise InputError(f"{resume}: checkpoint config does not match "
                              f"the experiment config")
         start_step = header["next_step"]
@@ -394,6 +384,9 @@ def run_experiment(exp: Experiment, resume: str | None = None,
         opt = AdamState.for_params(model.params)
         start_step = 1
 
+    train_utts = load_manifest(dcfg.train_manifest)
+    dev_utts = load_manifest(dcfg.dev_manifest)
+    check_feature_dim(train_utts + dev_utts, mcfg.input_dim)
     samples = build_samples(train_utts, pmu, toks)
     os.makedirs(tcfg.out_dir, exist_ok=True)
     log = RunLog()

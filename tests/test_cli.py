@@ -3,9 +3,11 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from pmu.cli import main
+from pmu.data import save_features
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,44 @@ def test_zero_frame_features_exit_2(workspace, capsys, tmp_path):
     assert main(["decode", "--ckpt", str(workspace / "run" / "final.ckpt"),
                  "--data", str(manifest), "--out", str(tmp_path / "dev.hyp")]) == 2
     assert "empty feature matrix" in assert_one_error_naming(capsys, empty)
+
+
+def test_invalid_config_in_checkpoint_header_exits_2(workspace, capsys,
+                                                     tmp_path):
+    ckpt = tmp_path / "bad.ckpt"
+    with_header(workspace / "run" / "final.ckpt", ckpt,
+                json_edit(lambda h: (h["pmu"].update(alpha=2.0),
+                                     h["model"].update(lstm_dim=0))))
+    assert main(["decode", "--ckpt", str(ckpt),
+                 "--data", str(workspace / "toy" / "dev.tsv"),
+                 "--out", str(tmp_path / "dev.hyp")]) == 2
+    err = assert_one_error_naming(capsys, ckpt)
+    assert f"{ckpt}: checkpoint header" in err
+    assert "lstm_dim must be >= 1" in err and "alpha 2.0 not in (0,1)" in err
+
+
+def test_non_utf8_record_path_exits_2(workspace, capsys, tmp_path):
+    raw = bytearray((workspace / "run" / "final.ckpt").read_bytes())
+    (n,) = struct.unpack("<I", raw[4:8])
+    raw[8 + n + 4 + 2] = 0xFF  # past the header, record count, path length
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    assert main(["decode", "--ckpt", str(ckpt),
+                 "--data", str(workspace / "toy" / "dev.tsv"),
+                 "--out", str(tmp_path / "dev.hyp")]) == 2
+    assert "record path is not UTF-8" in assert_one_error_naming(capsys, ckpt)
+
+
+def test_decode_features_of_the_wrong_width_exit_2(workspace, capsys,
+                                                   tmp_path):
+    save_features(str(tmp_path / "wide.pmuf"), np.zeros((40, 12)))
+    manifest = tmp_path / "dev.tsv"
+    manifest.write_text("wide\twide.pmuf\tbad cab\n", encoding="utf-8")
+    assert main(["decode", "--ckpt", str(workspace / "run" / "final.ckpt"),
+                 "--data", str(manifest), "--out", str(tmp_path / "dev.hyp")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: utterance 'wide' has feature dim 12, [model] "
+                   "input_dim is 8\n")
 
 
 def test_resume_against_best_without_its_wer_exits_2(workspace, capsys):

@@ -84,10 +84,12 @@ class TestConfigParsing:
             config_from_table({"train": {"base_lr": "fast"}})
 
     def test_bool_coercion(self):
-        exp = config_from_table({"pmu": {"variant": "pca_ctc", "n1": "1",
+        exp = config_from_table({"model": {"num_layers": "2"},
+                                 "pmu": {"variant": "pca_ctc", "n1": "1",
                                          "n3": "1", "sc_enabled": "true"}})
         assert exp.pmu.sc_enabled is True
-        exp = config_from_table({"pmu": {"variant": "pca_ctc", "n1": "1",
+        exp = config_from_table({"model": {"num_layers": "2"},
+                                 "pmu": {"variant": "pca_ctc", "n1": "1",
                                          "n3": "1", "sc_enabled": "off"}})
         assert exp.pmu.sc_enabled is False
         with pytest.raises(InputError, match="not a boolean"):
@@ -113,6 +115,18 @@ class TestConfigParsing:
         msg = str(exc.value)
         for problem in ("num_layers must be >= 1", "conv_kernel must be odd",
                         "input_dim must be >= 1", "variant must be one of"):
+            assert problem in msg
+
+    def test_layer_sum_reported_with_the_other_problems(self):
+        table = {"model": {"num_layers": "2"},
+                 "pmu": {"variant": "pca_ctc", "n1": "1", "n3": "2"},
+                 "train": {"max_steps": "-5", "batch_size": "many"}}
+        with pytest.raises(InputError) as exc:
+            config_from_table(table, path="bad.cfg")
+        msg = str(exc.value)
+        for problem in ("bad.cfg: n1+n2+n3 = 3 != num_layers = 2",
+                        "bad.cfg: max_steps must be positive",
+                        "bad.cfg: [train] batch_size: invalid literal"):
             assert problem in msg
 
     def test_variant_alone_fixes_the_ctc_units(self):
@@ -286,14 +300,14 @@ class TestToySpec:
         assert "toy.spec: unknown key 'bogus'" in msg
 
     def test_validate_rules(self):
-        with pytest.raises(InputError, match="duplicate word"):
-            ToySpec(words=("bad", "bad")).validate()
-        with pytest.raises(InputError, match="1..12 word types"):
-            ToySpec(words=tuple(f"w{i}" for i in range(13))).validate()
-        with pytest.raises(InputError, match="gap range"):
-            ToySpec(gap_min=5, gap_max=2).validate()
-        with pytest.raises(InputError, match="frames-per-word"):
-            ToySpec(frames_min=0).validate()
+        assert ToySpec().problems() == []
+        assert "duplicate word types" in ToySpec(words=("bad", "bad")).problems()
+        assert "need 1..12 word types, got 13" in ToySpec(
+            words=tuple(f"w{i}" for i in range(13))).problems()
+        assert "bad inter-word gap range (5, 2)" in ToySpec(
+            gap_min=5, gap_max=2).problems()
+        assert "bad frames-per-word range (0, 28)" in ToySpec(
+            frames_min=0).problems()
 
 
 class TestSynth:

@@ -2,8 +2,9 @@
 used, every module-level function or class of the program is reached by an
 expression elsewhere in the program or the benchmark, every default-valued
 parameter that the program or the benchmark calls is set by some call and
-not always to one literal, and text input files are read through
-`errors.read_lines` alone.
+not always to one literal, text input files are read through
+`errors.read_lines` alone, and no `InputError` is caught to be joined into
+another one.
 
 The package `__init__.py` files re-export names and are skipped.
 """
@@ -45,6 +46,13 @@ TEXT_READS_ALLOWED = {
     "load_lexicon": "pronunciation dictionaries carry stray non-UTF-8 bytes "
                     "(CMU's has Latin-1 comments); errors='replace' keeps "
                     "their entries readable",
+}
+
+# functions of the program that catch InputError, each with the reason;
+# everywhere else checks return their problems as a list, which
+# `errors.raise_problems` raises once
+INPUT_ERROR_CATCHES_ALLOWED = {
+    "main": "the CLI turns every rejected input into one `error:` line",
 }
 
 
@@ -383,3 +391,42 @@ def test_text_files_are_read_through_read_lines():
     assert [h for h in found
             if h.split(": ")[1] not in TEXT_READS_ALLOWED] == []
     assert set(TEXT_READS_ALLOWED) <= {h.split(": ")[1] for h in found}
+
+
+def input_error_catches(source: str) -> list[str]:
+    """`function: line N` of each `except` clause in `source` that names
+    InputError, alone or in a tuple.  Clauses outside any function go by
+    `<module>`."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(child.type)}
+                if "InputError" in names:
+                    out.append(f"{owner}: line {child.lineno}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_scanner_flags_only_input_error_catches():
+    source = ("try:\n    pass\nexcept InputError:\n    pass\n\n\n"
+              "def f():\n    try:\n        pass\n"
+              "    except (OSError, errors.InputError) as e:\n        pass\n"
+              "    except ValueError:\n        pass\n"
+              "    except:\n        pass\n")
+    assert input_error_catches(source) == ["<module>: line 3", "f: line 10"]
+
+
+def test_input_errors_are_not_caught_to_be_rejoined():
+    found = [f"{p.relative_to(ROOT)}: {hit}" for p in PACKAGE
+             for hit in input_error_catches(p.read_text(encoding="utf-8"))]
+    assert [h for h in found
+            if h.split(": ")[1] not in INPUT_ERROR_CATCHES_ALLOWED] == []
+    assert set(INPUT_ERROR_CATCHES_ALLOWED) <= {h.split(": ")[1] for h in found}

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import pmu.data as data_mod
 import pmu.train as train_mod
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.errors import FormatError, InputError, TrainingError
@@ -431,6 +432,21 @@ class TestTrainStep:
             np.testing.assert_array_equal(n.value, before[p])
             assert (opt.m[p] == 0.5).all() and (opt.v[p] == 0.25).all()
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_transducer_loss_stops_the_step(self):
+        """A NaN transducer loss is not a skipped sample: the step raises,
+        naming itself and the utterance, before any parameter moves."""
+        model = tiny_model()
+        model.params.get("joint/out_b").value[...] = math.nan
+        opt = AdamState.for_params(model.params)
+        before = {p: n.value.copy() for p, n in model.params.items()}
+        with pytest.raises(TrainingError,
+                           match=r"non-finite loss at utterance 'u0' \(step 3\)"):
+            train_step(model, [sample()], TrainConfig(), opt, 3)
+        assert opt.t == 0
+        for p, n in model.params.items():
+            np.testing.assert_array_equal(n.value, before[p])
+
     def test_variants_share_the_transducer_branch_at_init(self):
         """Taps are read-only with self-conditioning off, so every variant
         built from one seed starts with the same transducer loss."""
@@ -500,6 +516,26 @@ class TestRunExperiment:
         exp.model.input_dim = 80
         with pytest.raises(InputError, match="input_dim"):
             run_experiment(exp, quiet=True)
+
+    def test_every_problem_is_reported_before_any_feature_file(
+            self, tmp_path, monkeypatch):
+        """Train, pmu, tokenizer and manifest problems come in one InputError
+        raised before a feature file is opened."""
+        exp = self.build_toy_experiment(tmp_path)
+        exp.train.max_steps = -5
+        exp.data.pasm_model = ""
+        exp.data.dev_manifest = ""
+        exp.pmu = PMUConfig(variant="pca_ctc", n1=1, n2=0, n3=2)
+        monkeypatch.setattr(data_mod, "load_features",
+                            lambda path: pytest.fail(f"read {path}"))
+        with pytest.raises(InputError) as exc:
+            run_experiment(exp, quiet=True)
+        msg = str(exc.value)
+        for problem in ("max_steps must be positive",
+                        "[data] pasm_model is required",
+                        "[data] dev_manifest is required",
+                        "n1+n2+n3 = 3 != num_layers = 2"):
+            assert problem in msg
 
     def test_resume_keeps_a_better_best_checkpoint(self, tmp_path, monkeypatch):
         """A resumed run into the same out_dir replaces best.ckpt only when
