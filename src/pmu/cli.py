@@ -62,7 +62,7 @@ def _cmd_train(args) -> int:
 
 
 def _vocab_from_meta(header: dict, path: str, size: int) -> Vocabulary:
-    meta = header.get("meta") or {}
+    meta = header.get("meta", {})
     units = meta.get("trans_vocab")
     if not isinstance(units, list) or not units:
         raise FormatError(f"{path}: checkpoint carries no vocabulary metadata; "

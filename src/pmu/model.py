@@ -126,18 +126,25 @@ class PMUConfig:
         return errors
 
 
-def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
-    """One InputError listing every config problem, vocabulary sizes too."""
+def config_problems(cfg: ModelConfig, pmu: PMUConfig,
+                    unsized: set = frozenset()) -> list[str]:
+    """Every problem of a model and PMU config, vocabulary sizes too.  The
+    unit kinds in `unsized` have no size yet (their tokenizer is reported
+    missing) and add no second problem."""
     errors = cfg.problems() + pmu.problems(cfg.encoder.num_layers)
     pasm, small = cfg.vocab.get("pasm", 0), cfg.vocab.get("bpe_small", 0)
-    if pmu.heads_shared and pasm != small:
+    if pmu.heads_shared and pasm != small and not {"pasm", "bpe_small"} & unsized:
         errors.append(f"heads_shared requires equal head sizes, got "
                       f"vocabulary sizes pasm={pasm} vs bpe_small={small}")
     for kind in unit_kinds(pmu):
-        if cfg.vocab.get(kind, 0) < 2:
+        if cfg.vocab.get(kind, 0) < 2 and kind not in unsized:
             errors.append(f"the {kind} vocabulary needs >= 2 entries (blank "
                           f"plus one unit), got {cfg.vocab.get(kind, 0)}")
-    raise_problems(errors)
+    return errors
+
+
+def validate_configs(cfg: ModelConfig, pmu: PMUConfig):
+    raise_problems(config_problems(cfg, pmu))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,14 +25,14 @@ from .decode import decode_dataset
 from .errors import FormatError, InputError, TrainingError, raise_problems
 from .metrics import wer_corpus
 from .model import (ConformerTransducer, LossBundle, PMUConfig,
-                    configs_from_dict, unit_kinds)
+                    config_problems, configs_from_dict, unit_kinds)
 from .tokenizers import PasmModel, encode, load_tokenizer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
 
-CKPT_MAGIC = b"PMU1"
+CKPT_MAGIC = b"PMU2"
 
 
 # ---------------------------------------------------------------------------
@@ -211,94 +210,75 @@ class RunLog:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _pack_record(fh, path: str, arr: np.ndarray):
-    raw = path.encode("utf-8")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(arr.astype("<f8").tobytes(order="C"))
+def _checkpoint_layout(model: ConformerTransducer, opt: AdamState):
+    """(the header's `params` list of [path, shape] pairs, the payload's
+    arrays in file order): every parameter, then Adam's m, then Adam's v,
+    each in `ParamStore.items()` order."""
+    values = {p: node.value for p, node in model.params.items()}
+    return ([[p, list(v.shape)] for p, v in values.items()],
+            [d[p] for d in (values, opt.m, opt.v) for p in values])
 
 
 def save_checkpoint(path: str, model: ConformerTransducer, opt: AdamState,
                     next_step: int, meta: dict | None = None):
-    header = dict(model.config_dict())
-    header["opt_t"] = opt.t
-    header["next_step"] = next_step
-    header["seed"] = model.seed
+    """Magic, u32 header length, JSON header, then the float64 little-endian
+    arrays of `_checkpoint_layout` back to back."""
+    params, arrays = _checkpoint_layout(model, opt)
+    header = {**model.config_dict(), "opt_t": opt.t, "next_step": next_step,
+              "seed": model.seed, "params": params}
     if meta:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    records = []
-    for p, node in model.params.items():
-        records.append((p, node.value))
-    for p in sorted(opt.m):
-        records.append((f"opt/m/{p}", opt.m[p]))
-    for p in sorted(opt.v):
-        records.append((f"opt/v/{p}", opt.v[p]))
-
     def fill(fh):
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
+        fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(records)))
-        for p, arr in records:
-            _pack_record(fh, p, np.asarray(arr))
+        for arr in arrays:
+            fh.write(arr.astype("<f8").tobytes())
 
     _write_atomic(path, fill)
 
 
-def _read_exact(fh, n: int, path: str, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated while reading {what} "
-                          f"(wanted {n} bytes, got {len(data)})")
-    return data
-
-
-def load_checkpoint(path: str):
-    """Returns (header dict, {record path: float64 array})."""
+def load_checkpoint(path: str) -> tuple[dict, bytes]:
+    """Returns (header dict, payload bytes), the payload's length checked
+    against the header's `params` shapes."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path, "magic") != CKPT_MAGIC:
-            raise FormatError(f"{path}: bad checkpoint magic")
-        (blen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
-        blob = _read_exact(fh, blen, path, "header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-            raise FormatError(f"{path}: checkpoint header is not JSON ({e})")
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: checkpoint header is not a JSON object")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, path, "record count"))
-        records: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (plen,) = struct.unpack("<H", _read_exact(fh, 2, path, "path length"))
-            try:
-                rpath = _read_exact(fh, plen, path, "path").decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: record path is not UTF-8") from None
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "ndim"))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4, path, "dim"))[0]
-                          for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * n, path, f"data of {rpath}"),
-                                 dtype="<f8").reshape(shape)
-            records[rpath] = data.copy()
-    return header, records
+        magic, blen = fh.read(4), int.from_bytes(fh.read(4), "little")
+        blob, payload = fh.read(blen), fh.read()
+    if magic != CKPT_MAGIC:
+        raise FormatError(f"{path}: bad checkpoint magic")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: checkpoint header is not JSON ({e})")
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
+    if not isinstance(header.get("meta", {}), dict):
+        raise FormatError(f"{path}: checkpoint meta is not a JSON object")
+    try:
+        want = 3 * 8 * sum(math.prod(shape) for _, shape in header["params"])
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(f"{path}: checkpoint header has no params list of "
+                          f"[path, shape] pairs") from None
+    if len(payload) != want:
+        what = ("truncated while reading the payload" if len(payload) < want
+                else "trailing bytes after the payload")
+        raise FormatError(f"{path}: {what} (wanted {want} bytes, "
+                          f"got {len(payload)})")
+    return header, payload
 
 
 def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
     """Rebuild a model + optimizer from a checkpoint, validating its integer
-    header fields and every parameter and moment shape against its config."""
-    header, records = load_checkpoint(path)
+    header fields, its config and its `params` list against that config."""
+    header, payload = load_checkpoint(path)
     for key in ("seed", "opt_t", "next_step"):
         if type(header.get(key)) is not int:
             raise FormatError(f"{path}: checkpoint header has no integer {key!r}")
     try:
         cfg, pmu = configs_from_dict(header)
-        problems = cfg.problems() + pmu.problems(cfg.encoder.num_layers)
+        problems = config_problems(cfg, pmu)
         if problems:
             raise FormatError(f"{path}: checkpoint header holds an invalid "
                               f"model config: {'; '.join(problems)}")
@@ -308,22 +288,14 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
                           f"config ({type(e).__name__}: {e})")
     opt = AdamState.for_params(model.params)
     opt.t = header["opt_t"]
-    for p, node in model.params.items():
-        for key, dest in ((p, node.value), (f"opt/m/{p}", opt.m[p]),
-                          (f"opt/v/{p}", opt.v[p])):
-            what = "optimizer" if key.startswith("opt/") else "parameter"
-            if key not in records:
-                raise FormatError(f"{path}: missing {what} record {key!r}")
-            if records[key].shape != dest.shape:
-                raise FormatError(f"{path}: {what} record {key!r} has shape "
-                                  f"{records[key].shape}, config implies "
-                                  f"{dest.shape}")
-            dest[...] = records[key]
-    known = {p for p, _ in model.params.items()}
-    for rpath in records:
-        base = rpath.split("/", 2)[-1] if rpath.startswith("opt/") else rpath
-        if base not in known:
-            raise FormatError(f"{path}: unexpected record {rpath!r}")
+    params, arrays = _checkpoint_layout(model, opt)
+    if header["params"] != params:
+        raise FormatError(f"{path}: checkpoint params list does not match "
+                          f"the parameters its config builds")
+    values, start = np.frombuffer(payload, dtype="<f8"), 0
+    for dest in arrays:
+        dest[...] = values[start:start + dest.size].reshape(dest.shape)
+        start += dest.size
     return model, opt, header
 
 
@@ -365,12 +337,13 @@ def run_experiment(exp: Experiment, resume: str | None = None,
     problem before any feature file is read."""
     tcfg, pmu, mcfg, dcfg = exp.train, exp.pmu, exp.model, exp.data
     toks, problems = load_tokenizers(dcfg, pmu)
+    mcfg.vocab = {kind: len(tok.vocab) for kind, tok in toks.items()}
     problems += [f"[data] {key} is required"
                  for key in ("train_manifest", "dev_manifest")
                  if not getattr(dcfg, key)]
-    raise_problems(tcfg.problems() + mcfg.problems()
-                   + pmu.problems(mcfg.encoder.num_layers) + problems)
-    mcfg.vocab = {kind: len(tok.vocab) for kind, tok in toks.items()}
+    raise_problems(tcfg.problems()
+                   + config_problems(mcfg, pmu, set(unit_kinds(pmu)) - set(toks))
+                   + problems)
     trans_tok = toks[pmu.trans_units]
 
     if resume:
@@ -394,7 +367,7 @@ def run_experiment(exp: Experiment, resume: str | None = None,
     best_path = os.path.join(tcfg.out_dir, "best.ckpt")
     if resume and os.path.exists(best_path):
         # a resumed run replaces best.ckpt only with a better model
-        best_wer = (load_checkpoint(best_path)[0].get("meta") or {}).get("best_wer")
+        best_wer = load_checkpoint(best_path)[0].get("meta", {}).get("best_wer")
         if not isinstance(best_wer, (int, float)):
             raise FormatError(f"{best_path}: checkpoint meta carries no best_wer")
     final_path = os.path.join(tcfg.out_dir, "final.ckpt")

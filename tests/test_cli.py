@@ -1,13 +1,16 @@
 """End-to-end command-line walkthrough on a miniature synthetic task."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from checkpoint_edit import edited_checkpoint
 
 from pmu.cli import main
 from pmu.data import save_features
+from pmu.train import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -170,23 +173,6 @@ def test_training_error_exits_2(workspace, capsys, nan_transducer_grad):
     assert "Traceback" not in err
 
 
-def with_header(src, dst, edit):
-    """Copy checkpoint `src` to `dst`, its JSON header bytes replaced by
-    `edit(header bytes)`."""
-    raw = src.read_bytes()
-    (n,) = struct.unpack("<I", raw[4:8])
-    blob = edit(raw[8:8 + n])
-    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + n:])
-
-
-def json_edit(change):
-    def edit(blob):
-        header = json.loads(blob)
-        change(header)
-        return json.dumps(header).encode("utf-8")
-    return edit
-
-
 def assert_one_error_naming(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -206,29 +192,61 @@ def edited_config(workspace, tmp_path, old, new):
 
 
 @pytest.mark.parametrize("edit", [
-    json_edit(lambda h: h["model"].update(bogus_key=1)),
-    json_edit(lambda h: h.pop("pmu")),
-    lambda blob: b"{not json",
+    dict(header=lambda h: h["model"].update(bogus_key=1)),
+    dict(header=lambda h: h.pop("pmu")),
+    dict(blob=b"{not json"),
     # a header from before the vocabulary map: one int per unit kind
-    json_edit(lambda h: h["model"].update(
+    dict(header=lambda h: h["model"].update(
         vocab_trans=h["model"]["vocab"]["bpe"],
         **{f"vocab_{k}": v for k, v in h["model"].pop("vocab").items()})),
     # headers from before the variant fixed the CTC units and subsampling
-    json_edit(lambda h: h["pmu"].update(ctc_units=h["pmu"]["trans_units"])),
-    json_edit(lambda h: h["model"]["encoder"].update(subsample_factor=4)),
+    dict(header=lambda h: h["pmu"].update(ctc_units=h["pmu"]["trans_units"])),
+    dict(header=lambda h: h["model"]["encoder"].update(subsample_factor=4)),
     # the run counters have no default: a resume would restart the schedule
-    json_edit(lambda h: h.pop("seed")),
-    json_edit(lambda h: h.pop("opt_t")),
-    json_edit(lambda h: h.pop("next_step")),
+    dict(header=lambda h: h.pop("seed")),
+    dict(header=lambda h: h.pop("opt_t")),
+    dict(header=lambda h: h.pop("next_step")),
+    # vocabulary rules are checked against the file that carries them
+    dict(header=lambda h: h["model"]["vocab"].update(bpe=1)),
+    dict(header=lambda h: h["model"]["vocab"].pop("pasm")),
+    # meta is read as an object; params fixes the payload's layout
+    dict(header=lambda h: h.update(meta=["x"])),
+    dict(header=lambda h: h.pop("params")),
 ], ids=["extra-config-key", "no-pmu", "not-json", "vocab-fields", "ctc-units",
-        "subsample-factor", "no-seed", "no-opt-t", "no-next-step"])
+        "subsample-factor", "no-seed", "no-opt-t", "no-next-step",
+        "vocab-too-small", "vocab-kind-missing", "meta-not-an-object",
+        "no-params"])
 def test_malformed_checkpoint_header_exits_2(workspace, capsys, tmp_path, edit):
-    ckpt = tmp_path / "bad.ckpt"
-    with_header(workspace / "run" / "final.ckpt", ckpt, edit)
+    ckpt = edited_checkpoint(workspace / "run" / "final.ckpt",
+                             tmp_path / "bad.ckpt", **edit)
     assert main(["decode", "--ckpt", str(ckpt),
                  "--data", str(workspace / "toy" / "dev.tsv"),
                  "--out", str(tmp_path / "dev.hyp")]) == 2
     assert_one_error_naming(capsys, ckpt)
+
+
+def test_checkpoint_of_the_previous_layout_exits_2(workspace, capsys,
+                                                   tmp_path):
+    """A PMU1 file, which framed each array with its own path and shape
+    records, is refused by its magic."""
+    header, payload = load_checkpoint(str(workspace / "run" / "final.ckpt"))
+    params = header.pop("params")
+    values, start, records = np.frombuffer(payload, "<f8"), 0, []
+    for prefix in ("", "opt/m/", "opt/v/"):
+        for path, shape in params:
+            raw, n = f"{prefix}{path}".encode("utf-8"), math.prod(shape)
+            records.append(struct.pack(f"<H{len(raw)}sB{len(shape)}I", len(raw),
+                                       raw, len(shape), *shape)
+                           + values[start:start + n].tobytes())
+            start += n
+    blob = json.dumps(header).encode("utf-8")
+    ckpt = tmp_path / "old.ckpt"
+    ckpt.write_bytes(b"PMU1" + struct.pack("<I", len(blob)) + blob
+                     + struct.pack("<I", len(records)) + b"".join(records))
+    assert main(["decode", "--ckpt", str(ckpt),
+                 "--data", str(workspace / "toy" / "dev.tsv"),
+                 "--out", str(tmp_path / "dev.hyp")]) == 2
+    assert "bad checkpoint magic" in assert_one_error_naming(capsys, ckpt)
 
 
 def test_zero_frame_features_exit_2(workspace, capsys, tmp_path):
@@ -244,27 +262,15 @@ def test_zero_frame_features_exit_2(workspace, capsys, tmp_path):
 def test_invalid_config_in_checkpoint_header_exits_2(workspace, capsys,
                                                      tmp_path):
     ckpt = tmp_path / "bad.ckpt"
-    with_header(workspace / "run" / "final.ckpt", ckpt,
-                json_edit(lambda h: (h["pmu"].update(alpha=2.0),
-                                     h["model"].update(lstm_dim=0))))
+    edited_checkpoint(workspace / "run" / "final.ckpt", ckpt,
+                      header=lambda h: (h["pmu"].update(alpha=2.0),
+                                        h["model"].update(lstm_dim=0)))
     assert main(["decode", "--ckpt", str(ckpt),
                  "--data", str(workspace / "toy" / "dev.tsv"),
                  "--out", str(tmp_path / "dev.hyp")]) == 2
     err = assert_one_error_naming(capsys, ckpt)
     assert f"{ckpt}: checkpoint header" in err
     assert "lstm_dim must be >= 1" in err and "alpha 2.0 not in (0,1)" in err
-
-
-def test_non_utf8_record_path_exits_2(workspace, capsys, tmp_path):
-    raw = bytearray((workspace / "run" / "final.ckpt").read_bytes())
-    (n,) = struct.unpack("<I", raw[4:8])
-    raw[8 + n + 4 + 2] = 0xFF  # past the header, record count, path length
-    ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(bytes(raw))
-    assert main(["decode", "--ckpt", str(ckpt),
-                 "--data", str(workspace / "toy" / "dev.tsv"),
-                 "--out", str(tmp_path / "dev.hyp")]) == 2
-    assert "record path is not UTF-8" in assert_one_error_naming(capsys, ckpt)
 
 
 def test_decode_features_of_the_wrong_width_exit_2(workspace, capsys,
@@ -282,14 +288,26 @@ def test_decode_features_of_the_wrong_width_exit_2(workspace, capsys,
 def test_resume_against_best_without_its_wer_exits_2(workspace, capsys):
     out = workspace / "run_nobest"
     out.mkdir()
-    with_header(workspace / "run" / "best.ckpt", out / "best.ckpt",
-                json_edit(lambda h: h["meta"].pop("best_wer")))
+    edited_checkpoint(workspace / "run" / "best.ckpt", out / "best.ckpt",
+                      header=lambda h: h["meta"].pop("best_wer"))
     cfg = workspace / "exp_nobest.cfg"
     cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
                    .replace(str(workspace / "run"), str(out)), encoding="utf-8")
     assert main(["train", "--config", str(cfg), "--quiet",
                  "--resume", str(workspace / "run" / "final.ckpt")]) == 2
     assert_one_error_naming(capsys, out / "best.ckpt")
+
+
+def test_resume_against_best_whose_meta_is_not_an_object_exits_2(
+        workspace, capsys, tmp_path):
+    cfg = edited_config(workspace, tmp_path, "[train]", "[train]")
+    (tmp_path / "run").mkdir()
+    best = edited_checkpoint(workspace / "run" / "best.ckpt",
+                             tmp_path / "run" / "best.ckpt",
+                             header=lambda h: h.update(meta=["x"]))
+    assert main(["train", "--config", str(cfg), "--quiet",
+                 "--resume", str(workspace / "run" / "final.ckpt")]) == 2
+    assert "meta is not a JSON object" in assert_one_error_naming(capsys, best)
 
 
 def test_pasm_unit_count_not_an_integer_exits_2(workspace, capsys, tmp_path):
@@ -340,8 +358,8 @@ def test_tokenizer_of_the_other_family_exits_2(workspace, capsys, tmp_path):
 ], ids=["no-blank", "no-unk", "blank-not-first", "short"])
 def test_bad_checkpoint_vocabulary_exits_2(workspace, capsys, tmp_path, edit):
     ckpt = tmp_path / "bad.ckpt"
-    with_header(workspace / "run" / "final.ckpt", ckpt,
-                json_edit(lambda h: edit(h["meta"]["trans_vocab"])))
+    edited_checkpoint(workspace / "run" / "final.ckpt", ckpt,
+                      header=lambda h: edit(h["meta"]["trans_vocab"]))
     assert main(["decode", "--ckpt", str(ckpt),
                  "--data", str(workspace / "toy" / "dev.tsv"),
                  "--out", str(tmp_path / "dev.hyp")]) == 2

@@ -2,10 +2,11 @@
 
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
+from checkpoint_edit import edited_checkpoint
+from hypothesis import given, settings, strategies as st
 
 import pmu.data as data_mod
 import pmu.train as train_mod
@@ -13,6 +14,8 @@ from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.errors import FormatError, InputError, TrainingError
 from pmu.metrics import WerReport
 from pmu.model import (
+    UNIT_CHOICES,
+    VARIANTS,
     ConformerTransducer,
     EncoderConfig,
     ModelConfig,
@@ -49,6 +52,12 @@ def tiny_cfg(num_layers=2, **over):
                 vocab={"pasm": 4, "bpe": 5, "bpe_small": 4})
     base.update(over)
     return ModelConfig(**base)
+
+
+def replaced(old, new):
+    """A header edit that swaps entry `old` of the params list for `new`."""
+    return lambda h: h.update(params=[new if e == old else e
+                                      for e in h["params"]])
 
 
 def tiny_model(variant="baseline", seed=0, **pmu_over):
@@ -285,15 +294,17 @@ class TestCheckpoints:
         save_checkpoint(str(p), model, opt, next_step=1)
         before = p.read_bytes()
 
-        pack, calls = train_mod._pack_record, []
+        layout, calls = train_mod._checkpoint_layout, []
 
-        def failing_pack(fh, path, arr):
-            calls.append(path)
-            if len(calls) == 5:
-                raise OSError("disk full")
-            pack(fh, path, arr)
+        def failing_arrays(arrays):
+            for arr in arrays:
+                calls.append(arr)
+                if len(calls) == 5:
+                    raise OSError("disk full")
+                yield arr
 
-        monkeypatch.setattr(train_mod, "_pack_record", failing_pack)
+        monkeypatch.setattr(train_mod, "_checkpoint_layout", lambda m, o: (
+            layout(m, o)[0], failing_arrays(layout(m, o)[1])))
         train_step(model, [sample(seed=2)], TrainConfig(), opt, step=1)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(str(p), model, opt, next_step=2)
@@ -318,59 +329,85 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="truncated while reading"):
             load_checkpoint(p)
 
-    @staticmethod
-    def rewritten_checkpoint(tmp_path, edit) -> str:
-        """A tiny model's checkpoint, rebuilt with `edit(records)` applied."""
-        model = tiny_model()
-        opt = AdamState.for_params(model.params)
-        p = str(tmp_path / "m.ckpt")
-        save_checkpoint(p, model, opt, next_step=1)
-        header, records = load_checkpoint(p)
-        edit(records)
-        blob = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        with open(p, "wb") as fh:
-            fh.write(b"PMU1")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(records)))
-            for rp, arr in records.items():
-                raw = rp.encode()
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(arr.astype("<f8").tobytes())
-        return p
-
-    def test_missing_record_rejected(self, tmp_path):
-        # rebuild the file without one parameter record
-        p = self.rewritten_checkpoint(tmp_path,
-                                      lambda r: r.pop("joint/out_b"))
-        with pytest.raises(FormatError, match="missing parameter record"):
-            restore_model(p)
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        p = self.rewritten_checkpoint(  # config implies 5
-            tmp_path, lambda r: r.update({"joint/out_b": np.zeros(3)}))
-        with pytest.raises(FormatError, match="shape"):
-            restore_model(p)
-
     @pytest.mark.parametrize("edit, message", [
-        (lambda r: r.pop("opt/m/joint/out_b"),
-         "missing optimizer record 'opt/m/joint/out_b'"),
-        (lambda r: r.update({"opt/v/joint/out_b": np.zeros(1)}),
-         r"'opt/v/joint/out_b' has shape \(1,\)"),
-        (lambda r: r.update({"opt/v/joint/out_b": np.zeros(3)}),
-         r"'opt/v/joint/out_b' has shape \(3,\)"),
-    ], ids=["missing-moment", "broadcastable-moment", "short-moment"])
-    def test_bad_optimizer_record_rejected(self, tmp_path, edit, message):
-        """Adam moments are validated like parameters: none loads as zeros
-        or broadcasts into the state."""
-        p = self.rewritten_checkpoint(tmp_path, edit)
-        with pytest.raises(FormatError, match=message):
-            restore_model(p)
+        (dict(header=replaced(["joint/out_b", [5]], ["joint/out_c", [5]])),
+         "params list does not match"),
+        (dict(header=replaced(["joint/out_b", [5]], ["joint/out_b", [5, 1]])),
+         "params list does not match"),
+        (dict(header=lambda h: h["params"].remove(["joint/out_b", [5]]),
+              payload=lambda p: p[:-3 * 5 * 8]),
+         "params list does not match"),
+        (dict(payload=lambda p: p[:len(p) * 2 // 3] + p[len(p) * 2 // 3 + 8:]),
+         "truncated while reading the payload"),
+        (dict(payload=lambda p: p + bytes(8)),
+         "trailing bytes after the payload"),
+    ], ids=["renamed", "reshaped", "dropped", "moment-float-short",
+            "float-too-many"])
+    def test_bad_layout_rejected(self, tmp_path, edit, message):
+        """The header's params list must be the one the config builds, and
+        the payload must hold exactly its parameters and both moments."""
+        model = tiny_model()
+        src = str(tmp_path / "m.ckpt")
+        save_checkpoint(src, model, AdamState.for_params(model.params), 1)
+        bad = str(tmp_path / "bad.ckpt")
+        edited_checkpoint(src, bad, **edit)
+        with pytest.raises(FormatError, match=message) as err:
+            restore_model(bad)
+        assert str(err.value).startswith(f"{bad}: ")
+
+
+SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-308,
+                           1e300, -1e300, 1.0, -1.5])
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A tiny model of any variant, its parameters and both Adam moments
+    filled with values that include -0.0, subnormals and +-1e300."""
+    layers = draw(st.integers(2, 3))
+    pmu = PMUConfig(variant=draw(st.sampled_from(VARIANTS)),
+                    trans_units=draw(st.sampled_from(UNIT_CHOICES)))
+    if pmu.variant == "pca_ctc":
+        pmu.n2 = draw(st.integers(0, layers - 2))
+        pmu.n1, pmu.n3 = 1, layers - 1 - pmu.n2
+        pmu.sc_enabled = draw(st.booleans())
+        pmu.heads_shared = pmu.sc_enabled and pmu.n2 > 0 and draw(st.booleans())
+    sizes = st.integers(2, 6)
+    vocab = {"pasm": draw(sizes), "bpe": draw(sizes)}
+    vocab["bpe_small"] = vocab["pasm"] if pmu.heads_shared else draw(sizes)
+    model = ConformerTransducer(tiny_cfg(layers, vocab=vocab), pmu,
+                                seed=draw(st.integers(0, 2 ** 32)))
+    opt = AdamState.for_params(model.params)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    for arr in train_mod._checkpoint_layout(model, opt)[1]:
+        arr[...] = np.where(rng.random(arr.shape) < 0.5,
+                            rng.choice(SPECIAL_VALUES, arr.shape),
+                            rng.normal(size=arr.shape))
+    opt.t = draw(st.integers(0, 2 ** 40))
+    json_values = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.floats(allow_nan=False), st.text())
+    meta = draw(st.dictionaries(st.text(), json_values | st.lists(json_values),
+                                max_size=4))
+    return model, opt, draw(st.integers(1, 2 ** 40)), meta
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=checkpoint_cases())
+def test_checkpoint_round_trip_is_exact(tmp_path_factory, case):
+    model, opt, next_step, meta = case
+    p = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt")
+    save_checkpoint(p, model, opt, next_step, meta=meta)
+    back, opt2, header = restore_model(p)
+    want = {**model.config_dict(), "opt_t": opt.t, "next_step": next_step,
+            "seed": model.seed,
+            "params": [[q, list(n.value.shape)] for q, n in model.params.items()]}
+    assert header == ({**want, "meta": meta} if meta else want)
+    assert (back.cfg, back.pmu, back.seed, opt2.t) == (
+        model.cfg, model.pmu, model.seed, opt.t)
+    for q, node in model.params.items():
+        assert back.params.get(q).value.tobytes() == node.value.tobytes()
+        assert opt2.m[q].tobytes() == opt.m[q].tobytes()
+        assert opt2.v[q].tobytes() == opt.v[q].tobytes()
 
 
 class TestTrainStep:
@@ -536,6 +573,28 @@ class TestRunExperiment:
                         "[data] dev_manifest is required",
                         "n1+n2+n3 = 3 != num_layers = 2"):
             assert problem in msg
+
+    def test_vocabulary_rules_are_in_the_one_problem_list(self, tmp_path):
+        """Unequal shared-head vocabularies are reported with the run's other
+        problems; a kind whose tokenizer is missing adds no second one."""
+        exp = self.build_toy_experiment(tmp_path)
+        exp.model.encoder.num_layers = 3
+        exp.pmu = PMUConfig(variant="pca_ctc", n1=1, n2=1, n3=1,
+                            sc_enabled=True, heads_shared=True)
+        exp.data.bpe_small_model = exp.data.bpe_model
+        exp.data.dev_manifest = ""
+        with pytest.raises(InputError) as exc:
+            run_experiment(exp, quiet=True)
+        assert str(exc.value) == (
+            "heads_shared requires equal head sizes, got vocabulary sizes "
+            "pasm=15 vs bpe_small=16; [data] dev_manifest is required")
+
+        exp.data.pasm_model = ""
+        with pytest.raises(InputError) as exc:
+            run_experiment(exp, quiet=True)
+        assert str(exc.value) == (
+            "[data] pasm_model is required for variant settings but not "
+            "configured; [data] dev_manifest is required")
 
     def test_resume_keeps_a_better_best_checkpoint(self, tmp_path, monkeypatch):
         """A resumed run into the same out_dir replaces best.ckpt only when
