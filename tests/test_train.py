@@ -329,23 +329,11 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="truncated while reading"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("edit, message", [
-        (dict(header=replaced(["joint/out_b", [5]], ["joint/out_c", [5]])),
-         "params list does not match"),
-        (dict(header=replaced(["joint/out_b", [5]], ["joint/out_b", [5, 1]])),
-         "params list does not match"),
-        (dict(header=lambda h: h["params"].remove(["joint/out_b", [5]]),
-              payload=lambda p: p[:-3 * 5 * 8]),
-         "params list does not match"),
-        (dict(payload=lambda p: p[:len(p) * 2 // 3] + p[len(p) * 2 // 3 + 8:]),
-         "truncated while reading the payload"),
-        (dict(payload=lambda p: p + bytes(8)),
-         "trailing bytes after the payload"),
-    ], ids=["renamed", "reshaped", "dropped", "moment-float-short",
-            "float-too-many"])
-    def test_bad_layout_rejected(self, tmp_path, edit, message):
-        """The header's params list must be the one the config builds, and
-        the payload must hold exactly its parameters and both moments."""
+    @staticmethod
+    def assert_rejected(tmp_path, message, **edit):
+        """Save a tiny model's checkpoint, apply `edited_checkpoint`'s
+        `edit` to a copy, and check that restoring the copy raises a
+        FormatError matching `message` that starts with its path."""
         model = tiny_model()
         src = str(tmp_path / "m.ckpt")
         save_checkpoint(src, model, AdamState.for_params(model.params), 1)
@@ -355,6 +343,42 @@ class TestCheckpoints:
             restore_model(bad)
         assert str(err.value).startswith(f"{bad}: ")
 
+    def test_missing_record_rejected(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, "params list does not match",
+            header=lambda h: h["params"].remove(["joint/out_b", [5]]),
+            payload=lambda p: p[:-3 * 5 * 8])
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, "params list does not match",
+            header=replaced(["joint/out_b", [5]], ["joint/out_b", [5, 1]]))
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(header=replaced(["joint/out_b", [5]], ["joint/out_c", [5]])),
+         "params list does not match"),
+        (dict(payload=lambda p: p + bytes(8)),
+         "trailing bytes after the payload"),
+    ], ids=["renamed", "float-too-many"])
+    def test_bad_layout_rejected(self, tmp_path, edit, message):
+        """The header's params list must be the one the config builds, and
+        the payload must hold exactly its parameters and both moments."""
+        self.assert_rejected(tmp_path, message, **edit)
+
+    # the payload ends with Adam's v of tap/bpe/w, shape (8, 5)
+    LAST_MOMENT = 8 * 5 * 8
+
+    @pytest.mark.parametrize("payload", [
+        lambda p: p[:-TestCheckpoints.LAST_MOMENT],
+        lambda p: p[:-TestCheckpoints.LAST_MOMENT] + bytes(8),
+        lambda p: p[:len(p) * 2 // 3] + p[len(p) * 2 // 3 + 8:],
+    ], ids=["missing-moment", "broadcastable-moment", "short-moment"])
+    def test_bad_optimizer_record_rejected(self, tmp_path, payload):
+        """Adam moments are read like parameters: a moment region that is
+        missing, one float long or one float short is a short payload,
+        never zeros or a broadcast into the state."""
+        self.assert_rejected(tmp_path, "truncated while reading the payload",
+                             payload=payload)
 
 SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-308,
                            1e300, -1e300, 1.0, -1.5])
