@@ -151,14 +151,6 @@ def scale(a, c: float) -> Node:
     return out
 
 
-def tanh(a) -> Node:
-    a = as_node(a)
-    y = np.tanh(a.value)
-    out = Node(y, (a,), "tanh")
-    out._backward = lambda g: _acc(a, g * (1.0 - y * y))
-    return out
-
-
 def sigmoid(a) -> Node:
     a = as_node(a)
     y = 1.0 / (1.0 + np.exp(-a.value))

@@ -40,7 +40,7 @@ def greedy_decode_transducer(model: ConformerTransducer, x,
     out: list[int] = []
     t, at_t = 0, 0  # at_t: symbols emitted at frame t so far
     while t < h_t.shape[0]:
-        best = joint(h_t[t:], state[0], ps).value[:, 0].argmax(axis=-1)
+        best = joint(h_t[t:], state[0], ps)[1][:, 0].argmax(axis=-1)
         hits = np.flatnonzero(best != 0)
         if hits.size == 0:
             break

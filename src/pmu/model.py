@@ -21,9 +21,11 @@ import operator
 from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
+import numpy as np
+
 from . import autodiff as ad
 from . import losses, nn
-from .autodiff import Node, ParamStore
+from .autodiff import Node, ParamStore, as_node
 from .errors import ContractViolation, InputError, raise_problems
 
 VARIANTS = ("baseline", "basic_pmu", "para_ctc", "pca_ctc")
@@ -365,8 +367,7 @@ def self_condition(h, ctc_posterior, w, b):
 class ForwardOutputs:
     h_n3: Node | None = None  # the top of the trunk
     ctc_heads: dict = field(default_factory=dict)
-    lattice: Node | None = None
-    h_u: Node | None = None
+    h_u: Node | None = None  # the label encoder's rows
 
 
 def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
@@ -414,18 +415,70 @@ def label_encoder_step(token: int, state, ps: ParamStore):
     return h, c
 
 
-def joint(h_t_all, h_u_all, ps: ParamStore) -> Node:
-    """log_softmax(W_out tanh(W_t h_t + W_u h_u + b)) on every (t, u) pair."""
-    h_t_all, h_u_all = ad.as_node(h_t_all), ad.as_node(h_u_all)
-    T = h_t_all.value.shape[0]
-    U1 = h_u_all.value.shape[0]
-    J = ps.get("joint/b").value.shape[0]
-    at = ad.reshape(nn.linear(h_t_all, ps.get("joint/wt")), (T, 1, J))
-    au = ad.reshape(nn.linear(h_u_all, ps.get("joint/wu"), ps.get("joint/b")),
-                    (1, U1, J))
-    z = ad.tanh(ad.add(at, au))
-    logits = ad.add(ad.matmul(z, ps.get("joint/out_w")), ps.get("joint/out_b"))
-    return ad.log_softmax(logits)
+JOINT_LEAVES = ("wt", "wu", "b", "out_w", "out_b")  # the joint's parameters
+
+
+def joint(h_t, h_u, ps: ParamStore):
+    """The joint network, forward only, on arrays: z = tanh(W_t h_t + W_u h_u
+    + b) and the log-probs log_softmax(W_out z + b_out) on every (t, u) pair.
+    Returns (z, logprobs), shaped (T, U+1, J) and (T, U+1, V); training's
+    `joint_transducer` and greedy decode both call it."""
+    wt, wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value
+                               for leaf in JOINT_LEAVES)
+    T, U1, J = h_t.shape[0], h_u.shape[0], b.shape[0]
+    z = np.add((h_t @ wt).reshape(T, 1, J), (h_u @ wu + b).reshape(1, U1, J))
+    np.tanh(z, out=z)
+    lp = z @ out_w
+    lp += out_b
+    lp -= lp.max(axis=-1, keepdims=True)
+    lp -= np.log(np.exp(lp).sum(axis=-1, keepdims=True))
+    return z, lp
+
+
+def joint_transducer(h_t, h_u, labels, ps: ParamStore,
+                     label_smoothing: float = 0.0) -> tuple[Node, str]:
+    """The transducer loss of `joint`'s log-probs, plus label smoothing's
+    uniform-KL term on them, as one tape node; returns (node, status) as
+    `losses.loss_node` does.  The backward runs the numpy ops of the
+    composed graph's node-by-node backward (log_softmax, the output layer,
+    tanh, the broadcast add, the two input projections) in the same order,
+    so the value and every gradient equal that graph's bit for bit, while
+    only z, the log-probs and the loss gradient stay alive until backward."""
+    h_t, h_u = as_node(h_t), as_node(h_u)
+    z, lp = joint(h_t.value, h_u.value, ps)
+    res = losses.transducer_loss(lp, labels)
+    if res.status != "ok":
+        return Node(np.asarray(res.value)), res.status
+    value = res.value
+    if label_smoothing > 0.0:
+        kl = lp.sum() * (-1.0 / lp.size) + -math.log(lp.shape[-1])
+        value = value + kl * label_smoothing
+    wt, wu, b, out_w, out_b = params = [ps.get(f"joint/{leaf}")
+                                        for leaf in JOINT_LEAVES]
+    out = Node(np.asarray(value), (h_t, h_u, *params), "joint_transducer")
+
+    def _bw(g):
+        dlog = float(g) * res.grad
+        if label_smoothing > 0.0:
+            dlog += (g * label_smoothing) * (-1.0 / lp.size)
+        soft = np.exp(lp)
+        soft *= dlog.sum(axis=-1, keepdims=True)
+        dlog -= soft  # log_softmax
+        ad._acc(out_b, dlog)
+        dz = dlog @ np.swapaxes(out_w.value, -1, -2)
+        ad._acc(out_w, np.swapaxes(z, -1, -2) @ dlog)
+        dz *= 1.0 - z * z  # tanh
+        T, U1, J = z.shape
+        dt = ad._unbroadcast(dz, (T, 1, J)).reshape(T, J)
+        ad._acc(h_t, dt @ np.swapaxes(wt.value, -1, -2))
+        ad._acc(wt, np.swapaxes(h_t.value, -1, -2) @ dt)
+        du = ad._unbroadcast(dz, (1, U1, J)).reshape(U1, J)
+        ad._acc(b, du)
+        ad._acc(h_u, du @ np.swapaxes(wu.value, -1, -2))
+        ad._acc(wu, np.swapaxes(h_u.value, -1, -2) @ du)
+
+    out._backward = _bw
+    return out, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +522,7 @@ def _target(targets: dict, units: str, what: str):
 
 
 def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
-                       label_smoothing: float = 0.0) -> LossBundle:
+                       ps: ParamStore, label_smoothing: float = 0.0) -> LossBundle:
     """Weighted multi-task objective over the active heads; `targets` maps
     each unit kind ("pasm", "bpe", "bpe_small") to its label ids.
 
@@ -495,18 +548,14 @@ def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
         comp_nodes[name] = node
         comps[name] = float(node.value)
 
-    if outputs.lattice is None:
-        raise InputError("forward outputs carry no transducer lattice")
+    if outputs.h_u is None:
+        raise InputError("forward outputs carry no label encoding")
     y_trans = _target(targets, pmu.trans_units, "the transducer")
-    trans_node, status = losses.loss_node(losses.transducer_loss,
-                                          outputs.lattice, y_trans)
+    trans_node, status = joint_transducer(outputs.h_n3, outputs.h_u, y_trans,
+                                          ps, label_smoothing)
     if status != "ok":
         return LossBundle(l_ctc_components=comps, skipped_samples=1,
                           status=f"{status}:trans")
-    if label_smoothing > 0.0:
-        trans_node = ad.add(trans_node,
-                            ad.scale(losses.uniform_kl(outputs.lattice),
-                                     label_smoothing))
     l_trans = float(trans_node.value)
     total = _weighted_total(pmu, trans_node, comp_nodes, ad.add, ad.scale)
     return LossBundle(l_trans=l_trans, l_ctc_components=comps,
@@ -532,14 +581,13 @@ class ConformerTransducer:
     def forward(self, x, y_trans, train: bool = False, step: int = 0) -> ForwardOutputs:
         out = self.encode(x, train=train, step=step)
         out.h_u = label_encoder_forward(y_trans, self.params)
-        out.lattice = joint(out.h_n3, out.h_u, self.params)
         return out
 
     def loss(self, x, targets: dict, train: bool = False, step: int = 0,
              label_smoothing: float = 0.0) -> LossBundle:
         y_trans = _target(targets, self.pmu.trans_units, "the transducer")
         out = self.forward(x, y_trans, train=train, step=step)
-        return assemble_objective(out, targets, self.pmu,
+        return assemble_objective(out, targets, self.pmu, self.params,
                                   label_smoothing=label_smoothing)
 
     def config_dict(self) -> dict:

@@ -1,9 +1,12 @@
 """Sampled central differences: the spot-check gradient oracle of the
-end-to-end model tests (acceptance criterion 2)."""
+end-to-end model tests (acceptance criterion 2), and the fused joint and
+transducer node as a case for the full-difference checks."""
 
 from typing import Callable, Sequence
 
 import numpy as np
+
+from pmu.model import JOINT_LEAVES, joint_transducer
 
 
 def finite_diff_sample(f: Callable[[], float], arrays: Sequence[np.ndarray],
@@ -31,3 +34,17 @@ def finite_diff_sample(f: Callable[[], float], arrays: Sequence[np.ndarray],
             est[j] = (hi - lo) / (2.0 * eps)
         out.append((idx, est))
     return out
+
+
+def joint_transducer_case(rng: np.random.Generator):
+    """(build, arrays): `model.joint_transducer` with label smoothing on, as
+    a function of its encoder rows, label rows and five joint parameters,
+    over a (3, 2+1) lattice of 4 units, with arrays drawn from `rng`."""
+    shapes = [(3, 4), (3, 3), (4, 5), (3, 5), (5,), (5, 4), (4,)]
+
+    def build(h_t, h_u, *params):
+        # a dict serves as the store: the node reads parameters by ps.get
+        ps = {f"joint/{leaf}": p for leaf, p in zip(JOINT_LEAVES, params)}
+        return joint_transducer(h_t, h_u, [2, 1], ps, 0.1)[0]
+
+    return build, [rng.normal(size=shape) for shape in shapes]

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import pmu.autodiff as ad
+import pmu.model
 from finite_diff import finite_diff_sample
+from pmu import losses, nn
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import LOG_FLOOR
 from pmu.model import (
+    JOINT_LEAVES,
     ConformerTransducer,
     EncoderConfig,
     HeadSpec,
@@ -21,6 +24,7 @@ from pmu.model import (
     configs_from_dict,
     head_specs,
     joint,
+    joint_transducer,
     label_encoder_forward,
     label_encoder_step,
     self_condition,
@@ -192,13 +196,16 @@ class TestShapes:
     def test_lattice_shape(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         out = model.forward(feats(12), y_trans=[1, 3, 2])
-        assert out.lattice.value.shape == (3, 4, 5)  # T'=3, U+1=4, V=5
+        z, lattice = joint(out.h_n3.value, out.h_u.value, model.params)
+        assert lattice.shape == (3, 4, 5)  # T'=3, U+1=4, V=5
+        assert z.shape == (3, 4, 8)
         assert out.h_u.value.shape == (4, 8)
 
     def test_lattice_rows_normalized(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         out = model.forward(feats(12), y_trans=[1, 3])
-        sums = np.exp(out.lattice.value).sum(axis=-1)
+        lattice = joint(out.h_n3.value, out.h_u.value, model.params)[1]
+        sums = np.exp(lattice).sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
@@ -210,12 +217,12 @@ class TestJoint:
         rng = np.random.default_rng(5)
         h_t = rng.normal(size=(4, 8))
         h_u = rng.normal(size=(3, 8))
-        base = joint(h_t, h_u, ps).value
+        base = joint(h_t, h_u, ps)[1]
         perm = np.array([2, 0, 3, 1])
-        permuted = joint(h_t[perm], h_u, ps).value
+        permuted = joint(h_t[perm], h_u, ps)[1]
         np.testing.assert_array_equal(permuted, base[perm])
         uperm = np.array([1, 2, 0])
-        permuted_u = joint(h_t, h_u[uperm], ps).value
+        permuted_u = joint(h_t, h_u[uperm], ps)[1]
         np.testing.assert_array_equal(permuted_u, base[:, uperm])
 
     def test_zero_inputs_give_uniform_only_with_zero_weights(self):
@@ -224,8 +231,97 @@ class TestJoint:
         out_b = ps.get("joint/out_b")
         out_w.value[:] = 0.0
         out_b.value[:] = 0.0
-        lat = joint(np.zeros((2, 8)), np.zeros((2, 8)), ps).value
+        lat = joint(np.zeros((2, 8)), np.zeros((2, 8)), ps)[1]
         np.testing.assert_allclose(lat, math.log(1 / 5), atol=1e-12)
+
+
+def composed_joint_transducer(h_t, h_u, labels, ps, label_smoothing):
+    """The joint, its log-softmax and the transducer loss as the graph of
+    tape ops the fused node replaces, label smoothing's term included;
+    returns (node, status)."""
+    T, U1 = h_t.value.shape[0], h_u.value.shape[0]
+    J = ps.get("joint/b").value.shape[0]
+    at = ad.reshape(nn.linear(h_t, ps.get("joint/wt")), (T, 1, J))
+    au = ad.reshape(nn.linear(h_u, ps.get("joint/wu"), ps.get("joint/b")),
+                    (1, U1, J))
+    z = tape_tanh(ad.add(at, au))
+    lattice = ad.log_softmax(ad.add(ad.matmul(z, ps.get("joint/out_w")),
+                                    ps.get("joint/out_b")))
+    node, status = losses.loss_node(losses.transducer_loss, lattice, labels)
+    if label_smoothing > 0.0:
+        node = ad.add(node, ad.scale(losses.uniform_kl(lattice), label_smoothing))
+    return node, status
+
+
+def joint_case(T, U, d=8, J=8, V=5, seed=0):
+    """Encoder and label rows, labels and joint parameters (non-zero biases)
+    for a (T, U+1) lattice."""
+    rng = np.random.default_rng(seed)
+    ps = ad.ParamStore(seed)
+    for leaf, shape in zip(JOINT_LEAVES, ((d, J), (d, J), (J,), (J, V), (V,))):
+        ps.create(f"joint/{leaf}", shape).value[...] = rng.normal(size=shape)
+    labels = [int(k) for k in rng.integers(1, V, size=U)]
+    return rng.normal(size=(T, d)), rng.normal(size=(U + 1, d)), labels, ps
+
+
+def reachable(root):
+    """Every node of root's graph, keyed by id."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if node.id not in seen:
+            seen[node.id] = node
+            stack.extend(node.parents)
+    return seen
+
+
+class TestJointTransducer:
+    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("T,U,J,V", [(1, 0, 8, 5), (3, 2, 8, 5),
+                                         (23, 3, 16, 11), (167, 74, 32, 12)],
+                             ids=["T1-U0", "T3-U2", "T23-U3", "T167-U74"])
+    def test_equals_the_composed_graph_bit_for_bit(self, T, U, J, V,
+                                                   label_smoothing):
+        """The value and the gradient of both inputs and every joint
+        parameter are those of the composed graph, bit for bit, under an
+        upstream gradient that is not 1."""
+        h_t, h_u, labels, ps = joint_case(T, U, J=J, V=V, seed=T + U)
+        results = []
+        for build in (joint_transducer, composed_joint_transducer):
+            ps.zero_grad()
+            nodes = [ad.Node(h_t.copy()), ad.Node(h_u.copy())]
+            node, status = build(*nodes, labels, ps, label_smoothing)
+            assert status == "ok"
+            ad.backward(ad.scale(node, 0.37))
+            results.append([node.value] + [n.grad for n in nodes]
+                           + [ps.get(f"joint/{leaf}").grad
+                              for leaf in JOINT_LEAVES])
+        fused, composed = results
+        for name, a, b in zip(["value", "h_t", "h_u", *JOINT_LEAVES],
+                              fused, composed):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
+    def test_loss_builds_one_node_for_joint_and_transducer(
+            self, monkeypatch, label_smoothing):
+        """Of the nodes `loss` builds, only one depends on neither the CTC
+        term nor the label encoder and is not the weighted total."""
+        encodings = []
+        real = pmu.model.label_encoder_forward
+
+        def recorded(y_prefix, ps):
+            encodings.append(real(y_prefix, ps))
+            return encodings[-1]
+
+        monkeypatch.setattr(pmu.model, "label_encoder_forward", recorded)
+        model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
+        bundle = model.loss(feats(12), {"bpe": [1, 3]},
+                            label_smoothing=label_smoothing)
+        trans, ctc = (p.parents[0] for p in bundle.node.parents)
+        shared = reachable(ctc) | reachable(encodings[0])
+        built = [n.op for i, n in reachable(trans).items()
+                 if n.parents and i not in shared]
+        assert built == ["joint_transducer"]
 
 
 class TestSelfCondition:
@@ -352,11 +448,20 @@ def per_step_lstm(x, state, wx, wh, b):
     z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
     i = ad.sigmoid(ad.take_slice(z, (slice(None), slice(0, d))))
     f = ad.sigmoid(ad.take_slice(z, (slice(None), slice(d, 2 * d))))
-    g = ad.tanh(ad.take_slice(z, (slice(None), slice(2 * d, 3 * d))))
+    g = tape_tanh(ad.take_slice(z, (slice(None), slice(2 * d, 3 * d))))
     o = ad.sigmoid(ad.take_slice(z, (slice(None), slice(3 * d, 4 * d))))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
+    h_new = ad.mul(o, tape_tanh(c_new))
     return h_new, (h_new, c_new)
+
+
+def tape_tanh(a):
+    """tanh as a tape node, the rule the composed graphs here were built of."""
+    a = ad.as_node(a)
+    y = np.tanh(a.value)
+    out = ad.Node(y, (a,), "tanh")
+    out._backward = lambda g: ad._acc(a, g * (1.0 - y * y))
+    return out
 
 
 def concat_rows(rows):
@@ -539,7 +644,7 @@ class TestObjectiveArithmetic:
         out = model.forward(feats(10), y_trans=[1])
         with pytest.raises(InputError, match="no CTC head"):
             assemble_objective(out, {"pasm": [1], "bpe": [1]},
-                               pmu_for("para_ctc"))
+                               pmu_for("para_ctc"), model.params)
 
     def test_unreachable_ctc_target_skips_sample(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
@@ -550,13 +655,19 @@ class TestObjectiveArithmetic:
         assert math.isinf(bundle.l_total)
         assert bundle.node is None
 
-    def test_unreachable_transducer_target_skips_sample(self):
+    def test_unreachable_transducer_target_skips_sample(self, monkeypatch):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         out = model.forward(feats(8), [1, 2])
-        lattice = out.lattice.value.copy()
-        lattice[-1, -1, 0] = 2 * LOG_FLOOR  # every alignment ends on it
-        out.lattice = ad.Node(lattice)
-        bundle = assemble_objective(out, {"bpe": [1, 2]}, model.pmu)
+        real = pmu.model.joint
+
+        def floored(h_t, h_u, ps):
+            z, lattice = real(h_t, h_u, ps)
+            lattice[-1, -1, 0] = 2 * LOG_FLOOR  # every alignment ends on it
+            return z, lattice
+
+        monkeypatch.setattr(pmu.model, "joint", floored)
+        bundle = assemble_objective(out, {"bpe": [1, 2]}, model.pmu,
+                                    model.params)
         assert bundle.skipped_samples == 1
         assert bundle.status == "unreachable:trans"
         assert math.isinf(bundle.l_total)
