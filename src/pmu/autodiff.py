@@ -6,8 +6,8 @@ the node's gradient back to its parents.  `backward` walks the graph in
 reverse topological order and accumulates gradients additively, so a node
 feeding several consumers receives the sum of all path gradients.
 
-Everything runs in 64-bit floats by default; pass float32 arrays in if you
-want speed over oracle-grade precision.
+Everything runs in float64: parameters are float64, and numpy promotes a
+float32 input, features say, to float64 at its first op with them.
 """
 
 from __future__ import annotations
@@ -170,15 +170,7 @@ def swish(a) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# reductions and normalizers
-
-def sum_(a) -> Node:
-    """Sum of every entry."""
-    a = as_node(a)
-    out = Node(a.value.sum(), (a,), "sum")
-    out._backward = lambda g: _acc(a, np.broadcast_to(g, a.value.shape))
-    return out
-
+# normalizers
 
 def softmax(z) -> Node:
     """Numerically stabilized softmax along the last axis."""
@@ -191,21 +183,6 @@ def softmax(z) -> Node:
     def _bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _acc(z, (g - dot) * y)
-
-    out._backward = _bw
-    return out
-
-
-def log_softmax(z) -> Node:
-    """Numerically stabilized log-softmax along the last axis."""
-    z = as_node(z)
-    shifted = z.value - z.value.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
-    out = Node(y, (z,), "log_softmax")
-
-    def _bw(g):
-        _acc(z, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     out._backward = _bw
     return out

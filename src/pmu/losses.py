@@ -13,6 +13,11 @@ vectorised `np.logaddexp` per diagonal: T+U numpy steps instead of T*U
 scalar ones.  Every cell still adds the same two addends through the same
 `np.logaddexp`, so values and gradients equal those of a cell-by-cell
 recursion bit for bit.
+
+The output layer's math is written once: `log_softmax`, and `smoothed`,
+which adds label smoothing's term to a kernel's result and carries the
+gradient back through the log-softmax.  `ctc_node` (each CTC tap's loss)
+and `model.joint_transducer` (the transducer's) both build on them.
 """
 
 from __future__ import annotations
@@ -257,31 +262,51 @@ def transducer_brute_force(lattice: np.ndarray, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# regularizers
+# the output layer: log-softmax, label smoothing, and the CTC tape node
 
-def uniform_kl(logprobs_node: Node) -> Node:
-    """Mean over positions of KL(uniform || p) over the last axis; zero when
-    p is uniform.
-
-    Used as the label-smoothing regularizer on head outputs.
-    """
-    V = logprobs_node.value.shape[-1]
-    # -mean(logprobs), the cross-entropy against uniform over positions and vocab
-    ce = ad.scale(ad.sum_(logprobs_node), -1.0 / logprobs_node.value.size)
-    return ad.add(ce, Node(np.asarray(-math.log(V))))
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis: the row max is subtracted first."""
+    lp = z - z.max(axis=-1, keepdims=True)
+    lp -= np.log(np.exp(lp).sum(axis=-1, keepdims=True))
+    return lp
 
 
-# ---------------------------------------------------------------------------
-# tape integration
+def smoothed(res: LossResult, logprobs: np.ndarray, label_smoothing: float):
+    """(value, backward) of a kernel's ok result `res` on `logprobs` =
+    log_softmax(logits), with label smoothing's term added: label_smoothing
+    times the mean over positions of KL(uniform || p), which is
+    -mean(logprobs) - log V.  `backward` maps the upstream gradient to the
+    gradient w.r.t. the logits.  The ops are those a tape graph of the loss
+    plus the scaled KL over a log-softmax node runs, in its backward order,
+    so value and gradient equal that graph's bit for bit."""
+    value = res.value
+    if label_smoothing > 0.0:
+        kl = logprobs.sum() * (-1.0 / logprobs.size) + -math.log(logprobs.shape[-1])
+        value = value + kl * label_smoothing
 
-def loss_node(kernel, x: Node, labels) -> tuple[Node, str]:
-    """`kernel` (ctc_loss or transducer_loss) on x's value as a tape node;
-    returns (scalar node, status).  A non-ok result carries no gradient."""
-    res = kernel(x.value, labels)
+    def backward(g) -> np.ndarray:
+        dlog = float(g) * res.grad
+        if label_smoothing > 0.0:
+            dlog += (g * label_smoothing) * (-1.0 / logprobs.size)
+        soft = np.exp(logprobs)
+        soft *= dlog.sum(axis=-1, keepdims=True)
+        dlog -= soft  # log_softmax
+        return dlog
+
+    return value, backward
+
+
+def ctc_node(logits: Node, labels, label_smoothing: float) -> tuple[Node, str]:
+    """The CTC loss of log_softmax(logits), label smoothing's term included,
+    as one tape node; returns (node, status).  An unreachable target gives
+    a node with no parents, so it carries no gradient."""
+    lp = log_softmax(logits.value)
+    res = ctc_loss(lp, labels)
     if res.status != "ok":
         return Node(np.asarray(res.value)), res.status
-    out = Node(np.asarray(res.value), (x,), kernel.__name__)
-    out._backward = lambda g: ad._acc(x, float(g) * res.grad)
+    value, backward = smoothed(res, lp, label_smoothing)
+    out = Node(np.asarray(value), (logits,), "ctc")
+    out._backward = lambda g: ad._acc(logits, backward(g))
     return out, "ok"
 
 
@@ -289,9 +314,7 @@ def loss_node(kernel, x: Node, labels) -> tuple[Node, str]:
 # self-check suites (backing the loss-check CLI and the acceptance tests)
 
 def random_logprob_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    z = rng.normal(size=shape)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return log_softmax(rng.normal(size=shape))
 
 
 def oracle_equivalence_suite(instances: int = 200, seed: int = 0) -> dict:

@@ -345,10 +345,8 @@ def _subsample(x, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx):
 
 
 def ctc_head(h, ps: ParamStore, name: str):
-    """Returns (logprobs, posterior) of the tap's emission head; both views
-    share the same logits node."""
-    logits = nn.linear(h, ps.get(f"tap/{name}/w"), ps.get(f"tap/{name}/b"))
-    return ad.log_softmax(logits), ad.softmax(logits)
+    """The logits of the tap's emission head."""
+    return nn.linear(h, ps.get(f"tap/{name}/w"), ps.get(f"tap/{name}/b"))
 
 
 def self_condition(h, ctc_posterior, w, b):
@@ -366,7 +364,7 @@ def self_condition(h, ctc_posterior, w, b):
 @dataclass
 class ForwardOutputs:
     h_n3: Node | None = None  # the top of the trunk
-    ctc_heads: dict = field(default_factory=dict)
+    ctc_heads: dict = field(default_factory=dict)  # head name -> logits
     h_u: Node | None = None  # the label encoder's rows
 
 
@@ -374,7 +372,7 @@ def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
                      ctx: RunCtx | None = None) -> ForwardOutputs:
     """Subsampling, the conformer blocks, and the variant's CTC taps: a tap
     reads the trunk after its block and, with a projection, conditions the
-    blocks above it on its posterior."""
+    blocks above it on its softmax posterior."""
     ctx = ctx or RunCtx()
     e = cfg.encoder
     h = _subsample(x, cfg, ps, ctx)
@@ -384,9 +382,10 @@ def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
         h = conformer_block(h, ps, f"enc/l{i:02d}", e, ctx)
         for spec in specs:
             if (spec.tap or e.num_layers) == i + 1:
-                out.ctc_heads[spec.name], post = ctc_head(h, ps, spec.name)
+                logits = out.ctc_heads[spec.name] = ctc_head(h, ps, spec.name)
                 if spec.sc:
-                    h = self_condition(h, post, ps.get(f"{spec.sc}/w"),
+                    h = self_condition(h, ad.softmax(logits),
+                                       ps.get(f"{spec.sc}/w"),
                                        ps.get(f"{spec.sc}/b"))
     out.h_n3 = h
     return out
@@ -428,42 +427,33 @@ def joint(h_t, h_u, ps: ParamStore):
     T, U1, J = h_t.shape[0], h_u.shape[0], b.shape[0]
     z = np.add((h_t @ wt).reshape(T, 1, J), (h_u @ wu + b).reshape(1, U1, J))
     np.tanh(z, out=z)
-    lp = z @ out_w
-    lp += out_b
-    lp -= lp.max(axis=-1, keepdims=True)
-    lp -= np.log(np.exp(lp).sum(axis=-1, keepdims=True))
-    return z, lp
+    logits = z @ out_w
+    logits += out_b
+    return z, losses.log_softmax(logits)
 
 
 def joint_transducer(h_t, h_u, labels, ps: ParamStore,
                      label_smoothing: float = 0.0) -> tuple[Node, str]:
     """The transducer loss of `joint`'s log-probs, plus label smoothing's
     uniform-KL term on them, as one tape node; returns (node, status) as
-    `losses.loss_node` does.  The backward runs the numpy ops of the
-    composed graph's node-by-node backward (log_softmax, the output layer,
-    tanh, the broadcast add, the two input projections) in the same order,
-    so the value and every gradient equal that graph's bit for bit, while
-    only z, the log-probs and the loss gradient stay alive until backward."""
+    `losses.ctc_node` does.  The backward runs the numpy ops of the
+    composed graph's node-by-node backward (log_softmax by
+    `losses.smoothed`, the output layer, tanh, the broadcast add, the two
+    input projections) in the same order, so the value and every gradient
+    equal that graph's bit for bit, while only z, the log-probs and the
+    loss gradient stay alive until backward."""
     h_t, h_u = as_node(h_t), as_node(h_u)
     z, lp = joint(h_t.value, h_u.value, ps)
     res = losses.transducer_loss(lp, labels)
     if res.status != "ok":
         return Node(np.asarray(res.value)), res.status
-    value = res.value
-    if label_smoothing > 0.0:
-        kl = lp.sum() * (-1.0 / lp.size) + -math.log(lp.shape[-1])
-        value = value + kl * label_smoothing
+    value, dlogits = losses.smoothed(res, lp, label_smoothing)
     wt, wu, b, out_w, out_b = params = [ps.get(f"joint/{leaf}")
                                         for leaf in JOINT_LEAVES]
     out = Node(np.asarray(value), (h_t, h_u, *params), "joint_transducer")
 
     def _bw(g):
-        dlog = float(g) * res.grad
-        if label_smoothing > 0.0:
-            dlog += (g * label_smoothing) * (-1.0 / lp.size)
-        soft = np.exp(lp)
-        soft *= dlog.sum(axis=-1, keepdims=True)
-        dlog -= soft  # log_softmax
+        dlog = dlogits(g)
         ad._acc(out_b, dlog)
         dz = dlog @ np.swapaxes(out_w.value, -1, -2)
         ad._acc(out_w, np.swapaxes(z, -1, -2) @ dlog)
@@ -539,12 +529,10 @@ def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
         if head is None:
             raise InputError(f"forward outputs carry no CTC head {name!r}")
         target = _target(targets, spec.units, f"active head {name!r}")
-        node, status = losses.loss_node(losses.ctc_loss, head, target)
+        node, status = losses.ctc_node(head, target, label_smoothing)
         if status != "ok":
             return LossBundle(l_ctc_components={name: math.inf},
                               skipped_samples=1, status=f"{status}:{name}")
-        if label_smoothing > 0.0:
-            node = ad.add(node, ad.scale(losses.uniform_kl(head), label_smoothing))
         comp_nodes[name] = node
         comps[name] = float(node.value)
 

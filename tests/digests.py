@@ -1,0 +1,110 @@
+"""Byte-identity check of training: sha256 digests of short runs.
+
+Usage: PYTHONPATH=src python tests/digests.py OUT
+
+Writes `pmu synth --seed 0` data, its tokenizers and 20 toy-desk runs under
+OUT, then prints `<run>/<file> <sha256>` for each run's `runlog.jsonl`,
+`final.ckpt` and `best.ckpt`.  The runs are the 10 usual configs (baseline
+and basic_pmu with BPE and with PASM transducer units, para_ctc, pca_ctc
+1+0+1 and 1+1+1 with and without self-conditioning, and 1+1+1 with shared
+heads), each at label smoothing 0 and 0.1, with seed 0, 4 steps, batch 4
+and evals at steps 2 and 4.  A change that keeps the arithmetic
+bit-identical prints the same lines as its parent, so the check is a
+`diff` of the outputs of two checkouts.  Pytest does not collect this file.
+"""
+
+import hashlib
+import os
+import sys
+
+from pmu import config, synth
+from pmu.model import PMUConfig
+from pmu.tokenizers import save_bpe, save_pasm, train_bpe, train_pasm
+from pmu.train import run_experiment
+
+PRESET = os.path.join(os.path.dirname(config.__file__), "presets",
+                      "toy-desk.cfg")
+
+
+def pca(n2, sc=False, shared=False):
+    return PMUConfig(variant="pca_ctc", n1=1, n2=n2, n3=1, sc_enabled=sc,
+                     heads_shared=shared)
+
+
+# run name -> PMU config; a pca_ctc encoder has n1+n2+n3 blocks
+CONFIGS = {
+    "baseline_bpe": PMUConfig(variant="baseline"),
+    "baseline_pasm": PMUConfig(variant="baseline", trans_units="pasm"),
+    "basic_pmu_bpe": PMUConfig(variant="basic_pmu"),
+    "basic_pmu_pasm": PMUConfig(variant="basic_pmu", trans_units="pasm"),
+    "para_ctc": PMUConfig(variant="para_ctc"),
+    "pca_101": pca(0),
+    "pca_101_sc": pca(0, sc=True),
+    "pca_111": pca(1),
+    "pca_111_sc": pca(1, sc=True),
+    "pca_111_shared": pca(1, sc=True, shared=True),
+}
+FILES = ("runlog.jsonl", "final.ckpt", "best.ckpt")
+
+
+def tokenizers(data: dict, root: str) -> dict:
+    """Model paths keyed by `[data]` field: BPE with 12 and 4 merges, PASM
+    of 24 units, and a PASM model with as many entries as the small BPE's
+    vocabulary, which shared heads need."""
+    corpus = open(data["corpus"], encoding="utf-8").read().splitlines()
+    lexicon = synth.micro_lexicon(synth.ToySpec().words)
+    small = train_bpe(corpus, 4)
+    pasm = train_pasm(corpus, lexicon, 6, 1, 24)
+    specials = len(pasm.vocab) - len(pasm.inventory)
+    shared = train_pasm(corpus, lexicon, 6, 1, len(small.vocab) - specials)
+    assert len(shared.vocab) == len(small.vocab)
+    models = {"bpe_model": (save_bpe, train_bpe(corpus, 12)),
+              "bpe_small_model": (save_bpe, small),
+              "pasm_model": (save_pasm, pasm),
+              "shared_pasm_model": (save_pasm, shared)}
+    paths = {}
+    for field, (save, model) in models.items():
+        paths[field] = os.path.join(root, f"{field}.tok")
+        save(model, paths[field])
+    return paths
+
+
+def experiment(pmu: PMUConfig, label_smoothing: float,
+               data: dict, models: dict, out: str) -> config.Experiment:
+    exp = config.load_config(PRESET)
+    exp.pmu = pmu
+    if pmu.variant == "pca_ctc":
+        exp.model.encoder.num_layers = pmu.n1 + pmu.n2 + pmu.n3
+    exp.train.seed = 0
+    exp.train.max_steps = 4
+    exp.train.batch_size = 4
+    exp.train.eval_every = 2
+    exp.train.label_smoothing = label_smoothing
+    exp.train.out_dir = out
+    pasm = models["shared_pasm_model" if pmu.heads_shared else "pasm_model"]
+    exp.data = config.DataConfig(
+        train_manifest=data["train_manifest"],
+        dev_manifest=data["dev_manifest"], bpe_model=models["bpe_model"],
+        pasm_model=pasm, bpe_small_model=models["bpe_small_model"])
+    return exp
+
+
+def main(out: str):
+    data = synth.materialize(os.path.join(out, "data"), synth.ToySpec(), 0)
+    models = tokenizers(data, os.path.join(out, "data"))
+    for label_smoothing in (0.0, 0.1):
+        for name, pmu in CONFIGS.items():
+            run = f"{name}_ls{label_smoothing}"
+            exp = experiment(pmu, label_smoothing, data, models,
+                             os.path.join(out, run))
+            run_experiment(exp, quiet=True)
+            for file in FILES:
+                with open(os.path.join(out, run, file), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{run}/{file} {digest}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    main(sys.argv[1])

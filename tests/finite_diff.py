@@ -1,11 +1,12 @@
 """Sampled central differences: the spot-check gradient oracle of the
 end-to-end model tests (acceptance criterion 2), and the fused joint and
-transducer node as a case for the full-difference checks."""
+transducer node and the CTC node as cases for the full-difference checks."""
 
 from typing import Callable, Sequence
 
 import numpy as np
 
+from pmu.losses import ctc_node
 from pmu.model import JOINT_LEAVES, joint_transducer
 
 
@@ -48,3 +49,14 @@ def joint_transducer_case(rng: np.random.Generator):
         return joint_transducer(h_t, h_u, [2, 1], ps, 0.1)[0]
 
     return build, [rng.normal(size=shape) for shape in shapes]
+
+
+def ctc_node_case(rng: np.random.Generator):
+    """(build, arrays): `losses.ctc_node` with label smoothing on, as a
+    function of its (5, 4) logits, with a repeated label in the target and
+    the logits drawn from `rng`."""
+
+    def build(logits):
+        return ctc_node(logits, [2, 2, 1], 0.1)[0]
+
+    return build, [rng.normal(size=(5, 4))]

@@ -21,7 +21,7 @@ import pytest
 
 import pmu.autodiff as ad
 import pmu.nn as nn
-from finite_diff import finite_diff_sample, joint_transducer_case
+from finite_diff import ctc_node_case, finite_diff_sample, joint_transducer_case
 from pmu.autodiff import finite_diff_grad
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.losses import (
@@ -45,6 +45,7 @@ from pmu.tokenizers.bpe import save_bpe, train_bpe
 from pmu.tokenizers.pasm import save_pasm, segment_word, train_pasm
 from pmu.tokenizers.vocab import Lexicon
 from pmu.train import run_experiment
+from tape_ops import tape_sum
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +102,7 @@ def _primitive_worst(seeds: int) -> float:
             (lambda x: ad.scale(x, 1.7), [a.copy()]),
             (lambda x: ad.sigmoid(x), [a.copy()]),
             (lambda x: ad.swish(x), [a.copy()]),
-            (lambda x: ad.sum_(x), [a.copy()]),
             (lambda x: ad.softmax(x), [a.copy()]),
-            (lambda x: ad.log_softmax(x), [a.copy()]),
             (lambda x, y: ad.matmul(x, y), [a[:, :4].copy(), m.copy()]),
             (lambda x: ad.reshape(x, (4, 3)), [a.copy()]),
             (lambda x: ad.transpose(x, (1, 0)), [a.copy()]),
@@ -111,14 +110,15 @@ def _primitive_worst(seeds: int) -> float:
             (lambda t, wx, wh, bias: nn.lstm_sequence(t, [0, 2, 2, 1], wx, wh, bias),
              [arr.copy() for arr in lstm]),
             joint_transducer_case(rng),
+            ctc_node_case(rng),
         ]
         for build, arrays in cases:
             nodes = [ad.Node(arr) for arr in arrays]
-            ad.backward(ad.sum_(ad.mul(build(*nodes), build(*nodes))))
+            ad.backward(tape_sum(ad.mul(build(*nodes), build(*nodes))))
 
             def f():
                 ns = [ad.Node(arr) for arr in arrays]
-                return float(ad.sum_(ad.mul(build(*ns), build(*ns))).value)
+                return float(tape_sum(ad.mul(build(*ns), build(*ns))).value)
 
             fd = finite_diff_grad(f, arrays, eps=1e-4)
             for node, est in zip(nodes, fd):
@@ -143,11 +143,11 @@ def _sc_path_worst(seeds: int) -> float:
             return self_condition(h, post, sw, sb)
 
         nodes = [ad.Node(arr) for arr in arrays]
-        ad.backward(ad.sum_(ad.mul(build(*nodes), build(*nodes))))
+        ad.backward(tape_sum(ad.mul(build(*nodes), build(*nodes))))
 
         def f():
             ns = [ad.Node(arr) for arr in arrays]
-            return float(ad.sum_(ad.mul(build(*ns), build(*ns))).value)
+            return float(tape_sum(ad.mul(build(*ns), build(*ns))).value)
 
         fd = finite_diff_grad(f, arrays, eps=1e-4)
         for node, est in zip(nodes, fd):

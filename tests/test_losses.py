@@ -7,19 +7,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pmu.autodiff as ad
+import pmu.nn as nn
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import (
     LOG_FLOOR,
     LossResult,
     ctc_brute_force,
     ctc_loss,
-    loss_node,
+    ctc_node,
+    log_softmax,
     oracle_equivalence_suite,
     random_logprob_matrix,
+    smoothed,
     transducer_brute_force,
     transducer_loss,
-    uniform_kl,
 )
+from pmu.model import self_condition
+from tape_ops import smoothed_loss_node, tape_log_softmax, tape_sum
 
 
 def logp(*rows):
@@ -92,11 +96,10 @@ class TestCtc:
         z = rng.normal(size=(4, 3))
 
         def f():
-            lp = ad.log_softmax(ad.Node(z)).value
-            return ctc_loss(lp, [1, 2]).value
+            return ctc_node(ad.Node(z), [1, 2], 0.0)[0].value
 
         node = ad.Node(z)
-        loss, status = loss_node(ctc_loss, ad.log_softmax(node), [1, 2])
+        loss, status = ctc_node(node, [1, 2], 0.0)
         assert status == "ok"
         ad.backward(loss)
         fd = ad.finite_diff_grad(f, [z], eps=1e-5)[0]
@@ -181,15 +184,14 @@ class TestTransducer:
         z = rng.normal(size=(3, 3, 4))
 
         def f():
-            lp = ad.log_softmax(ad.Node(z)).value
-            return transducer_loss(lp, [1, 3]).value
+            return transducer_loss(log_softmax(z), [1, 3]).value
 
-        node = ad.Node(z)
-        loss, status = loss_node(transducer_loss, ad.log_softmax(node), [1, 3])
-        assert status == "ok"
-        ad.backward(loss)
+        lp = log_softmax(z)
+        res = transducer_loss(lp, [1, 3])
+        assert res.status == "ok"
+        grad = smoothed(res, lp, 0.0)[1](np.asarray(1.0))
         fd = ad.finite_diff_grad(f, [z], eps=1e-5)[0]
-        rel = np.max(np.abs(node.grad - fd)) / max(1.0, np.max(np.abs(fd)))
+        rel = np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel <= 1e-5
 
     def test_brute_force_refuses_huge_instances(self):
@@ -427,17 +429,87 @@ def test_ctc_equals_the_reference_kernel_bit_for_bit(T, V, raw, peaked,
     assert np.array_equal(res.grad, want.grad), (T, V, y)
 
 
+def uniform_kl(logprobs):
+    """Label smoothing's uniform-KL term as `smoothed` adds it to a loss."""
+    zero = LossResult(0.0, np.zeros_like(logprobs))
+    return smoothed(zero, logprobs, 1.0)[0]
+
+
 class TestRegularizers:
     def test_uniform_kl_zero_at_uniform(self):
-        lp = ad.Node(np.log(np.full((5, 4), 0.25)))
-        assert uniform_kl(lp).value == pytest.approx(0.0, abs=1e-12)
+        lp = np.log(np.full((5, 4), 0.25))
+        assert uniform_kl(lp) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_kl_positive_otherwise(self):
-        lp = ad.log_softmax(ad.Node(np.random.default_rng(0).normal(size=(5, 4))))
+        lp = log_softmax(np.random.default_rng(0).normal(size=(5, 4)))
         kl = uniform_kl(lp)
-        assert kl.value > 0
-        want = np.mean(-lp.value) - math.log(4)
-        assert kl.value == pytest.approx(want, abs=1e-12)
+        assert kl > 0
+        want = np.mean(-lp) - math.log(4)
+        assert kl == pytest.approx(want, abs=1e-12)
+
+
+def test_log_softmax_normalized_in_log_domain():
+    z = np.array([[1e3, -1e3, 0.0]])
+    lp = log_softmax(z)
+    assert np.isfinite(lp).all()
+    assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def composed_ctc(logits, labels, label_smoothing):
+    """The CTC node's graph before it was fused: a log-softmax node, the
+    kernel's loss node and the uniform-KL nodes; returns (node, status)."""
+    return smoothed_loss_node(ctc_loss, tape_log_softmax(logits), labels,
+                              label_smoothing)
+
+
+def ctc_tap_case(T, V, labels, sc, seed):
+    """A tap's trunk rows, head weight and bias and, with `sc`, the
+    self-conditioning projection (all non-zero), for (T, V) logits."""
+    rng = np.random.default_rng(seed)
+    d = 6
+    shapes = [(T, d), (d, V), (V,)] + ([(V, d), (d,)] if sc else [])
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+class TestCtcNode:
+    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("T,V,labels,sc", [
+        (1, 3, [2], False), (1, 4, [], False), (6, 3, [1, 1, 2, 2], False),
+        (23, 11, [4, 7, 7], False), (9, 5, [3, 1, 1], True)],
+        ids=["T1", "T1-U0", "repeats", "T23-U3", "self-conditioned"])
+    def test_equals_the_composed_graph_bit_for_bit(self, T, V, labels, sc,
+                                                   label_smoothing):
+        """The value and the gradients of the logits, the trunk and the
+        head's parameters are those of the composed graph, bit for bit,
+        under an upstream gradient that is not 1.  A self-conditioned tap's
+        logits also feed its softmax posterior, a second consumer."""
+        arrays = ctc_tap_case(T, V, labels, sc, seed=T + V)
+        results = []
+        for build in (ctc_node, composed_ctc):
+            nodes = [ad.Node(a.copy()) for a in arrays]
+            logits = nn.linear(*nodes[:3])
+            node, status = build(logits, labels, label_smoothing)
+            assert status == "ok"
+            root = ad.scale(node, 0.37)
+            if sc:
+                h = self_condition(nodes[0], ad.softmax(logits), *nodes[3:])
+                root = ad.add(root, tape_sum(ad.mul(h, h)))
+            ad.backward(root)
+            results.append([node.value, logits.grad] + [n.grad for n in nodes])
+        fused, composed = results
+        names = ["value", "logits", "h", "w", "b", "sc_w", "sc_b"]
+        for name, a, b in zip(names, fused, composed):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
+    def test_unreachable_target_gives_a_node_without_parents(self,
+                                                             label_smoothing):
+        logits = ad.Node(np.random.default_rng(8).normal(size=(2, 3)))
+        node, status = ctc_node(logits, [1, 1], label_smoothing)
+        want, want_status = composed_ctc(logits, [1, 1], label_smoothing)
+        assert (status, node.value) == (want_status, want.value)
+        assert status == "unreachable" and node.value == math.inf
+        assert node.parents == ()
 
 
 def test_oracle_suite_self_reports_small_deviation():

@@ -31,6 +31,7 @@ from pmu.model import (
     subsampled_length,
     validate_configs,
 )
+from tape_ops import smoothed_loss_node, tape_log_softmax, tape_sum
 
 
 def tiny_cfg(num_layers=2, **over):
@@ -175,8 +176,8 @@ class TestHeadLayout:
     def test_head_rows_are_log_distributions(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("para_ctc"))
         out = model.encode(feats(9))
-        for name, logp in out.ctc_heads.items():
-            sums = np.exp(logp.value).sum(axis=-1)
+        for name, logits in out.ctc_heads.items():
+            sums = np.exp(losses.log_softmax(logits.value)).sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9, err_msg=name)
 
 
@@ -245,12 +246,10 @@ def composed_joint_transducer(h_t, h_u, labels, ps, label_smoothing):
     au = ad.reshape(nn.linear(h_u, ps.get("joint/wu"), ps.get("joint/b")),
                     (1, U1, J))
     z = tape_tanh(ad.add(at, au))
-    lattice = ad.log_softmax(ad.add(ad.matmul(z, ps.get("joint/out_w")),
-                                    ps.get("joint/out_b")))
-    node, status = losses.loss_node(losses.transducer_loss, lattice, labels)
-    if label_smoothing > 0.0:
-        node = ad.add(node, ad.scale(losses.uniform_kl(lattice), label_smoothing))
-    return node, status
+    lattice = tape_log_softmax(ad.add(ad.matmul(z, ps.get("joint/out_w")),
+                                      ps.get("joint/out_b")))
+    return smoothed_loss_node(losses.transducer_loss, lattice, labels,
+                              label_smoothing)
 
 
 def joint_case(T, U, d=8, J=8, V=5, seed=0):
@@ -323,6 +322,37 @@ class TestJointTransducer:
                  if n.parents and i not in shared]
         assert built == ["joint_transducer"]
 
+    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
+    def test_loss_builds_one_node_per_ctc_tap(self, monkeypatch,
+                                              label_smoothing):
+        """Between the taps' logits and the weighted total, `loss` builds
+        one node per tap, its parent the tap's logits, and otherwise only
+        the weighting's adds and scales.  The model self-conditions on two
+        of its three taps."""
+        taps = []
+        real = pmu.model.ctc_head
+
+        def recorded(h, ps, name):
+            taps.append(real(h, ps, name))
+            return taps[-1]
+
+        monkeypatch.setattr(pmu.model, "ctc_head", recorded)
+        model = ConformerTransducer(
+            tiny_cfg(3), pmu_for("pca_ctc", n2=1, sc_enabled=True))
+        bundle = model.loss(feats(12), {"pasm": [1], "bpe_small": [2],
+                                        "bpe": [1, 3]},
+                            label_smoothing=label_smoothing)
+        ctc_term = bundle.node.parents[1]
+        shared = {}
+        for logits in taps:
+            shared |= reachable(logits)
+        built = [n for i, n in reachable(ctc_term).items() if i not in shared]
+        per_tap = [n for n in built if n.op not in ("add", "scale")]
+        assert [n.op for n in per_tap] == ["ctc"] * 3
+        assert sorted(n.parents[0].id for n in per_tap) == sorted(
+            logits.id for logits in taps)
+        assert all(len(n.parents) == 1 for n in per_tap)
+
 
 class TestSelfCondition:
     def test_zero_projection_is_identity(self):
@@ -394,7 +424,7 @@ class TestLabelEncoder:
             ps = build_params(tiny_cfg(), pmu_for("baseline"), seed=4)
             h_u = build(ps)
             w = np.random.default_rng(2).normal(size=h_u.value.shape)
-            ad.backward(ad.sum_(ad.mul(h_u, ad.Node(w))))
+            ad.backward(tape_sum(ad.mul(h_u, ad.Node(w))))
             return h_u.value, {p: n.grad for p, n in ps.items()}
 
         def by_steps(ps):
