@@ -59,9 +59,6 @@ class Node:
             self.grad = np.zeros_like(self.value)
         return self.grad
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Node(id={self.id}, op={self.op}, shape={self.value.shape})"
 
@@ -81,8 +78,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _acc(parent: Node, g: np.ndarray):
-    parent.ensure_grad()
-    parent.grad += _unbroadcast(g, parent.value.shape)
+    """Add `g` into parent's gradient; the first write copies it, as zeros
+    laid out like the value plus `g` would be."""
+    g = _unbroadcast(g, parent.value.shape)
+    if parent.grad is None:
+        parent.grad = np.add(g, 0.0, out=np.empty_like(parent.value))
+    else:
+        parent.grad += g
 
 
 def backward(root: Node):
@@ -109,8 +111,7 @@ def backward(root: Node):
         for p in node.parents:
             if p.id not in seen:
                 stack.append((p, False))
-    root.ensure_grad()
-    root.grad += np.ones_like(root.value)
+    _acc(root, np.ones_like(root.value))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -303,7 +304,7 @@ class ParamStore:
 
     def zero_grad(self):
         for node in self._params.values():
-            node.zero_grad()
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

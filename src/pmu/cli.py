@@ -48,10 +48,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .config import load_config
+    from .config import read_config
     from .train import run_experiment
-    result = run_experiment(load_config(args.config), resume=args.resume,
-                            quiet=args.quiet)
+    exp, problems = read_config(args.config)
+    result = run_experiment(exp, resume=args.resume, quiet=args.quiet,
+                            problems=problems)
     print(f"run log: {result['log_path']}")
     print(f"final checkpoint: {result['final_ckpt']}")
     if result["best_ckpt"]:

@@ -129,7 +129,8 @@ class Experiment:
     data: DataConfig
 
 
-def config_from_table(table: dict, path: str = "<config>") -> Experiment:
+def _experiment(table: dict, path: str) -> tuple[Experiment, list[str]]:
+    """A section table's experiment, and its key and value problems."""
     errors = []
     mcfg = ModelConfig()
     exp = Experiment(model=mcfg, pmu=PMUConfig(), train=TrainConfig(),
@@ -140,8 +141,13 @@ def config_from_table(table: dict, path: str = "<config>") -> Experiment:
                    else [getattr(exp, section)])
         errors += assign_fields(table.get(section, {}), targets,
                                 f"{path}: [{section}]")
-    errors += [f"{path}: {p}" for p in mcfg.problems()
-               + exp.pmu.problems(mcfg.encoder.num_layers)
+    return exp, errors
+
+
+def config_from_table(table: dict, path: str = "<config>") -> Experiment:
+    exp, errors = _experiment(table, path)
+    errors += [f"{path}: {p}" for p in exp.model.problems()
+               + exp.pmu.problems(exp.model.encoder.num_layers)
                + exp.train.problems()]
     raise_problems(errors, "\n")
     return exp
@@ -149,3 +155,8 @@ def config_from_table(table: dict, path: str = "<config>") -> Experiment:
 
 def load_config(path: str) -> Experiment:
     return config_from_table(parse_config_text(read_lines(path), path), path)
+
+
+def read_config(path: str) -> tuple[Experiment, list[str]]:
+    """(experiment, key and value problems) for run_experiment to report."""
+    return _experiment(parse_config_text(read_lines(path), path), path)

@@ -6,13 +6,14 @@ log posterior together with its analytic gradient w.r.t. those log-probs.
 enumeration oracles for small instances; they share no code with the
 dynamic-programming paths they check.
 
-The transducer forward-backward follows Graves (2012, arXiv:1211.3711).  A
-lattice cell (t, u) depends only on cells of the anti-diagonal t+u-1 (alpha)
-or t+u+1 (beta), so each pass sweeps the T+U anti-diagonals with one
-vectorised `np.logaddexp` per diagonal: T+U numpy steps instead of T*U
-scalar ones.  Every cell still adds the same two addends through the same
-`np.logaddexp`, so values and gradients equal those of a cell-by-cell
-recursion bit for bit.
+Each kernel runs a whole batch of rows at once, padded with -inf: the
+CTC frame loop over (frame, row, state) arrays, and the transducer's
+sweep (Graves 2012, arXiv:1211.3711) over the anti-diagonals t+u of
+(diagonal, row, u) arrays, one vectorised `np.logaddexp` per diagonal.
+Every real cell adds the same two addends through the same `np.logaddexp`
+as a cell-by-cell recursion over its row alone, so values and gradients
+equal that recursion's bit for bit; `ctc_loss` and `transducer_loss` are
+the batch-of-one case.
 
 The output layer's math is written once: `log_softmax`, and `smoothed`,
 which adds label smoothing's term to a kernel's result and carries the
@@ -41,82 +42,112 @@ BRUTE_FORCE_LIMIT = 10 ** 6
 
 @dataclass
 class LossResult:
+    """A kernel's value, status and gradient w.r.t. its log-probs: dense,
+    but in `transducer_losses` results only the entries that can be
+    non-zero, the blank column (T, U+1) and the labels' entries `emit`."""
     value: float
     grad: np.ndarray
     status: str = "ok"
+    emit: np.ndarray | None = None
+
+
+def _labels(labels, V: int, who: str) -> np.ndarray:
+    y = np.asarray([int(i) for i in labels], dtype=np.intp)
+    if (y == 0).any():
+        raise ContractViolation(f"{who}: labels must not contain blank id 0")
+    if ((y < 0) | (y >= V)).any():
+        raise ContractViolation(f"{who}: label id out of range for V={V}")
+    return y
 
 
 def _clamp(logprobs: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(logprobs, dtype=np.float64), LOG_FLOOR)
 
 
+def _result(logz, grad, emit=None) -> LossResult:
+    """Below LOG_FLOOR / 2 every path crosses a floored entry: "unreachable"
+    (callers skip the sample), value +inf, and the kernels leave grad zero."""
+    if logz < LOG_FLOOR / 2:
+        return LossResult(math.inf, grad, "unreachable", emit)
+    return LossResult(float(-logz), grad, "ok", emit)
+
+
 # ---------------------------------------------------------------------------
 # CTC
 
-def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
-    """Forward-backward CTC loss over a (T, V) matrix of log-probs.
-
-    Blank id is 0.  Unreachable targets (T too short for the label string,
-    or every path crossing a LOG_FLOOR entry) give value +inf, zero
-    gradient, and status "unreachable" so callers can skip the sample
-    instead of aborting.
-    """
-    lp = _clamp(emissions)
-    T, V = lp.shape
-    y = [int(i) for i in labels]
-    if any(i == 0 for i in y):
-        raise ContractViolation("ctc_loss: labels must not contain blank id 0")
-    if any(not (0 < i < V) for i in y):
-        raise ContractViolation(f"ctc_loss: label id out of range for V={V}")
-    U, ids = len(y), np.asarray(y, dtype=np.intp)
-    if T < U + int(np.count_nonzero(ids[1:] == ids[:-1])):
-        return LossResult(math.inf, np.zeros_like(lp), "unreachable")
-
-    ext = np.zeros(2 * U + 1, dtype=np.intp)
-    ext[1::2] = ids
-    S = len(ext)
+def ctc_losses(rows) -> list[LossResult]:
+    """CTC loss of each (emissions, labels) row: (T, V) log-probs and the
+    label ids, blank id 0.  Row i's log posterior is read at its own last
+    frame, where its beta starts.  A target T is too short for is
+    unreachable."""
+    lps, exts = [], []
+    for emissions, labels in rows:
+        lp = np.asarray(emissions, dtype=np.float64)
+        if lp.ndim != 2 or len(lp) < 1:
+            raise InputError(f"ctc_loss: emissions {lp.shape} are not (T >= 1, V)")
+        ext = np.zeros(2 * len(labels) + 1, dtype=np.intp)
+        ext[1::2] = _labels(labels, lp.shape[1], "ctc_loss")
+        lps.append(lp)
+        exts.append(ext)
+    N, T, S = len(rows), max(len(lp) for lp in lps), max(len(e) for e in exts)
     NEG = -np.inf
-    # mask[s] is 0 where a path may jump from state s-2 to s (distinct
-    # non-blank labels), else -inf, as on its two padding states past S
-    mask = np.full(S + 2, NEG)
-    mask[2:S][(ext[2:] != 0) & (ext[2:] != ext[:-2])] = 0.0
-    emit = lp[:, ext]
+    # mask[i, s] is 0 where row i's paths may jump from state s-2 to s
+    # (distinct non-blank labels), else -inf, as on the padding states
+    mask = np.full((N, S + 2), NEG)
+    emit = np.full((T, N, S), NEG)
+    seed = np.full((N, S), NEG)  # beta at a row's last frame
+    ends: dict[int, list] = {}  # frame -> the rows that end there
+    for i, (lp, ext) in enumerate(zip(lps, exts)):
+        n = len(ext)
+        mask[i, 2:n][(ext[2:] != 0) & (ext[2:] != ext[:-2])] = 0.0
+        emit[:len(lp), i, :n] = _clamp(lp[:, ext])
+        seed[i, max(n - 2, 0):n] = 0.0
+        ends.setdefault(len(lp) - 1, []).append(i)
     # Shifted rows are views of rows padded with two -inf states: before
     # the S states in alpha, after them in `nxt`.  `jump` is the one
     # buffer the frame loops write.
-    jump = np.empty(S)
-    alpha_p = np.full((T, S + 2), NEG)
-    alpha = alpha_p[:, 2:]
-    alpha[0, :2] = emit[0, :2]
+    jump = np.empty((N, S))
+    alpha_p = np.full((T, N, S + 2), NEG)
+    alpha = alpha_p[:, :, 2:]
+    alpha[0, :, :2] = emit[0, :, :2]
     for t in range(1, T):
         prev, cur = alpha_p[t - 1], alpha[t]
-        np.logaddexp(prev[2:], prev[1:-1], out=cur)
-        np.add(prev[:-2], mask[:S], out=jump)
+        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=cur)
+        np.add(prev[:, :-2], mask[:, :S], out=jump)
         np.logaddexp(cur, jump, out=cur)
         cur += emit[t]
 
-    logz = alpha[T - 1, S - 1] if S == 1 else np.logaddexp(alpha[T - 1, S - 1],
-                                                           alpha[T - 1, S - 2])
-    if logz < LOG_FLOOR / 2:  # every path crosses a floored emission
-        return LossResult(math.inf, np.zeros_like(lp), "unreachable")
+    # beta[t, i, s]: log prob of completing from state s at time t, not
+    # counting the emission at time t (it already sits inside alpha).  The
+    # loop computes a row's last frame from the padding, then its seed.
+    beta = np.full((T, N, S), NEG)
+    nxt = np.full((N, S + 2), NEG)
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            np.add(beta[t + 1], emit[t + 1], out=nxt[:, :S])
+            np.logaddexp(nxt[:, :S], nxt[:, 1:-1], out=beta[t])
+            np.add(nxt[:, 2:], mask[:, 2:], out=jump)
+            np.logaddexp(beta[t], jump, out=beta[t])
+        if t in ends:
+            beta[t, ends[t]] = seed[ends[t]]
 
-    # beta[t, s]: log prob of completing from state s at time t, not counting
-    # the emission at time t (it already sits inside alpha).
-    beta = np.full((T, S), NEG)
-    beta[T - 1, S - 2:] = 0.0
-    nxt = np.full(S + 2, NEG)
-    for t in range(T - 2, -1, -1):
-        np.add(beta[t + 1], emit[t + 1], out=nxt[:S])
-        np.logaddexp(nxt[:S], nxt[1:-1], out=beta[t])
-        np.add(nxt[2:], mask[2:], out=jump)
-        np.logaddexp(beta[t], jump, out=beta[t])
+    results = []
+    for i, (lp, ext) in enumerate(zip(lps, exts)):
+        T, S = lp.shape[0], len(ext)
+        logz = alpha[T - 1, i, 0] if S == 1 else np.logaddexp(
+            alpha[T - 1, i, S - 1], alpha[T - 1, i, S - 2])
+        grad = np.zeros_like(lp)
+        if not logz < LOG_FLOOR / 2:
+            with np.errstate(under="ignore"):  # (T, S) state posteriors
+                post = np.exp(alpha[:T, i, :S] + beta[:T, i, :S] - logz)
+            np.subtract.at(grad, (slice(None), ext), post)  # in state order
+        results.append(_result(logz, grad))
+    return results
 
-    grad = np.zeros_like(lp)
-    post = alpha + beta - logz  # (T, S) state posteriors
-    with np.errstate(under="ignore"):
-        post = np.exp(post)
-    np.subtract.at(grad, (slice(None), ext), post)  # in state order
-    return LossResult(float(-logz), grad, "ok")
+
+def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
+    """`ctc_losses` on one row."""
+    return ctc_losses([(emissions, labels)])[0]
 
 
 def _collapse(path) -> tuple:
@@ -151,85 +182,102 @@ def ctc_brute_force(emissions: np.ndarray, labels) -> float:
 # ---------------------------------------------------------------------------
 # transducer
 
-def transducer_loss(lattice: np.ndarray, labels) -> LossResult:
-    """Negative log posterior over all monotonic emit/blank alignments.
-
-    `lattice` is (T, U+1, V) normalized log-probs; blank id 0.  Emitting
-    does not consume a frame, so only a lattice where every alignment
-    crosses a LOG_FLOOR entry is unreachable: value +inf, zero gradient and
-    status "unreachable", returned before the gradient's exp overflows.
-    """
-    lattice = np.asarray(lattice)
-    if lattice.ndim != 3:
-        raise ContractViolation(
-            f"transducer_loss: lattice must be 3-D, got {lattice.shape}")
-    T, U1, V = lattice.shape
-    y = [int(i) for i in labels]
-    U = len(y)
-    if T < 1:
-        raise InputError("transducer_loss: empty lattice (T < 1)")
-    if U1 != U + 1:
-        raise InputError(
-            f"transducer_loss: lattice label axis {U1} != U+1 = {U + 1}")
-    if any(i == 0 for i in y):
-        raise ContractViolation("transducer_loss: labels must not contain blank id 0")
-    if any(not (0 < i < V) for i in y):
-        raise ContractViolation(f"transducer_loss: label id out of range for V={V}")
-
+def transducer_losses(rows) -> list[LossResult]:
+    """Transducer loss of each (lattice, labels) row: (T, U+1, V) log-probs
+    and the label ids, blank id 0.  Emitting does not consume a frame, so
+    only a lattice where every alignment crosses a LOG_FLOOR entry is
+    unreachable."""
+    shapes, blanks, emits = [], [], []
+    for lattice, labels in rows:
+        lattice, U = np.asarray(lattice), len(labels)
+        if lattice.ndim != 3 or len(lattice) < 1 or lattice.shape[1] != U + 1:
+            raise InputError(f"transducer_loss: lattice {lattice.shape} is "
+                             f"not (T >= 1, U+1 = {U + 1}, V)")
+        y = _labels(labels, lattice.shape[2], "transducer_loss")
+        # only blank and label entries enter the lattice and are clamped
+        shapes.append((len(lattice), U))
+        blanks.append(_clamp(lattice[:, :, 0]))
+        emits.append(_clamp(lattice[:, np.arange(U), y]))
+    B = len(rows)
+    T, U = (max(s) for s in zip(*shapes))
     NEG = -np.inf
-    # only blank and label entries enter the lattice, so only they are clamped
-    u_ids, y_ids = np.arange(U), np.asarray(y, dtype=np.intp)
-    emit = _clamp(lattice[:, u_ids, y_ids])
-    blank = _clamp(lattice[:, :, 0])
-
-    # Skewed layout: row n holds the anti-diagonal t+u = n, cell (t, u) at
-    # column u+1.  Columns 0 and U+2 and every cell off the lattice are -inf
-    # padding, so edge cells go through the same logaddexp as inner ones.
-    # Diagonal n covers max(0, n-T+1) <= u <= min(n, U); only those cells
-    # are ever written.
+    blank = np.full((B, T, U + 1), NEG)
+    emit = np.full((B, T, U), NEG)
+    last: dict[int, list] = {}  # diagonal -> the rows whose lattice ends there
+    for i, (Ti, Ui) in enumerate(shapes):
+        blank[i, :Ti, :Ui + 1] = blanks[i]
+        emit[i, :Ti, :Ui] = emits[i]
+        last.setdefault(Ti + Ui - 1, []).append(i)
+    # Skewed layout: [n, i] holds row i's anti-diagonal t+u = n, cell (t, u)
+    # at column u+1.  Columns 0 and U+2 and every cell off a row's lattice
+    # are -inf padding, so edge cells go through the same logaddexp as
+    # inner ones.  Step n covers the columns any row's diagonal n may hold.
     D = T + U
-    rows, cols = np.indices((T, U + 1))
-    rows += cols  # t + u
+    diag, cols = np.indices((T, U + 1))
+    diag += cols  # t + u
     cols += 1     # u + 1
-    skew_blank = np.full((D, U + 3), NEG)
-    skew_blank[rows, cols] = blank
-    skew_emit = np.full((D, U + 3), NEG)
-    skew_emit[rows[:, :U], cols[:, :U]] = emit
+    skew_blank = np.full((D, B, U + 3), NEG)
+    skew_blank[diag, :, cols] = blank.transpose(1, 2, 0)
+    skew_emit = np.full((D, B, U + 3), NEG)
+    skew_emit[diag[:, :U], :, cols[:, :U]] = emit.transpose(1, 2, 0)
 
     # alpha(t, u) = logaddexp(alpha(t-1, u) + blank(t-1, u),
     #                         alpha(t, u-1) + emit(t, u-1))
-    a = np.full((D, U + 3), NEG)
-    a[0, 1] = 0.0
-    for n in range(1, D):
+    a = np.full((D, B, U + 3), NEG)
+    a[0, :, 1] = 0.0
+    for n in range(1, max(last) + 1):
         on = slice(max(1, n - T + 2), min(n, U) + 2)
         left = slice(on.start - 1, on.stop - 1)
-        np.logaddexp(a[n - 1, on] + skew_blank[n - 1, on],
-                     a[n - 1, left] + skew_emit[n - 1, left], out=a[n, on])
+        np.logaddexp(a[n - 1, :, on] + skew_blank[n - 1, :, on],
+                     a[n - 1, :, left] + skew_emit[n - 1, :, left],
+                     out=a[n, :, on])
 
     # beta(t, u) = logaddexp(blank(t, u) + beta(t+1, u),
     #                        emit(t, u) + beta(t, u+1))
-    b = np.full((D, U + 3), NEG)
-    b[D - 1, U + 1] = blank[T - 1, U]
-    for n in range(D - 2, -1, -1):
+    b = np.full((D, B, U + 3), NEG)
+    for n in range(max(last), -1, -1):
         on = slice(max(1, n - T + 2), min(n, U) + 2)
         right = slice(on.start + 1, on.stop + 1)
-        np.logaddexp(skew_blank[n, on] + b[n + 1, on],
-                     skew_emit[n, on] + b[n + 1, right], out=b[n, on])
+        if n < max(last):
+            np.logaddexp(skew_blank[n, :, on] + b[n + 1, :, on],
+                         skew_emit[n, :, on] + b[n + 1, :, right],
+                         out=b[n, :, on])
+        for i in last.get(n, ()):
+            b[n, i, shapes[i][1] + 1] = blanks[i][-1, -1]
 
-    alpha = a[rows, cols]
-    beta = b[rows, cols]
-    logz = alpha[T - 1, U] + blank[T - 1, U]
-    grad = np.zeros(lattice.shape)
-    if logz < LOG_FLOOR / 2:
-        return LossResult(math.inf, grad, "unreachable")
+    rows_i = np.arange(B)
+    alpha = a[diag, rows_i[:, None, None], cols]  # (B, T, U+1)
+    beta = b[diag, rows_i[:, None, None], cols]
+    Ts, Us = np.array(shapes).T
+    logz = alpha[rows_i, Ts - 1, Us] + blank[rows_i, Ts - 1, Us]
+    out = logz < LOG_FLOOR / 2
     with np.errstate(under="ignore"):
         # blank transitions: next state is (t+1, u); the final blank ends.
-        nxt = np.full((T, U + 1), NEG)
-        nxt[:-1] = beta[1:]
-        nxt[T - 1, U] = 0.0
-        grad[:, :, 0] = -np.exp(alpha + blank + nxt - logz)
-        grad[:, u_ids, y_ids] -= np.exp(alpha[:, :U] + emit + beta[:, 1:] - logz)
-    return LossResult(float(-logz), grad, "ok")
+        nxt = np.full((B, T, U + 1), NEG)
+        nxt[:, :-1] = beta[:, 1:]
+        nxt[rows_i, Ts - 1, Us] = 0.0
+        lz = np.where(out, 0.0, logz)[:, None, None]
+        g_blank = -np.exp(alpha + blank + nxt - lz)
+        g_emit = 0.0 - np.exp(alpha[:, :, :U] + emit + beta[:, :, 1:] - lz)
+    g_blank[out] = g_emit[out] = 0.0
+    return [_result(logz[i], g_blank[i, :Ti, :Ui + 1], g_emit[i, :Ti, :Ui])
+            for i, (Ti, Ui) in enumerate(shapes)]
+
+
+def dense_grad(res: LossResult, labels, shape) -> np.ndarray:
+    """A `transducer_losses` result's gradient as a zero array of `shape`
+    (T, U+1, V) holding its blank column and the labels' entries."""
+    dense = np.zeros(shape)
+    dense[:, :, 0] = res.grad
+    dense[:, np.arange(len(labels)), [int(i) for i in labels]] = res.emit
+    return dense
+
+
+def transducer_loss(lattice: np.ndarray, labels) -> LossResult:
+    """`transducer_losses` on one row, with the dense gradient."""
+    res = transducer_losses([(lattice, labels)])[0]
+    return LossResult(res.value, dense_grad(res, labels, np.shape(lattice)),
+                      res.status)
 
 
 def transducer_brute_force(lattice: np.ndarray, labels) -> float:
@@ -271,21 +319,25 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return lp
 
 
-def smoothed(res: LossResult, logprobs: np.ndarray, label_smoothing: float):
+def smoothed(res: LossResult, logprobs: np.ndarray, label_smoothing: float,
+             labels=None):
     """(value, backward) of a kernel's ok result `res` on `logprobs` =
     log_softmax(logits), with label smoothing's term added: label_smoothing
     times the mean over positions of KL(uniform || p), which is
     -mean(logprobs) - log V.  `backward` maps the upstream gradient to the
-    gradient w.r.t. the logits.  The ops are those a tape graph of the loss
-    plus the scaled KL over a log-softmax node runs, in its backward order,
-    so value and gradient equal that graph's bit for bit."""
+    gradient w.r.t. the logits, a transducer result's entries scattered by
+    its `labels`.  The ops are those a tape graph of the loss plus the
+    scaled KL over a log-softmax node runs, in its backward order, so value
+    and gradient equal that graph's bit for bit."""
     value = res.value
     if label_smoothing > 0.0:
         kl = logprobs.sum() * (-1.0 / logprobs.size) + -math.log(logprobs.shape[-1])
         value = value + kl * label_smoothing
 
     def backward(g) -> np.ndarray:
-        dlog = float(g) * res.grad
+        grad = res.grad if labels is None else dense_grad(res, labels,
+                                                          logprobs.shape)
+        dlog = float(g) * grad
         if label_smoothing > 0.0:
             dlog += (g * label_smoothing) * (-1.0 / logprobs.size)
         soft = np.exp(logprobs)
@@ -296,15 +348,15 @@ def smoothed(res: LossResult, logprobs: np.ndarray, label_smoothing: float):
     return value, backward
 
 
-def ctc_node(logits: Node, labels, label_smoothing: float) -> tuple[Node, str]:
-    """The CTC loss of log_softmax(logits), label smoothing's term included,
-    as one tape node; returns (node, status).  An unreachable target gives
-    a node with no parents, so it carries no gradient."""
-    lp = log_softmax(logits.value)
-    res = ctc_loss(lp, labels)
+def ctc_node(logits: Node, logprobs: np.ndarray, res: LossResult,
+             label_smoothing: float) -> tuple[Node, str]:
+    """The CTC loss of `logprobs` = log_softmax(logits), whose kernel result
+    is `res`, label smoothing's term included, as one tape node; returns
+    (node, status).  An unreachable target gives a node with no parents,
+    so it carries no gradient."""
     if res.status != "ok":
         return Node(np.asarray(res.value)), res.status
-    value, backward = smoothed(res, lp, label_smoothing)
+    value, backward = smoothed(res, logprobs, label_smoothing)
     out = Node(np.asarray(value), (logits,), "ctc")
     out._backward = lambda g: ad._acc(logits, backward(g))
     return out, "ok"

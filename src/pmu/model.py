@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses, nn
-from .autodiff import Node, ParamStore, as_node
+from .autodiff import Node, ParamStore
 from .errors import ContractViolation, InputError, raise_problems
 
 VARIANTS = ("baseline", "basic_pmu", "para_ctc", "pca_ctc")
@@ -366,6 +366,9 @@ class ForwardOutputs:
     h_n3: Node | None = None  # the top of the trunk
     ctc_heads: dict = field(default_factory=dict)  # head name -> logits
     h_u: Node | None = None  # the label encoder's rows
+    ctc_logprobs: dict = field(default_factory=dict)  # name -> log-probs
+    lattice: tuple | None = None  # the joint's (z, logprobs)
+    results: dict = field(default_factory=dict)  # name, "trans" -> LossResult
 
 
 def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
@@ -432,22 +435,20 @@ def joint(h_t, h_u, ps: ParamStore):
     return z, losses.log_softmax(logits)
 
 
-def joint_transducer(h_t, h_u, labels, ps: ParamStore,
-                     label_smoothing: float = 0.0) -> tuple[Node, str]:
-    """The transducer loss of `joint`'s log-probs, plus label smoothing's
-    uniform-KL term on them, as one tape node; returns (node, status) as
-    `losses.ctc_node` does.  The backward runs the numpy ops of the
-    composed graph's node-by-node backward (log_softmax by
-    `losses.smoothed`, the output layer, tanh, the broadcast add, the two
+def joint_transducer(h_t, h_u, labels, lattice: tuple, res: losses.LossResult,
+                     ps: ParamStore, label_smoothing: float) -> tuple[Node, str]:
+    """The transducer loss of `lattice` = joint(h_t, h_u)'s (z, logprobs),
+    with kernel result `res`, plus label smoothing's uniform-KL term, as one
+    tape node; returns (node, status) as `losses.ctc_node` does.  The
+    backward runs the numpy ops of the composed graph's backward (log_softmax
+    by `losses.smoothed`, the output layer, tanh, the broadcast add, the two
     input projections) in the same order, so the value and every gradient
     equal that graph's bit for bit, while only z, the log-probs and the
-    loss gradient stay alive until backward."""
-    h_t, h_u = as_node(h_t), as_node(h_u)
-    z, lp = joint(h_t.value, h_u.value, ps)
-    res = losses.transducer_loss(lp, labels)
+    loss gradient's blank and label entries stay alive until backward."""
     if res.status != "ok":
         return Node(np.asarray(res.value)), res.status
-    value, dlogits = losses.smoothed(res, lp, label_smoothing)
+    z, lp = lattice
+    value, dlogits = losses.smoothed(res, lp, label_smoothing, labels)
     wt, wu, b, out_w, out_b = params = [ps.get(f"joint/{leaf}")
                                         for leaf in JOINT_LEAVES]
     out = Node(np.asarray(value), (h_t, h_u, *params), "joint_transducer")
@@ -513,11 +514,13 @@ def _target(targets: dict, units: str, what: str):
 
 def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
                        ps: ParamStore, label_smoothing: float = 0.0) -> LossBundle:
-    """Weighted multi-task objective over the active heads; `targets` maps
-    each unit kind ("pasm", "bpe", "bpe_small") to its label ids.
+    """Weighted multi-task objective over the active heads, on the kernel
+    results in `outputs`; `targets` maps each unit kind ("pasm", "bpe",
+    "bpe_small") to its label ids.
 
     An unreachable target marks the sample as skipped (infinite total,
-    no gradient node) rather than aborting.  With label_smoothing > 0 each
+    no gradient node) rather than aborting; the first head in `head_specs`
+    order, then the transducer, names it.  With label_smoothing > 0 each
     component carries a uniform-KL regularizer before weighting, so the
     logged components still recombine exactly into the total.
     """
@@ -528,19 +531,18 @@ def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
         head = outputs.ctc_heads.get(name)
         if head is None:
             raise InputError(f"forward outputs carry no CTC head {name!r}")
-        target = _target(targets, spec.units, f"active head {name!r}")
-        node, status = losses.ctc_node(head, target, label_smoothing)
+        node, status = losses.ctc_node(head, outputs.ctc_logprobs[name],
+                                       outputs.results[name], label_smoothing)
         if status != "ok":
             return LossBundle(l_ctc_components={name: math.inf},
                               skipped_samples=1, status=f"{status}:{name}")
         comp_nodes[name] = node
         comps[name] = float(node.value)
 
-    if outputs.h_u is None:
-        raise InputError("forward outputs carry no label encoding")
     y_trans = _target(targets, pmu.trans_units, "the transducer")
-    trans_node, status = joint_transducer(outputs.h_n3, outputs.h_u, y_trans,
-                                          ps, label_smoothing)
+    trans_node, status = joint_transducer(
+        outputs.h_n3, outputs.h_u, y_trans, outputs.lattice,
+        outputs.results["trans"], ps, label_smoothing)
     if status != "ok":
         return LossBundle(l_ctc_components=comps, skipped_samples=1,
                           status=f"{status}:trans")
@@ -567,16 +569,41 @@ class ConformerTransducer:
         return aencoder_forward(x, self.cfg, self.pmu, self.params, ctx)
 
     def forward(self, x, y_trans, train: bool = False, step: int = 0) -> ForwardOutputs:
+        """Encoder, label encoder, taps' log-probs and joint's (z, logprobs)."""
         out = self.encode(x, train=train, step=step)
         out.h_u = label_encoder_forward(y_trans, self.params)
+        out.ctc_logprobs = {name: losses.log_softmax(logits.value)
+                            for name, logits in out.ctc_heads.items()}
+        out.lattice = joint(out.h_n3.value, out.h_u.value, self.params)
         return out
 
-    def loss(self, x, targets: dict, train: bool = False, step: int = 0,
-             label_smoothing: float = 0.0) -> LossBundle:
-        y_trans = _target(targets, self.pmu.trans_units, "the transducer")
-        out = self.forward(x, y_trans, train=train, step=step)
-        return assemble_objective(out, targets, self.pmu, self.params,
-                                  label_smoothing=label_smoothing)
+    def prepare(self, xs: list, targets: list[dict], train: bool = False,
+                step: int = 0) -> list[ForwardOutputs]:
+        """Phases 1 and 2 of `train.train_step`: each utterance's `forward`,
+        then one `losses.ctc_losses` call over every (utterance, head) row
+        and one `losses.transducer_losses` call over every utterance."""
+        specs = head_specs(self.pmu)
+        y_trans = [_target(t, self.pmu.trans_units, "the transducer")
+                   for t in targets]
+        outs = [self.forward(x, y, train=train, step=step)
+                for x, y in zip(xs, y_trans)]
+        ctc = iter(losses.ctc_losses([
+            (out.ctc_logprobs[s.name], _target(t, s.units, f"active head {s.name!r}"))
+            for out, t in zip(outs, targets) for s in specs]))
+        trans = losses.transducer_losses([(out.lattice[1], y)
+                                          for out, y in zip(outs, y_trans)])
+        for out, res in zip(outs, trans):
+            out.results = {**{s.name: next(ctc) for s in specs}, "trans": res}
+        return outs
+
+    def loss(self, x, targets: dict, label_smoothing: float = 0.0) -> LossBundle:
+        """One utterance's LossBundle.  `x` is its features, prepared here
+        as a batch of one with dropout off, or, in `train.train_step`'s
+        third phase, its ForwardOutputs from `prepare`."""
+        if not isinstance(x, ForwardOutputs):
+            x = self.prepare([x], [targets])[0]
+        return assemble_objective(x, targets, self.pmu, self.params,
+                                  label_smoothing)
 
     def config_dict(self) -> dict:
         return {"model": asdict(self.cfg), "pmu": asdict(self.pmu)}

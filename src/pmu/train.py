@@ -102,14 +102,17 @@ class Sample:
 
 def train_step(model: ConformerTransducer, batch: list[Sample],
                cfg: TrainConfig, opt: AdamState, step: int) -> tuple[LossBundle, dict]:
-    """One optimizer update over a batch; per-utterance graphs are built
-    independently and gradients accumulate by summation, scaled to a mean."""
+    """One optimizer update in three phases: each utterance's forward graph,
+    one batched CTC and one batched transducer kernel call (`model.prepare`),
+    then per utterance its objective (`model.loss`) and, unless skipped, its
+    backward, in batch order; gradients sum, scaled to a mean."""
     model.params.zero_grad()
+    outs = model.prepare([s.features for s in batch], [s.targets for s in batch],
+                         train=True, step=step)
     bundles = []
     skipped = 0
-    for s in batch:
-        b = model.loss(s.features, s.targets, train=True, step=step,
-                       label_smoothing=cfg.label_smoothing)
+    for s, out in zip(batch, outs):
+        b = model.loss(out, s.targets, label_smoothing=cfg.label_smoothing)
         if b.skipped_samples:
             skipped += 1
             continue
@@ -331,19 +334,20 @@ def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> tuple[dict, list[str]]:
 
 
 def run_experiment(exp: Experiment, resume: str | None = None,
-                   quiet: bool = False) -> dict:
+                   quiet: bool = False, problems: list[str] = ()) -> dict:
     """Tokenize, train, periodically evaluate, and checkpoint the best-WER
     model.  One InputError lists every config, tokenizer and manifest-path
-    problem before any feature file is read."""
+    problem, after `problems` (a config file's, from `config.read_config`),
+    before any feature file is read."""
     tcfg, pmu, mcfg, dcfg = exp.train, exp.pmu, exp.model, exp.data
-    toks, problems = load_tokenizers(dcfg, pmu)
+    toks, found = load_tokenizers(dcfg, pmu)
     mcfg.vocab = {kind: len(tok.vocab) for kind, tok in toks.items()}
-    problems += [f"[data] {key} is required"
-                 for key in ("train_manifest", "dev_manifest")
-                 if not getattr(dcfg, key)]
-    raise_problems(tcfg.problems()
-                   + config_problems(mcfg, pmu, set(unit_kinds(pmu)) - set(toks))
-                   + problems)
+    found += [f"[data] {key} is required"
+              for key in ("train_manifest", "dev_manifest")
+              if not getattr(dcfg, key)]
+    raise_problems([*problems, *tcfg.problems(),
+                    *config_problems(mcfg, pmu, set(unit_kinds(pmu)) - set(toks)),
+                    *found])
     trans_tok = toks[pmu.trans_units]
 
     if resume:

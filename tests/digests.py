@@ -8,12 +8,17 @@ OUT, then prints `<run>/<file> <sha256>` for each run's `runlog.jsonl`,
 and basic_pmu with BPE and with PASM transducer units, para_ctc, pca_ctc
 1+0+1 and 1+1+1 with and without self-conditioning, and 1+1+1 with shared
 heads), each at label smoothing 0 and 0.1, with seed 0, 4 steps, batch 4
-and evals at steps 2 and 4.  A change that keeps the arithmetic
-bit-identical prints the same lines as its parent, so the check is a
-`diff` of the outputs of two checkouts.  Pytest does not collect this file.
+and evals at steps 2 and 4.  One more run covers skipped samples: pca_ctc
+1+1+1 with self-conditioning at label smoothing 0.1 on data of 4-6 frames
+per word with adjacent repeats, where some but not all utterances of a
+step have a tap no path reaches; it also prints each step's skipped count.
+A change that keeps the arithmetic bit-identical prints the same lines as
+its parent, so the check is a `diff` of the outputs of two checkouts.
+Pytest does not collect this file.
 """
 
 import hashlib
+import json
 import os
 import sys
 
@@ -45,6 +50,8 @@ CONFIGS = {
     "pca_111_shared": pca(1, sc=True, shared=True),
 }
 FILES = ("runlog.jsonl", "final.ckpt", "best.ckpt")
+# data on which some utterances are too short for their CTC targets
+SHORT = synth.ToySpec(frames_min=4, frames_max=6, adjacent_repeats=True)
 
 
 def tokenizers(data: dict, root: str) -> dict:
@@ -89,6 +96,13 @@ def experiment(pmu: PMUConfig, label_smoothing: float,
     return exp
 
 
+def report(out: str, run: str):
+    for file in FILES:
+        with open(os.path.join(out, run, file), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        print(f"{run}/{file} {digest}")
+
+
 def main(out: str):
     data = synth.materialize(os.path.join(out, "data"), synth.ToySpec(), 0)
     models = tokenizers(data, os.path.join(out, "data"))
@@ -98,10 +112,15 @@ def main(out: str):
             exp = experiment(pmu, label_smoothing, data, models,
                              os.path.join(out, run))
             run_experiment(exp, quiet=True)
-            for file in FILES:
-                with open(os.path.join(out, run, file), "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{run}/{file} {digest}")
+            report(out, run)
+    short = synth.materialize(os.path.join(out, "short"), SHORT, 0)
+    run = "skip_path_pca_111_sc_ls0.1"
+    run_experiment(experiment(CONFIGS["pca_111_sc"], 0.1, short, models,
+                              os.path.join(out, run)), quiet=True)
+    report(out, run)
+    with open(os.path.join(out, run, "runlog.jsonl"), encoding="utf-8") as fh:
+        steps = [e for e in map(json.loads, fh) if e["kind"] == "step"]
+    print(f"{run}/skipped {','.join(str(e['skipped']) for e in steps)}")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """Sampled central differences: the spot-check gradient oracle of the
 end-to-end model tests (acceptance criterion 2), and the fused joint and
-transducer node and the CTC node as cases for the full-difference checks."""
+transducer node and the CTC node as cases for the full-difference checks,
+each built on its kernel's result for a batch of one."""
 
 from typing import Callable, Sequence
 
 import numpy as np
 
-from pmu.losses import ctc_node
-from pmu.model import JOINT_LEAVES, joint_transducer
+from pmu.losses import ctc_losses, ctc_node, log_softmax, transducer_losses
+from pmu.model import JOINT_LEAVES, joint, joint_transducer
 
 
 def finite_diff_sample(f: Callable[[], float], arrays: Sequence[np.ndarray],
@@ -37,6 +38,23 @@ def finite_diff_sample(f: Callable[[], float], arrays: Sequence[np.ndarray],
     return out
 
 
+def ctc_node_of(logits, labels, label_smoothing):
+    """`losses.ctc_node` on the batched kernel's result for one tap's
+    logits node; returns (node, status)."""
+    lp = log_softmax(logits.value)
+    res = ctc_losses([(lp, labels)])[0]
+    return ctc_node(logits, lp, res, label_smoothing)
+
+
+def joint_transducer_of(h_t, h_u, labels, ps, label_smoothing):
+    """`model.joint_transducer` on the joint of h_t and h_u's values and
+    the batched kernel's result; returns (node, status)."""
+    lattice = joint(h_t.value, h_u.value, ps)
+    res = transducer_losses([(lattice[1], labels)])[0]
+    return joint_transducer(h_t, h_u, labels, lattice, res, ps,
+                            label_smoothing)
+
+
 def joint_transducer_case(rng: np.random.Generator):
     """(build, arrays): `model.joint_transducer` with label smoothing on, as
     a function of its encoder rows, label rows and five joint parameters,
@@ -46,7 +64,7 @@ def joint_transducer_case(rng: np.random.Generator):
     def build(h_t, h_u, *params):
         # a dict serves as the store: the node reads parameters by ps.get
         ps = {f"joint/{leaf}": p for leaf, p in zip(JOINT_LEAVES, params)}
-        return joint_transducer(h_t, h_u, [2, 1], ps, 0.1)[0]
+        return joint_transducer_of(h_t, h_u, [2, 1], ps, 0.1)[0]
 
     return build, [rng.normal(size=shape) for shape in shapes]
 
@@ -57,6 +75,6 @@ def ctc_node_case(rng: np.random.Generator):
     the logits drawn from `rng`."""
 
     def build(logits):
-        return ctc_node(logits, [2, 2, 1], 0.1)[0]
+        return ctc_node_of(logits, [2, 2, 1], 0.1)[0]
 
     return build, [rng.normal(size=(5, 4))]

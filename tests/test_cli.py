@@ -154,6 +154,25 @@ def test_bad_input_exits_2(workspace, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_and_run_problems_are_one_list(workspace, capsys, tmp_path):
+    """A config file's problems and the run's are reported together, in
+    one error line: a value that does not parse, a layer split that does
+    not add up, and a missing manifest."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
+                   .replace("variant = para_ctc",
+                            "variant = pca_ctc\nn1 = 1\nn2 = 1\nn3 = 1")
+                   .replace("batch_size = 2", "batch_size = many")
+                   .replace(f"dev_manifest = {workspace / 'toy' / 'dev.tsv'}\n",
+                            ""), encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    err = assert_one_error_naming(capsys, cfg)
+    for problem in ("[train] batch_size: invalid literal",
+                    "n1+n2+n3 = 3 != num_layers = 2",
+                    "[data] dev_manifest is required"):
+        assert problem in err
+
+
 def test_unknown_tokenizer_header_exits_2(workspace, capsys, tmp_path):
     junk = tmp_path / "junk.tok"
     junk.write_text("not-a-tokenizer\n", encoding="utf-8")

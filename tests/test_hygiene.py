@@ -35,9 +35,7 @@ UNSET_DEFAULTS_ALLOWED = {
 }
 # default-valued parameters that every call in the program or the benchmark
 # passes as the same literal, each with the reason it stays a parameter
-CONSTANT_DEFAULTS_ALLOWED = {
-    "loss(train)": "tests evaluate with dropout off",
-}
+CONSTANT_DEFAULTS_ALLOWED = {}
 # functions of the program that open files for reading in text mode, each
 # with the reason; everywhere else a non-UTF-8 file must become a
 # FormatError naming it, which `read_lines` does

@@ -14,15 +14,18 @@ from pmu.losses import (
     LossResult,
     ctc_brute_force,
     ctc_loss,
-    ctc_node,
+    ctc_losses,
+    dense_grad,
     log_softmax,
     oracle_equivalence_suite,
     random_logprob_matrix,
     smoothed,
     transducer_brute_force,
     transducer_loss,
+    transducer_losses,
 )
 from pmu.model import self_condition
+from finite_diff import ctc_node_of
 from tape_ops import smoothed_loss_node, tape_log_softmax, tape_sum
 
 
@@ -96,10 +99,10 @@ class TestCtc:
         z = rng.normal(size=(4, 3))
 
         def f():
-            return ctc_node(ad.Node(z), [1, 2], 0.0)[0].value
+            return ctc_node_of(ad.Node(z), [1, 2], 0.0)[0].value
 
         node = ad.Node(z)
-        loss, status = ctc_node(node, [1, 2], 0.0)
+        loss, status = ctc_node_of(node, [1, 2], 0.0)
         assert status == "ok"
         ad.backward(loss)
         fd = ad.finite_diff_grad(f, [z], eps=1e-5)[0]
@@ -429,6 +432,101 @@ def test_ctc_equals_the_reference_kernel_bit_for_bit(T, V, raw, peaked,
     assert np.array_equal(res.grad, want.grad), (T, V, y)
 
 
+def ragged_batch(rng, kind, size):
+    """`size` rows of (T, labels, V) for a batch of the `kind` ("ctc" or
+    "transducer") kernel, ragged in T, U and V, led by the edge rows: T=1
+    with U=0, U=0, T=1, and repeated labels."""
+    shapes = [(1, 0), (int(rng.integers(2, 30)), 0), (1, int(rng.integers(1, 4))),
+              (int(rng.integers(8, 30)), -4)]
+    shapes += [(int(rng.integers(1, 30)), int(rng.integers(0, 11)))
+               for _ in range(size - len(shapes))]
+    rows = []
+    V = int(rng.integers(2, 24))
+    for T, U in shapes:
+        V = V if kind == "transducer" else int(rng.integers(2, 24))
+        y = [int(k) for k in rng.integers(1, V, size=abs(U))]
+        rows.append((T, [y[0]] * abs(U) if U < 0 else y, V))
+    return rows
+
+
+def floored(rng, lp):
+    """Some entries at LOG_FLOOR and some below it."""
+    lp[rng.random(lp.shape) < 0.1] = LOG_FLOOR
+    lp[rng.random(lp.shape) < 0.1] = 2 * LOG_FLOOR
+    return lp
+
+
+def per_row_result(reference, *row):
+    """(status, value, gradient) the batched kernel must give a row: the
+    reference's, but unreachable with a zero gradient where every path
+    crosses a floored entry (the reference's exp then overflows)."""
+    with np.errstate(over="ignore"):
+        value, grad = reference(*row)
+    if -value < LOG_FLOOR / 2 or math.isinf(value):
+        return "unreachable", math.inf, np.zeros_like(grad)
+    return "ok", value, grad
+
+
+def reference_ctc(emissions, labels):
+    res = reference_ctc_loss(emissions, labels)
+    return res.value, res.grad
+
+
+def assert_rows_equal(got, want):
+    for i, (res, (status, value, grad)) in enumerate(zip(got, want)):
+        assert (res.status, res.value) == (status, value), i
+        assert np.array_equal(res.grad, grad), i
+        assert np.array_equal(np.signbit(res.grad), np.signbit(grad)), i
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_ctc_equals_the_per_row_reference(seed):
+    """Every row of a ragged batch gets the frame-by-frame reference's
+    value (==) and gradient (array_equal, signs of zero included); one row
+    too short for its target is unreachable with a zero gradient, and its
+    neighbours are as in the batch without it."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, (T, y, V) in enumerate(ragged_batch(rng, "ctc", 10)):
+        em = random_logprob_matrix(rng, T, V) * (40.0 if i % 3 else 1.0)
+        rows.append((floored(rng, em) if i % 2 else em, y))
+    short = (random_logprob_matrix(rng, 2, 4), [1, 2, 3])
+    with_short = rows[:5] + [short] + rows[5:]
+    got = ctc_losses(with_short)
+    assert_rows_equal(got, [per_row_result(reference_ctc, *r)
+                            for r in with_short])
+    assert got[5].status == "unreachable" and not got[5].grad.any()
+    assert_rows_equal(got[:5] + got[6:], [(r.status, r.value, r.grad)
+                                          for r in ctc_losses(rows)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_transducer_equals_the_per_row_reference(seed):
+    """The same for the transducer: each row's value and dense gradient
+    equal the cell-by-cell reference's, and a row whose every alignment
+    crosses a floored entry alone is unreachable."""
+    rng = np.random.default_rng(100 + seed)
+    rows = []
+    for i, (T, y, V) in enumerate(ragged_batch(rng, "transducer", 9)):
+        lat = random_logprob_matrix(rng, T, len(y) + 1, V)
+        lat *= 40.0 if i % 3 else 1.0
+        rows.append((floored(rng, lat) if i % 2 else lat, y))
+    dead = random_logprob_matrix(rng, 5, 3, rows[0][0].shape[2])
+    dead[-1, -1, 0] = 2 * LOG_FLOOR  # every alignment ends on it
+    with_dead = rows[:4] + [(dead, [1, 1])] + rows[4:]
+    got = transducer_losses(with_dead)
+    dense = [LossResult(r.value, dense_grad(r, y, lat.shape), r.status)
+             for r, (lat, y) in zip(got, with_dead)]
+    assert_rows_equal(dense, [per_row_result(scalar_transducer_reference, *r)
+                              for r in with_dead])
+    assert got[4].status == "unreachable"
+    assert not got[4].grad.any() and not got[4].emit.any()
+    alone = [LossResult(r.value, dense_grad(r, y, lat.shape), r.status)
+             for r, (lat, y) in zip(transducer_losses(rows), rows)]
+    assert_rows_equal(dense[:4] + dense[5:],
+                      [(r.status, r.value, r.grad) for r in alone])
+
+
 def uniform_kl(logprobs):
     """Label smoothing's uniform-KL term as `smoothed` adds it to a loss."""
     zero = LossResult(0.0, np.zeros_like(logprobs))
@@ -485,7 +583,7 @@ class TestCtcNode:
         logits also feed its softmax posterior, a second consumer."""
         arrays = ctc_tap_case(T, V, labels, sc, seed=T + V)
         results = []
-        for build in (ctc_node, composed_ctc):
+        for build in (ctc_node_of, composed_ctc):
             nodes = [ad.Node(a.copy()) for a in arrays]
             logits = nn.linear(*nodes[:3])
             node, status = build(logits, labels, label_smoothing)
@@ -505,7 +603,7 @@ class TestCtcNode:
     def test_unreachable_target_gives_a_node_without_parents(self,
                                                              label_smoothing):
         logits = ad.Node(np.random.default_rng(8).normal(size=(2, 3)))
-        node, status = ctc_node(logits, [1, 1], label_smoothing)
+        node, status = ctc_node_of(logits, [1, 1], label_smoothing)
         want, want_status = composed_ctc(logits, [1, 1], label_smoothing)
         assert (status, node.value) == (want_status, want.value)
         assert status == "unreachable" and node.value == math.inf

@@ -7,7 +7,7 @@ import pytest
 
 import pmu.autodiff as ad
 import pmu.model
-from finite_diff import finite_diff_sample
+from finite_diff import finite_diff_sample, joint_transducer_of
 from pmu import losses, nn
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import LOG_FLOOR
@@ -24,7 +24,6 @@ from pmu.model import (
     configs_from_dict,
     head_specs,
     joint,
-    joint_transducer,
     label_encoder_forward,
     label_encoder_step,
     self_condition,
@@ -286,7 +285,7 @@ class TestJointTransducer:
         upstream gradient that is not 1."""
         h_t, h_u, labels, ps = joint_case(T, U, J=J, V=V, seed=T + U)
         results = []
-        for build in (joint_transducer, composed_joint_transducer):
+        for build in (joint_transducer_of, composed_joint_transducer):
             ps.zero_grad()
             nodes = [ad.Node(h_t.copy()), ad.Node(h_u.copy())]
             node, status = build(*nodes, labels, ps, label_smoothing)
@@ -687,7 +686,6 @@ class TestObjectiveArithmetic:
 
     def test_unreachable_transducer_target_skips_sample(self, monkeypatch):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
-        out = model.forward(feats(8), [1, 2])
         real = pmu.model.joint
 
         def floored(h_t, h_u, ps):
@@ -696,8 +694,7 @@ class TestObjectiveArithmetic:
             return z, lattice
 
         monkeypatch.setattr(pmu.model, "joint", floored)
-        bundle = assemble_objective(out, {"bpe": [1, 2]}, model.pmu,
-                                    model.params)
+        bundle = model.loss(feats(8), {"bpe": [1, 2]})
         assert bundle.skipped_samples == 1
         assert bundle.status == "unreachable:trans"
         assert math.isinf(bundle.l_total)

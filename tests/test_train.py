@@ -9,9 +9,11 @@ from checkpoint_edit import edited_checkpoint
 from hypothesis import given, settings, strategies as st
 
 import pmu.data as data_mod
+import pmu.model
 import pmu.train as train_mod
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.errors import FormatError, InputError, TrainingError
+from pmu.losses import LOG_FLOOR
 from pmu.metrics import WerReport
 from pmu.model import (
     UNIT_CHOICES,
@@ -20,6 +22,7 @@ from pmu.model import (
     EncoderConfig,
     ModelConfig,
     PMUConfig,
+    combine_losses,
 )
 from pmu.synth import ToySpec, materialize
 from pmu.tokenizers.bpe import save_bpe, train_bpe
@@ -471,6 +474,76 @@ class TestTrainStep:
         assert bundle.skipped_samples == 1
         assert bundle.l_total == pytest.approx(solo, abs=1e-12)
         assert info["updated"] is True
+
+    @pytest.mark.parametrize("bad,status", [
+        (dict(T=4, targets={"pasm": [1], "bpe": [1, 2]}), "unreachable:bpe"),
+        (dict(T=4, targets={"pasm": [1, 1], "bpe": [1, 2]}), "unreachable:pasm"),
+        (dict(T=14, floored=True), "unreachable:trans")],
+        ids=["tap", "first-tap", "lattice"])
+    def test_one_unreachable_utterance_skips_only_itself(self, monkeypatch,
+                                                         bad, status):
+        """An utterance whose tap or lattice no path reaches gets the
+        status a batch of one gives it (the first head in `head_specs`
+        order, then the transducer), and the step updates the parameters
+        exactly as over the batch without it."""
+        real_joint, real_loss = pmu.model.joint, ConformerTransducer.loss
+
+        def joint(h_t, h_u, ps):  # floors the 14-frame utterance's lattice
+            z, lattice = real_joint(h_t, h_u, ps)
+            if bad.get("floored") and len(h_t) == 4:
+                lattice[-1, -1, 0] = 2 * LOG_FLOOR
+            return z, lattice
+
+        statuses = []
+
+        def loss(model, *args, **kwargs):
+            bundle = real_loss(model, *args, **kwargs)
+            statuses.append(bundle.status)
+            return bundle
+
+        monkeypatch.setattr(pmu.model, "joint", joint)
+        monkeypatch.setattr(ConformerTransducer, "loss", loss)
+        feats = np.random.default_rng(7).normal(size=(bad["T"], 6))
+        short = Sample("bad", feats, {**sample().targets,
+                                      **bad.get("targets", {})})
+        good = [sample(seed=4, sid="a"), sample(seed=5, sid="b")]
+        cfg = TrainConfig(label_smoothing=0.1)
+        runs = []
+        for batch in ([good[0], short, good[1]], good):
+            model = tiny_model("para_ctc")
+            bundle, info = train_step(model, batch, cfg,
+                                      AdamState.for_params(model.params), 1)
+            runs.append((bundle, info, model))
+        (with_bad, info, model), (without, _, plain) = runs
+        assert statuses == ["ok", status, "ok", "ok", "ok"]
+        assert with_bad.skipped_samples == 1 and info["updated"] is True
+        assert (with_bad.l_total, with_bad.l_ctc_components) == (
+            without.l_total, without.l_ctc_components)
+        for p, node in model.params.items():
+            assert node.value.tobytes() == plain.params.get(p).value.tobytes(), p
+
+    def test_loss_is_called_once_per_utterance(self, monkeypatch):
+        """perfbench checks every utterance's bundle by wrapping
+        `ConformerTransducer.loss`: one step calls it once per utterance of
+        the batch, and each bundle's total is the weighting formula applied
+        to its logged components."""
+        real = ConformerTransducer.loss
+        bundles = []
+
+        def loss(model, *args, **kwargs):
+            bundles.append(real(model, *args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(ConformerTransducer, "loss", loss)
+        model = ConformerTransducer(tiny_cfg(3), PMUConfig(
+            variant="pca_ctc", n1=1, n2=1, n3=1, sc_enabled=True))
+        batch = [sample(T=10 + 2 * i, seed=i, sid=f"u{i}") for i in range(4)]
+        train_step(model, batch, TrainConfig(), AdamState.for_params(model.params), 1)
+        assert len(bundles) == len(batch)
+        for b in bundles:
+            assert b.status == "ok"
+            assert b.l_total == combine_losses(model.pmu, b.l_trans,
+                                               b.l_ctc_components)
 
     def test_non_finite_gradient_stops_before_adam(self, nan_transducer_grad):
         """A finite loss with a NaN gradient must not reach the optimizer:
