@@ -78,7 +78,7 @@ def _result(logz, grad, emit=None) -> LossResult:
 def ctc_losses(rows) -> list[LossResult]:
     """CTC loss of each (emissions, labels) row: (T, V) log-probs and the
     label ids, blank id 0.  Row i's log posterior is read at its own last
-    frame, where its beta starts.  A target T is too short for is
+    frame, where its beta starts.  A target too long for its T frames is
     unreachable."""
     lps, exts = [], []
     for emissions, labels in rows:
@@ -133,13 +133,13 @@ def ctc_losses(rows) -> list[LossResult]:
 
     results = []
     for i, (lp, ext) in enumerate(zip(lps, exts)):
-        T, S = lp.shape[0], len(ext)
-        logz = alpha[T - 1, i, 0] if S == 1 else np.logaddexp(
-            alpha[T - 1, i, S - 1], alpha[T - 1, i, S - 2])
+        Ti, Si = lp.shape[0], len(ext)
+        logz = alpha[Ti - 1, i, 0] if Si == 1 else np.logaddexp(
+            alpha[Ti - 1, i, Si - 1], alpha[Ti - 1, i, Si - 2])
         grad = np.zeros_like(lp)
         if not logz < LOG_FLOOR / 2:
-            with np.errstate(under="ignore"):  # (T, S) state posteriors
-                post = np.exp(alpha[:T, i, :S] + beta[:T, i, :S] - logz)
+            with np.errstate(under="ignore"):  # (Ti, Si) state posteriors
+                post = np.exp(alpha[:Ti, i, :Si] + beta[:Ti, i, :Si] - logz)
             np.subtract.at(grad, (slice(None), ext), post)  # in state order
         results.append(_result(logz, grad))
     return results

@@ -334,7 +334,7 @@ def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> tuple[dict, list[str]]:
 
 
 def run_experiment(exp: Experiment, resume: str | None = None,
-                   quiet: bool = False, problems: list[str] = ()) -> dict:
+                   quiet: bool = False, problems: list[str] | tuple = ()) -> dict:
     """Tokenize, train, periodically evaluate, and checkpoint the best-WER
     model.  One InputError lists every config, tokenizer and manifest-path
     problem, after `problems` (a config file's, from `config.read_config`),
