@@ -7,6 +7,7 @@ one pass rather than stopping at the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import raise_problems, read_lines
@@ -28,10 +29,13 @@ class TrainConfig:
 
     def problems(self) -> list[str]:
         errors = []
+        # `not x > 0` rather than `x <= 0`, so that NaN fails too
         for name in ("base_lr", "warmup_steps", "max_steps", "batch_size",
                      "grad_clip_norm", "eval_every", "max_symbols_per_frame"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 errors.append(f"{name} must be positive")
+        if self.base_lr == math.inf:
+            errors.append("base_lr must be finite")
         if not (0.0 <= self.label_smoothing < 1.0):
             errors.append(f"label_smoothing {self.label_smoothing} not in [0,1)")
         if self.seed < 0:
@@ -129,34 +133,28 @@ class Experiment:
     data: DataConfig
 
 
-def _experiment(table: dict, path: str) -> tuple[Experiment, list[str]]:
-    """A section table's experiment, and its key and value problems."""
-    errors = []
+def read_config(path: str) -> tuple[Experiment, list[str]]:
+    """A config file's experiment and its key and value problems, for
+    run_experiment to report with its own; only syntax errors raise."""
+    table = parse_config_text(read_lines(path), path)
     mcfg = ModelConfig()
     exp = Experiment(model=mcfg, pmu=PMUConfig(), train=TrainConfig(),
                      data=DataConfig())
+    errors = []
     for section in _SECTIONS:
         # [model] keys set the encoder's fields first, then the outer model's
         targets = ([mcfg.encoder, mcfg] if section == "model"
                    else [getattr(exp, section)])
-        errors += assign_fields(table.get(section, {}), targets,
-                                f"{path}: [{section}]")
+        errors += assign_fields(table[section], targets, f"{path}: [{section}]")
     return exp, errors
 
 
-def config_from_table(table: dict, path: str = "<config>") -> Experiment:
-    exp, errors = _experiment(table, path)
+def load_config(path: str) -> Experiment:
+    """`read_config` plus each section's checks, every problem raised as
+    one list."""
+    exp, errors = read_config(path)
     errors += [f"{path}: {p}" for p in exp.model.problems()
                + exp.pmu.problems(exp.model.encoder.num_layers)
                + exp.train.problems()]
     raise_problems(errors, "\n")
     return exp
-
-
-def load_config(path: str) -> Experiment:
-    return config_from_table(parse_config_text(read_lines(path), path), path)
-
-
-def read_config(path: str) -> tuple[Experiment, list[str]]:
-    """(experiment, key and value problems) for run_experiment to report."""
-    return _experiment(parse_config_text(read_lines(path), path), path)

@@ -34,7 +34,7 @@ def greedy_decode_transducer(model: ConformerTransducer, x,
         raise InputError(f"max_symbols_per_frame must be >= 1, "
                          f"got {max_symbols_per_frame}")
     ps = model.params
-    h_t = model.encode(x).h_n3.value
+    h_t = model.encode(x)[0].value
     zeros = np.zeros((1, ps.get("lab/embed").value.shape[1]))
     state = label_encoder_step(0, (zeros, zeros), ps)
     out: list[int] = []

@@ -349,17 +349,13 @@ def smoothed(res: LossResult, logprobs: np.ndarray, label_smoothing: float,
 
 
 def ctc_node(logits: Node, logprobs: np.ndarray, res: LossResult,
-             label_smoothing: float) -> tuple[Node, str]:
-    """The CTC loss of `logprobs` = log_softmax(logits), whose kernel result
-    is `res`, label smoothing's term included, as one tape node; returns
-    (node, status).  An unreachable target gives a node with no parents,
-    so it carries no gradient."""
-    if res.status != "ok":
-        return Node(np.asarray(res.value)), res.status
+             label_smoothing: float) -> Node:
+    """The CTC loss of `logprobs` = log_softmax(logits), whose ok kernel
+    result is `res`, label smoothing's term included, as one tape node."""
     value, backward = smoothed(res, logprobs, label_smoothing)
     out = Node(np.asarray(value), (logits,), "ctc")
     out._backward = lambda g: ad._acc(logits, backward(g))
-    return out, "ok"
+    return out
 
 
 # ---------------------------------------------------------------------------

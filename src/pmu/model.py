@@ -352,46 +352,41 @@ def ctc_head(h, ps: ParamStore, name: str):
 def self_condition(h, ctc_posterior, w, b):
     """h' = h + posterior @ w + b, frame-wise; the conditioning signal is
     the tap's softmax posterior projected back to the trunk dimension."""
-    h, post = ad.as_node(h), ad.as_node(ctc_posterior)
-    V, d = ad.as_node(w).value.shape
-    if post.value.shape[-1] != V or h.value.shape[-1] != d:
-        raise ContractViolation(
-            f"self_condition: posterior {post.value.shape} and projection "
-            f"({V},{d}) incompatible with trunk {h.value.shape}")
-    return ad.add(h, nn.linear(post, w, b))
+    return ad.add(h, nn.linear(ctc_posterior, w, b))
 
 
 @dataclass
 class ForwardOutputs:
-    h_n3: Node | None = None  # the top of the trunk
-    ctc_heads: dict = field(default_factory=dict)  # head name -> logits
-    h_u: Node | None = None  # the label encoder's rows
-    ctc_logprobs: dict = field(default_factory=dict)  # name -> log-probs
-    lattice: tuple | None = None  # the joint's (z, logprobs)
-    results: dict = field(default_factory=dict)  # name, "trans" -> LossResult
+    """One utterance's forward, built whole by `prepare`; `results` holds
+    the batched kernels' results, name or "trans" -> LossResult."""
+    h_n3: Node  # the top of the trunk
+    ctc_heads: dict  # head name -> logits
+    h_u: Node  # the label encoder's rows
+    ctc_logprobs: dict  # head name -> log-probs
+    lattice: tuple  # the joint's (z, logprobs)
+    results: dict = field(default_factory=dict)
 
 
 def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
-                     ctx: RunCtx | None = None) -> ForwardOutputs:
+                     ctx: RunCtx) -> tuple[Node, dict]:
     """Subsampling, the conformer blocks, and the variant's CTC taps: a tap
     reads the trunk after its block and, with a projection, conditions the
-    blocks above it on its softmax posterior."""
-    ctx = ctx or RunCtx()
+    blocks above it on its softmax posterior.  Returns the trunk's top and
+    {head name: logits}."""
     e = cfg.encoder
     h = _subsample(x, cfg, ps, ctx)
-    out = ForwardOutputs()
+    heads = {}
     specs = head_specs(pmu)
     for i in range(e.num_layers):
         h = conformer_block(h, ps, f"enc/l{i:02d}", e, ctx)
         for spec in specs:
             if (spec.tap or e.num_layers) == i + 1:
-                logits = out.ctc_heads[spec.name] = ctc_head(h, ps, spec.name)
+                logits = heads[spec.name] = ctc_head(h, ps, spec.name)
                 if spec.sc:
                     h = self_condition(h, ad.softmax(logits),
                                        ps.get(f"{spec.sc}/w"),
                                        ps.get(f"{spec.sc}/b"))
-    out.h_n3 = h
-    return out
+    return h, heads
 
 
 def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
@@ -436,17 +431,15 @@ def joint(h_t, h_u, ps: ParamStore):
 
 
 def joint_transducer(h_t, h_u, labels, lattice: tuple, res: losses.LossResult,
-                     ps: ParamStore, label_smoothing: float) -> tuple[Node, str]:
+                     ps: ParamStore, label_smoothing: float) -> Node:
     """The transducer loss of `lattice` = joint(h_t, h_u)'s (z, logprobs),
-    with kernel result `res`, plus label smoothing's uniform-KL term, as one
-    tape node; returns (node, status) as `losses.ctc_node` does.  The
-    backward runs the numpy ops of the composed graph's backward (log_softmax
-    by `losses.smoothed`, the output layer, tanh, the broadcast add, the two
-    input projections) in the same order, so the value and every gradient
-    equal that graph's bit for bit, while only z, the log-probs and the
-    loss gradient's blank and label entries stay alive until backward."""
-    if res.status != "ok":
-        return Node(np.asarray(res.value)), res.status
+    with ok kernel result `res`, plus label smoothing's uniform-KL term, as
+    one tape node.  The backward runs the numpy ops of the composed graph's
+    backward (log_softmax by `losses.smoothed`, the output layer, tanh, the
+    broadcast add, the two input projections) in the same order, so the
+    value and every gradient equal that graph's bit for bit, while only z,
+    the log-probs and the loss gradient's blank and label entries stay
+    alive until backward."""
     z, lp = lattice
     value, dlogits = losses.smoothed(res, lp, label_smoothing, labels)
     wt, wu, b, out_w, out_b = params = [ps.get(f"joint/{leaf}")
@@ -469,7 +462,7 @@ def joint_transducer(h_t, h_u, labels, lattice: tuple, res: losses.LossResult,
         ad._acc(wu, np.swapaxes(h_u.value, -1, -2) @ du)
 
     out._backward = _bw
-    return out, "ok"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -512,46 +505,6 @@ def _target(targets: dict, units: str, what: str):
     return targets[units]
 
 
-def assemble_objective(outputs: ForwardOutputs, targets: dict, pmu: PMUConfig,
-                       ps: ParamStore, label_smoothing: float = 0.0) -> LossBundle:
-    """Weighted multi-task objective over the active heads, on the kernel
-    results in `outputs`; `targets` maps each unit kind ("pasm", "bpe",
-    "bpe_small") to its label ids.
-
-    An unreachable target marks the sample as skipped (infinite total,
-    no gradient node) rather than aborting; the first head in `head_specs`
-    order, then the transducer, names it.  With label_smoothing > 0 each
-    component carries a uniform-KL regularizer before weighting, so the
-    logged components still recombine exactly into the total.
-    """
-    comp_nodes: dict[str, Node] = {}
-    comps: dict[str, float] = {}
-    for spec in head_specs(pmu):
-        name = spec.name
-        head = outputs.ctc_heads.get(name)
-        if head is None:
-            raise InputError(f"forward outputs carry no CTC head {name!r}")
-        node, status = losses.ctc_node(head, outputs.ctc_logprobs[name],
-                                       outputs.results[name], label_smoothing)
-        if status != "ok":
-            return LossBundle(l_ctc_components={name: math.inf},
-                              skipped_samples=1, status=f"{status}:{name}")
-        comp_nodes[name] = node
-        comps[name] = float(node.value)
-
-    y_trans = _target(targets, pmu.trans_units, "the transducer")
-    trans_node, status = joint_transducer(
-        outputs.h_n3, outputs.h_u, y_trans, outputs.lattice,
-        outputs.results["trans"], ps, label_smoothing)
-    if status != "ok":
-        return LossBundle(l_ctc_components=comps, skipped_samples=1,
-                          status=f"{status}:trans")
-    l_trans = float(trans_node.value)
-    total = _weighted_total(pmu, trans_node, comp_nodes, ad.add, ad.scale)
-    return LossBundle(l_trans=l_trans, l_ctc_components=comps,
-                      l_total=float(total.value), node=total)
-
-
 # ---------------------------------------------------------------------------
 # the assembled model
 
@@ -564,29 +517,29 @@ class ConformerTransducer:
         self.seed = seed
         self.params = build_params(cfg, pmu, seed)
 
-    def encode(self, x, train: bool = False, step: int = 0) -> ForwardOutputs:
+    def encode(self, x, train: bool = False, step: int = 0) -> tuple[Node, dict]:
+        """The trunk's top and {head name: logits}."""
         ctx = RunCtx(train=train, seed=self.seed, step=step)
         return aencoder_forward(x, self.cfg, self.pmu, self.params, ctx)
 
-    def forward(self, x, y_trans, train: bool = False, step: int = 0) -> ForwardOutputs:
-        """Encoder, label encoder, taps' log-probs and joint's (z, logprobs)."""
-        out = self.encode(x, train=train, step=step)
-        out.h_u = label_encoder_forward(y_trans, self.params)
-        out.ctc_logprobs = {name: losses.log_softmax(logits.value)
-                            for name, logits in out.ctc_heads.items()}
-        out.lattice = joint(out.h_n3.value, out.h_u.value, self.params)
-        return out
-
     def prepare(self, xs: list, targets: list[dict], train: bool = False,
                 step: int = 0) -> list[ForwardOutputs]:
-        """Phases 1 and 2 of `train.train_step`: each utterance's `forward`,
+        """Phases 1 and 2 of `train.train_step`: each utterance's forward
+        (encoder, label encoder, taps' log-probs, joint's (z, logprobs)),
         then one `losses.ctc_losses` call over every (utterance, head) row
         and one `losses.transducer_losses` call over every utterance."""
         specs = head_specs(self.pmu)
         y_trans = [_target(t, self.pmu.trans_units, "the transducer")
                    for t in targets]
-        outs = [self.forward(x, y, train=train, step=step)
-                for x, y in zip(xs, y_trans)]
+        outs = []
+        for x, y in zip(xs, y_trans):
+            top, heads = self.encode(x, train=train, step=step)
+            h_u = label_encoder_forward(y, self.params)
+            outs.append(ForwardOutputs(
+                top, heads, h_u,
+                {name: losses.log_softmax(logits.value)
+                 for name, logits in heads.items()},
+                joint(top.value, h_u.value, self.params)))
         ctc = iter(losses.ctc_losses([
             (out.ctc_logprobs[s.name], _target(t, s.units, f"active head {s.name!r}"))
             for out, t in zip(outs, targets) for s in specs]))
@@ -597,13 +550,40 @@ class ConformerTransducer:
         return outs
 
     def loss(self, x, targets: dict, label_smoothing: float = 0.0) -> LossBundle:
-        """One utterance's LossBundle.  `x` is its features, prepared here
-        as a batch of one with dropout off, or, in `train.train_step`'s
-        third phase, its ForwardOutputs from `prepare`."""
-        if not isinstance(x, ForwardOutputs):
-            x = self.prepare([x], [targets])[0]
-        return assemble_objective(x, targets, self.pmu, self.params,
-                                  label_smoothing)
+        """One utterance's weighted multi-task objective.  `x` is its
+        features, prepared here as a batch of one with dropout off, or, in
+        `train.train_step`'s third phase, its ForwardOutputs from `prepare`;
+        `targets` maps each unit kind ("pasm", "bpe", "bpe_small") to its
+        label ids.
+
+        An unreachable target marks the sample as skipped (infinite total,
+        no gradient node) rather than aborting; the first head in
+        `head_specs` order, then the transducer, names it.  With
+        label_smoothing > 0 each component carries a uniform-KL regularizer
+        before weighting, so the logged components still recombine exactly
+        into the total."""
+        out = x if isinstance(x, ForwardOutputs) else self.prepare([x], [targets])[0]
+        nodes: dict[str, Node] = {}
+        for spec in head_specs(self.pmu):
+            res = out.results[spec.name]
+            if res.status != "ok":
+                return LossBundle(l_ctc_components={spec.name: math.inf},
+                                  skipped_samples=1,
+                                  status=f"{res.status}:{spec.name}")
+            nodes[spec.name] = losses.ctc_node(
+                out.ctc_heads[spec.name], out.ctc_logprobs[spec.name], res,
+                label_smoothing)
+        comps = {name: float(node.value) for name, node in nodes.items()}
+        y_trans = _target(targets, self.pmu.trans_units, "the transducer")
+        res = out.results["trans"]
+        if res.status != "ok":
+            return LossBundle(l_ctc_components=comps, skipped_samples=1,
+                              status=f"{res.status}:trans")
+        trans = joint_transducer(out.h_n3, out.h_u, y_trans, out.lattice, res,
+                                 self.params, label_smoothing)
+        total = _weighted_total(self.pmu, trans, nodes, ad.add, ad.scale)
+        return LossBundle(l_trans=float(trans.value), l_ctc_components=comps,
+                          l_total=float(total.value), node=total)
 
     def config_dict(self) -> dict:
         return {"model": asdict(self.cfg), "pmu": asdict(self.pmu)}

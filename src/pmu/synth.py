@@ -13,6 +13,7 @@ phonetic tokenizer pipeline runs end to end on the toy data.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -73,8 +74,9 @@ class ToySpec:
         if not (0 <= self.gap_min <= self.gap_max):
             errors.append(f"bad inter-word gap range "
                           f"({self.gap_min}, {self.gap_max})")
-        if self.noise_sigma < 0:
-            errors.append("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            errors.append(f"noise_sigma must be finite and >= 0, "
+                          f"got {self.noise_sigma}")
         if not (0.0 <= self.dev_fraction < 1.0):
             errors.append("dev_fraction must be in [0,1)")
         return errors
@@ -125,7 +127,9 @@ def synth_toy_dataset(spec: ToySpec, seed: int) -> tuple[list[Utterance], Lexico
 
 
 def split_dataset(utts: list[Utterance], dev_fraction: float):
-    """Deterministic tail split: the last ceil(n*f) utterances are dev."""
+    """Deterministic tail split: the last max(1, round(n*f)) utterances are
+    dev, none when f is 0.  `round`, not ceil, and halves go to even:
+    n=241, f=0.1 gives 24."""
     n_dev = max(1, round(len(utts) * dev_fraction)) if dev_fraction > 0 else 0
     if n_dev >= len(utts):
         raise InputError("dev split would consume the whole dataset")

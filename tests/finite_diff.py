@@ -40,7 +40,7 @@ def finite_diff_sample(f: Callable[[], float], arrays: Sequence[np.ndarray],
 
 def ctc_node_of(logits, labels, label_smoothing):
     """`losses.ctc_node` on the batched kernel's result for one tap's
-    logits node; returns (node, status)."""
+    logits node."""
     lp = log_softmax(logits.value)
     res = ctc_losses([(lp, labels)])[0]
     return ctc_node(logits, lp, res, label_smoothing)
@@ -48,7 +48,7 @@ def ctc_node_of(logits, labels, label_smoothing):
 
 def joint_transducer_of(h_t, h_u, labels, ps, label_smoothing):
     """`model.joint_transducer` on the joint of h_t and h_u's values and
-    the batched kernel's result; returns (node, status)."""
+    the batched kernel's result."""
     lattice = joint(h_t.value, h_u.value, ps)
     res = transducer_losses([(lattice[1], labels)])[0]
     return joint_transducer(h_t, h_u, labels, lattice, res, ps,
@@ -64,7 +64,7 @@ def joint_transducer_case(rng: np.random.Generator):
     def build(h_t, h_u, *params):
         # a dict serves as the store: the node reads parameters by ps.get
         ps = {f"joint/{leaf}": p for leaf, p in zip(JOINT_LEAVES, params)}
-        return joint_transducer_of(h_t, h_u, [2, 1], ps, 0.1)[0]
+        return joint_transducer_of(h_t, h_u, [2, 1], ps, 0.1)
 
     return build, [rng.normal(size=shape) for shape in shapes]
 
@@ -75,6 +75,6 @@ def ctc_node_case(rng: np.random.Generator):
     the logits drawn from `rng`."""
 
     def build(logits):
-        return ctc_node_of(logits, [2, 2, 1], 0.1)[0]
+        return ctc_node_of(logits, [2, 2, 1], 0.1)
 
     return build, [rng.normal(size=(5, 4))]

@@ -30,14 +30,13 @@ def tape_log_softmax(z):
 
 
 def tape_loss_node(kernel, x, labels):
-    """`kernel` (ctc_loss or transducer_loss) on x's value as a node;
-    returns (scalar node, status).  A non-ok result carries no gradient."""
+    """`kernel` (ctc_loss or transducer_loss) on x's value as a scalar node;
+    the kernel's result must be ok."""
     res = kernel(x.value, labels)
-    if res.status != "ok":
-        return Node(np.asarray(res.value)), res.status
+    assert res.status == "ok", res.status
     out = Node(np.asarray(res.value), (x,), kernel.__name__)
     out._backward = lambda g: ad._acc(x, float(g) * res.grad)
-    return out, "ok"
+    return out
 
 
 def tape_uniform_kl(logprobs):
@@ -48,9 +47,8 @@ def tape_uniform_kl(logprobs):
 
 def smoothed_loss_node(kernel, logprobs, labels, label_smoothing):
     """The loss node plus label_smoothing times the uniform-KL term, as the
-    objective composed them before the fused nodes; returns (node,
-    status)."""
-    node, status = tape_loss_node(kernel, logprobs, labels)
-    if status == "ok" and label_smoothing > 0.0:
+    objective composed them before the fused nodes."""
+    node = tape_loss_node(kernel, logprobs, labels)
+    if label_smoothing > 0.0:
         node = ad.add(node, ad.scale(tape_uniform_kl(logprobs), label_smoothing))
-    return node, status
+    return node

@@ -304,8 +304,9 @@ def test_criterion_4_structure(acceptance):
     x = np.random.default_rng(0).normal(size=(11, 6))
     plain = ConformerTransducer(tiny_cfg(3), pca(n2=1), seed=4)
     cond = ConformerTransducer(tiny_cfg(3), pca(n2=1, sc_enabled=True), seed=4)
-    out_p = plain.forward(x, y_trans=[1, 2])
-    out_c = cond.forward(x, y_trans=[1, 2])
+    targets = {"pasm": [1], "bpe_small": [1], "bpe": [1, 2]}
+    out_p = plain.prepare([x], [targets])[0]
+    out_c = cond.prepare([x], [targets])[0]
     if not np.array_equal(out_p.h_n3.value, out_c.h_n3.value):
         problems.append("conditioned trunk differs at init")
     lattice_p, lattice_c = (joint(o.h_n3.value, o.h_u.value, m.params)[1]
@@ -324,9 +325,9 @@ def test_criterion_4_structure(acceptance):
         problems.append(f"expected 2 taps without middle block, got {two}")
     if len(three) != 3:
         problems.append(f"expected 3 taps with equal groups, got {three}")
-    out2 = ConformerTransducer(tiny_cfg(2), pca(), seed=0).encode(x)
-    out3 = ConformerTransducer(tiny_cfg(3), pca(n2=1), seed=0).encode(x)
-    if len(out2.ctc_heads) != 2 or len(out3.ctc_heads) != 3:
+    _, heads2 = ConformerTransducer(tiny_cfg(2), pca(), seed=0).encode(x)
+    _, heads3 = ConformerTransducer(tiny_cfg(3), pca(n2=1), seed=0).encode(x)
+    if len(heads2) != 2 or len(heads3) != 3:
         problems.append("forward tap count does not match configuration")
 
     ok = not problems

@@ -417,3 +417,31 @@ def test_removed_config_keys_exit_2(workspace, capsys, tmp_path, section, line):
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
     key = line.split(" ")[0]
     assert f"unknown key '{key}'" in assert_one_error_naming(capsys, cfg)
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("base_lr = 0.5", "base_lr = nan", "base_lr must be positive"),
+    ("base_lr = 0.5", "base_lr = inf", "base_lr must be finite"),
+    ("[train]", "[train]\ngrad_clip_norm = nan",
+     "grad_clip_norm must be positive")], ids=["lr-nan", "lr-inf", "clip-nan"])
+def test_non_finite_train_values_exit_2(workspace, capsys, tmp_path, old, new,
+                                        problem):
+    """NaN compares false against every bound, so a check written as
+    `x <= 0` would let it through and training would start."""
+    cfg = edited_config(workspace, tmp_path, old, new)
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert problem in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_noise_sigma_exits_2(capsys, tmp_path, value):
+    spec = tmp_path / "toy.spec"
+    spec.write_text(f"noise_sigma = {value}\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out",
+                 str(tmp_path / "toy")]) == 2
+    err = assert_one_error_naming(capsys, spec)
+    assert "noise_sigma must be finite and >= 0" in err
+    assert not (tmp_path / "toy").exists()

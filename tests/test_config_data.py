@@ -1,5 +1,6 @@
 """Config files, feature/manifest formats, and the synthetic dataset."""
 
+import math
 import struct
 from dataclasses import fields
 
@@ -10,7 +11,6 @@ from pmu.config import (
     DataConfig,
     Experiment,
     TrainConfig,
-    config_from_table,
     load_config,
     parse_config_text,
 )
@@ -58,6 +58,14 @@ train_manifest = toy/train.tsv
 """
 
 
+
+def load_text(tmp_path, text, name="exp.cfg"):
+    """load_config of `text` written to tmp_path/name."""
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return load_config(str(p))
+
+
 class TestConfigParsing:
     def test_happy_path(self):
         table = parse_config_text(GOOD_CFG.splitlines())
@@ -75,62 +83,62 @@ class TestConfigParsing:
         assert "f.cfg:4: expected `key = value`" in msg
         assert "f.cfg:7: duplicate key 'num_layers'" in msg
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(InputError, match="unknown key 'frobnicate'"):
-            config_from_table({"train": {"frobnicate": "1"}})
+            load_text(tmp_path, "[train]\nfrobnicate = 1\n")
 
-    def test_bad_value_rejected_with_context(self):
+    def test_bad_value_rejected_with_context(self, tmp_path):
         with pytest.raises(InputError, match=r"\[train\] base_lr"):
-            config_from_table({"train": {"base_lr": "fast"}})
+            load_text(tmp_path, "[train]\nbase_lr = fast\n")
 
-    def test_bool_coercion(self):
-        exp = config_from_table({"model": {"num_layers": "2"},
-                                 "pmu": {"variant": "pca_ctc", "n1": "1",
-                                         "n3": "1", "sc_enabled": "true"}})
+    def test_bool_coercion(self, tmp_path):
+        pca = "[model]\nnum_layers = 2\n[pmu]\nvariant = pca_ctc\nn1 = 1\nn3 = 1\n"
+        exp = load_text(tmp_path, pca + "sc_enabled = true\n")
         assert exp.pmu.sc_enabled is True
-        exp = config_from_table({"model": {"num_layers": "2"},
-                                 "pmu": {"variant": "pca_ctc", "n1": "1",
-                                         "n3": "1", "sc_enabled": "off"}})
+        exp = load_text(tmp_path, pca + "sc_enabled = off\n")
         assert exp.pmu.sc_enabled is False
         with pytest.raises(InputError, match="not a boolean"):
-            config_from_table({"pmu": {"sc_enabled": "maybe"}})
+            load_text(tmp_path, "[pmu]\nsc_enabled = maybe\n")
 
-    def test_semantic_errors_carry_path(self):
+    def test_semantic_errors_carry_path(self, tmp_path):
         with pytest.raises(InputError, match="bad.cfg: .*max_steps"):
-            config_from_table({"train": {"max_steps": "-5"}}, path="bad.cfg")
+            load_text(tmp_path, "[train]\nmax_steps = -5\n", "bad.cfg")
 
-    def test_defaults_from_empty_text(self):
-        exp = config_from_table(parse_config_text([]))
+    def test_infinite_clip_norm_means_never_clip(self, tmp_path):
+        exp = load_text(tmp_path, "[train]\ngrad_clip_norm = inf\n")
+        assert exp.train.grad_clip_norm == math.inf
+
+    def test_defaults_from_empty_text(self, tmp_path):
+        exp = load_text(tmp_path, "")
         assert isinstance(exp, Experiment)
         assert exp.train == TrainConfig()
         assert exp.data == DataConfig()
         assert exp.pmu.variant == "baseline"
 
-    def test_every_config_problem_reported_at_once(self):
-        table = {"model": {"num_layers": "0", "conv_kernel": "4",
-                           "input_dim": "0"},
-                 "pmu": {"variant": "bogus"}}
+    def test_every_config_problem_reported_at_once(self, tmp_path):
+        text = ("[model]\nnum_layers = 0\nconv_kernel = 4\ninput_dim = 0\n"
+                "[pmu]\nvariant = bogus\n")
         with pytest.raises(InputError) as exc:
-            config_from_table(table, path="bad.cfg")
+            load_text(tmp_path, text, "bad.cfg")
         msg = str(exc.value)
         for problem in ("num_layers must be >= 1", "conv_kernel must be odd",
                         "input_dim must be >= 1", "variant must be one of"):
             assert problem in msg
 
-    def test_layer_sum_reported_with_the_other_problems(self):
-        table = {"model": {"num_layers": "2"},
-                 "pmu": {"variant": "pca_ctc", "n1": "1", "n3": "2"},
-                 "train": {"max_steps": "-5", "batch_size": "many"}}
+    def test_layer_sum_reported_with_the_other_problems(self, tmp_path):
+        text = ("[model]\nnum_layers = 2\n"
+                "[pmu]\nvariant = pca_ctc\nn1 = 1\nn3 = 2\n"
+                "[train]\nmax_steps = -5\nbatch_size = many\n")
         with pytest.raises(InputError) as exc:
-            config_from_table(table, path="bad.cfg")
+            load_text(tmp_path, text, "bad.cfg")
         msg = str(exc.value)
         for problem in ("bad.cfg: n1+n2+n3 = 3 != num_layers = 2",
                         "bad.cfg: max_steps must be positive",
                         "bad.cfg: [train] batch_size: invalid literal"):
             assert problem in msg
 
-    def test_variant_alone_fixes_the_ctc_units(self):
-        exp = config_from_table({"pmu": {"variant": "basic_pmu"}})
+    def test_variant_alone_fixes_the_ctc_units(self, tmp_path):
+        exp = load_text(tmp_path, "[pmu]\nvariant = basic_pmu\n")
         exp.model.vocab = {"pasm": 4, "bpe": 5}
         validate_configs(exp.model, exp.pmu)
         assert [s.units for s in head_specs(exp.pmu)] == ["pasm"]
@@ -367,6 +375,9 @@ class TestSynth:
         train, dev = split_dataset(utts, 0.1)
         assert len(dev) == 2 and len(train) == 18
         assert [u.id for u in dev] == [u.id for u in utts[-2:]]
+        # round(24.1) is 24, not ceil's 25
+        train, dev = split_dataset([utts[i % 20] for i in range(241)], 0.1)
+        assert len(dev) == 24 and len(train) == 217
         with pytest.raises(InputError, match="whole dataset"):
             split_dataset(utts[:1], 0.9)
 

@@ -116,7 +116,7 @@ def reference_greedy(model, x, max_symbols_per_frame, blank_id=0):
     """Frame-synchronous greedy search written out plainly: at every (t, u)
     score one joint cell, with the label state read from the last row of
     label_encoder_forward over the hypothesis so far."""
-    h_t = model.encode(x).h_n3.value
+    h_t = model.encode(x)[0].value
     out = []
     for t in range(h_t.shape[0]):
         for _ in range(max_symbols_per_frame):

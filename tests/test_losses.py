@@ -99,12 +99,10 @@ class TestCtc:
         z = rng.normal(size=(4, 3))
 
         def f():
-            return ctc_node_of(ad.Node(z), [1, 2], 0.0)[0].value
+            return ctc_node_of(ad.Node(z), [1, 2], 0.0).value
 
         node = ad.Node(z)
-        loss, status = ctc_node_of(node, [1, 2], 0.0)
-        assert status == "ok"
-        ad.backward(loss)
+        ad.backward(ctc_node_of(node, [1, 2], 0.0))
         fd = ad.finite_diff_grad(f, [z], eps=1e-5)[0]
         rel = np.max(np.abs(node.grad - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel <= 1e-5
@@ -555,7 +553,7 @@ def test_log_softmax_normalized_in_log_domain():
 
 def composed_ctc(logits, labels, label_smoothing):
     """The CTC node's graph before it was fused: a log-softmax node, the
-    kernel's loss node and the uniform-KL nodes; returns (node, status)."""
+    kernel's loss node and the uniform-KL nodes."""
     return smoothed_loss_node(ctc_loss, tape_log_softmax(logits), labels,
                               label_smoothing)
 
@@ -586,8 +584,7 @@ class TestCtcNode:
         for build in (ctc_node_of, composed_ctc):
             nodes = [ad.Node(a.copy()) for a in arrays]
             logits = nn.linear(*nodes[:3])
-            node, status = build(logits, labels, label_smoothing)
-            assert status == "ok"
+            node = build(logits, labels, label_smoothing)
             root = ad.scale(node, 0.37)
             if sc:
                 h = self_condition(nodes[0], ad.softmax(logits), *nodes[3:])
@@ -598,16 +595,6 @@ class TestCtcNode:
         names = ["value", "logits", "h", "w", "b", "sc_w", "sc_b"]
         for name, a, b in zip(names, fused, composed):
             assert np.array_equal(a, b), name
-
-    @pytest.mark.parametrize("label_smoothing", [0.0, 0.1])
-    def test_unreachable_target_gives_a_node_without_parents(self,
-                                                             label_smoothing):
-        logits = ad.Node(np.random.default_rng(8).normal(size=(2, 3)))
-        node, status = ctc_node_of(logits, [1, 1], label_smoothing)
-        want, want_status = composed_ctc(logits, [1, 1], label_smoothing)
-        assert (status, node.value) == (want_status, want.value)
-        assert status == "unreachable" and node.value == math.inf
-        assert node.parents == ()
 
 
 def test_oracle_suite_self_reports_small_deviation():

@@ -18,7 +18,6 @@ from pmu.model import (
     HeadSpec,
     ModelConfig,
     PMUConfig,
-    assemble_objective,
     build_params,
     combine_losses,
     configs_from_dict,
@@ -132,8 +131,8 @@ class TestHeadLayout:
                              ("para_ctc", pmu_for("para_ctc")),
                              ("pca_ctc", pmu_for("pca_ctc"))]:
             model = ConformerTransducer(tiny_cfg(), pmu)
-            out = model.encode(x)
-            assert sorted(out.ctc_heads) == sorted(names(pmu)), variant
+            _, heads = model.encode(x)
+            assert sorted(heads) == sorted(names(pmu)), variant
 
     def test_head_specs_by_variant(self):
         """(name, units, tap, group, weight, sc, shares) of every head."""
@@ -167,15 +166,15 @@ class TestHeadLayout:
 
     def test_middle_tap_present_only_with_n2(self):
         pmu = pmu_for("pca_ctc", n1=1, n2=1, n3=1)
-        out = ConformerTransducer(tiny_cfg(3), pmu).encode(feats(9))
-        assert list(out.ctc_heads) == ["pasm_n1", "bpe_n2", "bpe_n3"]
-        out = ConformerTransducer(tiny_cfg(2), pmu_for("pca_ctc")).encode(feats(9))
-        assert list(out.ctc_heads) == ["pasm_n1", "bpe_n3"]
+        _, heads = ConformerTransducer(tiny_cfg(3), pmu).encode(feats(9))
+        assert list(heads) == ["pasm_n1", "bpe_n2", "bpe_n3"]
+        _, heads = ConformerTransducer(tiny_cfg(2), pmu_for("pca_ctc")).encode(feats(9))
+        assert list(heads) == ["pasm_n1", "bpe_n3"]
 
     def test_head_rows_are_log_distributions(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("para_ctc"))
-        out = model.encode(feats(9))
-        for name, logits in out.ctc_heads.items():
+        _, heads = model.encode(feats(9))
+        for name, logits in heads.items():
             sums = np.exp(losses.log_softmax(logits.value)).sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9, err_msg=name)
 
@@ -190,12 +189,12 @@ class TestShapes:
     def test_encoder_output_shape(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         for T in (4, 7, 12, 13):
-            out = model.encode(feats(T, seed=T))
-            assert out.h_n3.value.shape == (math.ceil(T / 4), 8)
+            top, _ = model.encode(feats(T, seed=T))
+            assert top.value.shape == (math.ceil(T / 4), 8)
 
     def test_lattice_shape(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
-        out = model.forward(feats(12), y_trans=[1, 3, 2])
+        out = model.prepare([feats(12)], [{"bpe": [1, 3, 2]}])[0]
         z, lattice = joint(out.h_n3.value, out.h_u.value, model.params)
         assert lattice.shape == (3, 4, 5)  # T'=3, U+1=4, V=5
         assert z.shape == (3, 4, 8)
@@ -203,7 +202,7 @@ class TestShapes:
 
     def test_lattice_rows_normalized(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
-        out = model.forward(feats(12), y_trans=[1, 3])
+        out = model.prepare([feats(12)], [{"bpe": [1, 3]}])[0]
         lattice = joint(out.h_n3.value, out.h_u.value, model.params)[1]
         sums = np.exp(lattice).sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -237,8 +236,7 @@ class TestJoint:
 
 def composed_joint_transducer(h_t, h_u, labels, ps, label_smoothing):
     """The joint, its log-softmax and the transducer loss as the graph of
-    tape ops the fused node replaces, label smoothing's term included;
-    returns (node, status)."""
+    tape ops the fused node replaces, label smoothing's term included."""
     T, U1 = h_t.value.shape[0], h_u.value.shape[0]
     J = ps.get("joint/b").value.shape[0]
     at = ad.reshape(nn.linear(h_t, ps.get("joint/wt")), (T, 1, J))
@@ -288,8 +286,7 @@ class TestJointTransducer:
         for build in (joint_transducer_of, composed_joint_transducer):
             ps.zero_grad()
             nodes = [ad.Node(h_t.copy()), ad.Node(h_u.copy())]
-            node, status = build(*nodes, labels, ps, label_smoothing)
-            assert status == "ok"
+            node = build(*nodes, labels, ps, label_smoothing)
             ad.backward(ad.scale(node, 0.37))
             results.append([node.value] + [n.grad for n in nodes]
                            + [ps.get(f"joint/{leaf}").grad
@@ -376,7 +373,7 @@ class TestSelfCondition:
     def test_rejects_shape_mismatch(self):
         h = np.zeros((3, 8))
         post = np.full((3, 5), 0.2)  # 5 classes vs projection of 4
-        with pytest.raises(ContractViolation, match="incompatible"):
+        with pytest.raises(ContractViolation, match="linear: input dim 5"):
             self_condition(h, post, np.zeros((4, 8)), np.zeros(8))
 
     def test_zero_init_makes_sc_a_no_op_at_start(self):
@@ -387,12 +384,12 @@ class TestSelfCondition:
                                     seed=4)
         cond = ConformerTransducer(cfg, pmu_for("pca_ctc", n1=1, n2=1, n3=1,
                                                 sc_enabled=True), seed=4)
-        out_p = plain.encode(x)
-        out_c = cond.encode(x)
-        np.testing.assert_array_equal(out_p.h_n3.value, out_c.h_n3.value)
-        for name in out_p.ctc_heads:
-            np.testing.assert_array_equal(out_p.ctc_heads[name].value,
-                                          out_c.ctc_heads[name].value)
+        top_p, heads_p = plain.encode(x)
+        top_c, heads_c = cond.encode(x)
+        np.testing.assert_array_equal(top_p.value, top_c.value)
+        for name in heads_p:
+            np.testing.assert_array_equal(heads_p[name].value,
+                                          heads_c[name].value)
 
 
 class TestLabelEncoder:
@@ -536,13 +533,11 @@ class TestSharing:
         w = model.params.get("tap/pasm_n1/w")
         assert np.any(w.grad != 0.0)
         # perturbing the shared weight must move both head outputs
-        out = model.encode(feats(10))
-        before_n1 = out.ctc_heads["pasm_n1"].value.copy()
-        before_n2 = out.ctc_heads["bpe_n2"].value.copy()
+        _, heads = model.encode(feats(10))
         w.value[0, 0] += 0.5
-        out2 = model.encode(feats(10))
-        assert np.any(out2.ctc_heads["pasm_n1"].value != before_n1)
-        assert np.any(out2.ctc_heads["bpe_n2"].value != before_n2)
+        _, moved = model.encode(feats(10))
+        assert np.any(moved["pasm_n1"].value != heads["pasm_n1"].value)
+        assert np.any(moved["bpe_n2"].value != heads["bpe_n2"].value)
 
 
 class TestInitDeterminism:
@@ -668,13 +663,6 @@ class TestObjectiveArithmetic:
         with pytest.raises(InputError, match="bpe_n2"):
             model.loss(feats(10), {"pasm": [1], "bpe": [1, 2]})
 
-    def test_missing_head_is_an_error(self):
-        model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
-        out = model.forward(feats(10), y_trans=[1])
-        with pytest.raises(InputError, match="no CTC head"):
-            assemble_objective(out, {"pasm": [1], "bpe": [1]},
-                               pmu_for("para_ctc"), model.params)
-
     def test_unreachable_ctc_target_skips_sample(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         # T=4 subsamples to one frame; a two-unit target cannot fit
@@ -699,6 +687,41 @@ class TestObjectiveArithmetic:
         assert bundle.status == "unreachable:trans"
         assert math.isinf(bundle.l_total)
         assert bundle.node is None
+
+
+class TestPrepare:
+    def test_each_prepared_utterance_scores_as_a_batch_of_one(self):
+        """`loss` on one utterance of a prepared batch of three, of
+        different lengths, gives the values (==) and every parameter
+        gradient (array_equal) of `loss` on its features alone: both input
+        forms of `loss` agree, and so do the padded kernels' rows."""
+        model = ConformerTransducer(
+            tiny_cfg(3), pmu_for("pca_ctc", n2=1, sc_enabled=True), seed=3)
+        rng = np.random.default_rng(6)
+        for path in ("sc/n1/w", "sc/n2/w"):  # zero at init: make them act
+            node = model.params.get(path)
+            node.value[...] = rng.normal(size=node.value.shape)
+        xs = [feats(T, seed=T) for T in (12, 23, 17)]
+        targets = [{"pasm": [1], "bpe_small": [2], "bpe": [1, 3]},
+                   {"pasm": [1, 2, 2], "bpe_small": [3, 1], "bpe": [4, 1, 1, 2]},
+                   {"pasm": [3], "bpe_small": [], "bpe": [2, 2]}]
+
+        def scored(x, t):
+            model.params.zero_grad()
+            bundle = model.loss(x, t, label_smoothing=0.1)
+            assert bundle.status == "ok"
+            ad.backward(bundle.node)
+            return bundle, {p: n.grad.copy() for p, n in model.params.items()}
+
+        outs = model.prepare(xs, targets)
+        for i, (x, t) in enumerate(zip(xs, targets)):
+            got, got_grads = scored(outs[i], t)
+            want, want_grads = scored(x, t)
+            assert got.l_total == want.l_total, i
+            assert got.l_trans == want.l_trans, i
+            assert got.l_ctc_components == want.l_ctc_components, i
+            for path, g in want_grads.items():
+                assert np.array_equal(got_grads[path], g), (i, path)
 
 
 class TestEndToEndGradient:
