@@ -77,12 +77,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def laid_out_as(value: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A copy of `g` laid out like `value`, as zeros plus `g` would be: a
+    node's first gradient buffer."""
+    return np.add(g, 0.0, out=np.empty_like(value))
+
+
 def _acc(parent: Node, g: np.ndarray):
-    """Add `g` into parent's gradient; the first write copies it, as zeros
-    laid out like the value plus `g` would be."""
+    """Add `g` into parent's gradient; the first write copies it."""
     g = _unbroadcast(g, parent.value.shape)
     if parent.grad is None:
-        parent.grad = np.add(g, 0.0, out=np.empty_like(parent.value))
+        parent.grad = laid_out_as(parent.value, g)
     else:
         parent.grad += g
 
@@ -132,18 +137,6 @@ def add(a, b) -> Node:
     return out
 
 
-def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = Node(_combine("mul", lambda x, y: x * y, a, b), (a, b), "mul")
-
-    def _bw(g):
-        _acc(a, g * b.value)
-        _acc(b, g * a.value)
-
-    out._backward = _bw
-    return out
-
-
 def scale(a, c: float) -> Node:
     """Multiply by a python constant (no gradient to the constant)."""
     a = as_node(a)
@@ -152,88 +145,36 @@ def scale(a, c: float) -> Node:
     return out
 
 
-def sigmoid(a) -> Node:
-    a = as_node(a)
-    y = 1.0 / (1.0 + np.exp(-a.value))
-    out = Node(y, (a,), "sigmoid")
-    out._backward = lambda g: _acc(a, g * y * (1.0 - y))
-    return out
-
-
-def swish(a) -> Node:
-    """x * sigmoid(x), a single tape node."""
-    a = as_node(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    y = a.value * s
-    out = Node(y, (a,), "swish")
-    out._backward = lambda g: _acc(a, g * (s + a.value * s * (1.0 - s)))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# normalizers
+# nodes of array functions, and softmax
 
-def softmax(z) -> Node:
-    """Numerically stabilized softmax along the last axis."""
-    z = as_node(z)
-    shifted = z.value - z.value.max(axis=-1, keepdims=True)
+def vjp_node(op: str, fn, *parents) -> Node:
+    """One tape node of `fn` on the parents' values: `fn` returns (value,
+    back), and back(g) the gradient of each parent, added in parent
+    order."""
+    parents = tuple(as_node(p) for p in parents)
+    value, back = fn(*(p.value for p in parents))
+    out = Node(value, parents, op)
+
+    def _bw(g):
+        for p, gp in zip(parents, back(g)):
+            _acc(p, gp)
+
+    out._backward = _bw
+    return out
+
+
+def softmax_vjp(z: np.ndarray):
+    """Numerically stabilized softmax along the last axis, on arrays:
+    (value, back)."""
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Node(y, (z,), "softmax")
-
-    def _bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _acc(z, (g - dot) * y)
-
-    out._backward = _bw
-    return out
+    return y, lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
 
 
-# ---------------------------------------------------------------------------
-# linear algebra and shape ops
-
-def matmul(a, b) -> Node:
-    """Matrix product with numpy broadcasting on leading (batch) dims."""
-    a, b = as_node(a), as_node(b)
-    out = Node(_combine("matmul", lambda x, y: x @ y, a, b), (a, b), "matmul")
-
-    def _bw(g):
-        ga = g @ np.swapaxes(b.value, -1, -2)
-        gb = np.swapaxes(a.value, -1, -2) @ g
-        _acc(a, ga)
-        _acc(b, gb)
-
-    out._backward = _bw
-    return out
-
-
-def reshape(a, shape) -> Node:
-    a = as_node(a)
-    out = Node(a.value.reshape(shape), (a,), "reshape")
-    out._backward = lambda g: _acc(a, g.reshape(a.value.shape))
-    return out
-
-
-def transpose(a, axes) -> Node:
-    a = as_node(a)
-    inv = np.argsort(axes)
-    out = Node(a.value.transpose(axes), (a,), "transpose")
-    out._backward = lambda g: _acc(a, g.transpose(inv))
-    return out
-
-
-def take_slice(a, index) -> Node:
-    """Basic (slice/int tuple) indexing with scatter-add backward."""
-    a = as_node(a)
-    out = Node(a.value[index], (a,), "slice")
-
-    def _bw(g):
-        buf = np.zeros_like(a.value)
-        buf[index] = g
-        _acc(a, buf)
-
-    out._backward = _bw
-    return out
+def softmax(z) -> Node:
+    return vjp_node("softmax", softmax_vjp, z)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def _cmd_train(args) -> int:
     from .train import run_experiment
     exp, problems = read_config(args.config)
     result = run_experiment(exp, resume=args.resume, quiet=args.quiet,
-                            problems=problems)
+                            problems=problems, source=args.config)
     print(f"run log: {result['log_path']}")
     print(f"final checkpoint: {result['final_ckpt']}")
     if result["best_ckpt"]:

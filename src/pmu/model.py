@@ -1,15 +1,18 @@
 """Conformer-Transducer with multi-target CTC heads.
 
 The encoder is a stack of pre-norm conformer blocks over 4x-subsampled
-features.  The variant's CTC heads come from one table, `head_specs`: each
-entry names the head's units, the block after which it taps the trunk (the
-top for baseline / basic_pmu / para_ctc, between block groups for pca_ctc),
-its weight group in the objective, and whether its posterior is fed back
-into the trunk through a zero-initialized linear projection
-(self-conditioning).  Parameters, the forward taps, targets, vocabulary
-sizes and the weighted objective all loop over that table.  Head and
-projection sharing is expressed as parameter-path aliasing, so "shared"
-literally means identical parameter nodes.
+features.  The subsampling and each block's four residual modules are one
+tape node each, whose backward replays the numpy ops of the graph of tape
+ops it replaces, so values and gradients equal that graph's bit for bit.
+The variant's CTC heads come from one table, `head_specs`: each entry names
+the head's units, the block after which it taps the trunk (the top for
+baseline / basic_pmu / para_ctc, between block groups for pca_ctc), its
+weight group in the objective, and whether its posterior is fed back into
+the trunk through a zero-initialized linear projection (self-conditioning).
+Parameters, the forward taps, targets, vocabulary sizes and the weighted
+objective all loop over that table.  Head and projection sharing is
+expressed as parameter-path aliasing, so "shared" literally means identical
+parameter nodes.
 """
 
 from __future__ import annotations
@@ -283,65 +286,171 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
 
 @dataclass
 class RunCtx:
-    """Per-forward switches: dropout only fires when train is set, and its
-    masks are a pure function of (seed, step, site)."""
+    """Per-forward switches: dropout only fires when train is set.  A
+    site's mask, a pure function of (seed, step, site), is drawn once at
+    `rows` rows or more (`prepare` sets the batch's longest T'), and an
+    activation of T rows takes its first T rows."""
     train: bool = False
     seed: int = 0
     step: int = 0
+    rows: int = 0
+    masks: dict = field(default_factory=dict)
 
-    def drop(self, x, p: float, site: str):
-        return nn.dropout(x, p, self.seed, self.step, site, self.train)
+    def mask(self, p: float, site: str, shape: tuple):
+        """The mask for an activation of `shape`, or None: no dropout."""
+        if not self.train or p <= 0.0:
+            return None
+        if len(self.masks.get(site, ())) < shape[0]:
+            self.masks[site] = nn.dropout_mask(
+                p, self.seed, self.step, site, (max(self.rows, shape[0]), shape[1]))
+        return self.masks[site][:shape[0]]
 
 
-def _ff(h, ps, p, cfg: EncoderConfig, ctx: RunCtx):
-    y = nn.layer_norm(h, ps.get(f"{p}/ln_g"), ps.get(f"{p}/ln_b"))
-    y = ad.swish(nn.linear(y, ps.get(f"{p}/w1"), ps.get(f"{p}/b1")))
-    y = ctx.drop(y, cfg.dropout, f"{p}/d1")
-    y = nn.linear(y, ps.get(f"{p}/w2"), ps.get(f"{p}/b2"))
-    return ctx.drop(y, cfg.dropout, f"{p}/d2")
+def _drop(x, mask):
+    return x if mask is None else x * mask
+
+
+# The modules' bodies on the normed input y, on arrays: body(y, *parameter
+# values, mask(site, shape), heads) returns (value, back), and back(g) the
+# gradients of y and of each parameter.
+
+def _ff(y, w1, b1, w2, b2, mask, heads):
+    """Half-step feed-forward: 0.5 * drop(W2 drop(swish(W1 y)))."""
+    s, lin1 = nn.linear_vjp(y, w1, b1)
+    s, swish = nn.swish_vjp(s)
+    m1 = mask("d1", s.shape)
+    l, lin2 = nn.linear_vjp(_drop(s, m1), w2, b2)
+    m2 = mask("d2", l.shape)
+
+    def back(g):
+        ds, dw2, db2 = lin2(_drop(g * 0.5, m2))
+        return (*lin1(swish(_drop(ds, m1))[0]), dw2, db2)
+
+    return _drop(l, m2) * 0.5, back
+
+
+def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads):
+    """Multi-head scaled dot-product self-attention, the output projection
+    and dropout."""
+    T, d = y.shape
+    dh = d // heads
+    (q, lq), (k, lk), (v, lv) = (nn.linear_vjp(y, w, b) for w, b in
+                                 ((wq, bq), (wk, bk), (wv, bv)))
+    qh, kh, vh = (m.reshape(T, heads, dh).transpose(1, 0, 2) for m in (q, k, v))
+    c = 1.0 / np.sqrt(dh)
+    attn, softmax = ad.softmax_vjp((qh @ kh.transpose(0, 2, 1)) * c)
+    l, lo = nn.linear_vjp((attn @ vh).transpose(1, 0, 2).reshape(T, d), wo, bo)
+    m = mask("d", l.shape)
+
+    def back(g):
+        do, dwo, dbo = lo(_drop(g, m))
+        dctx = np.ascontiguousarray(do.reshape(T, heads, dh).transpose(1, 0, 2))
+        ds = softmax(dctx @ vh.transpose(0, 2, 1))[0] * c
+        # the (heads, T, dh) gradients of q, k and v, each back to (T, d)
+        grads = [lin(dm.transpose(1, 0, 2).reshape(T, d)) for lin, dm in (
+            (lq, ds @ kh), (lk, (qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)),
+            (lv, attn.transpose(0, 2, 1) @ dctx))]
+        dy = grads[0][0] + grads[1][0]
+        dy += grads[2][0]  # as the composed graph adds them: q's, k's, then v's
+        return (dy, *(gp for gr in grads for gp in gr[1:]), dwo, dbo)
+
+    return _drop(l, m), back
+
+
+def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads):
+    """Convolution module: pointwise conv to 2d, GLU, depthwise conv, layer
+    norm, swish, pointwise conv, dropout."""
+    d = y.shape[1]
+    z, lin1 = nn.linear_vjp(y, w1, b1)
+    a, sg = z[:, :d], 1.0 / (1.0 + np.exp(-z[:, d:]))
+    u, dwconv = nn.depthwise_conv1d_vjp(a * sg, dw_k)
+    u, ln2 = nn.layer_norm_vjp(u, ln2_g, ln2_b)
+    u, swish = nn.swish_vjp(u)
+    l, lin2 = nn.linear_vjp(u, w2, b2)
+    m = mask("d", l.shape)
+
+    def back(g):
+        du, dw2, db2 = lin2(_drop(g, m))
+        du, dg2, dbeta2 = ln2(swish(du)[0])
+        du, dk = dwconv(du)
+        dy, dw1, db1 = lin1(np.concatenate([du * sg, du * a * sg * (1.0 - sg)], 1))
+        return dy, dw1, db1, dk, dg2, dbeta2, dw2, db2
+
+    return _drop(l, m), back
+
+
+_FF = (_ff, ("w1", "b1", "w2", "b2"))
+# a block's modules in order: body, and its parameters after the layer norm's
+MODULES = {"ff1": _FF,
+           "mhsa": (_mhsa, ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+           "conv": (_conv, ("pw1_w", "pw1_b", "dw_k", "ln2_g", "ln2_b",
+                            "pw2_w", "pw2_b")),
+           "ff2": _FF}
+
+
+def conformer_module(h, ps: ParamStore, p: str, module: str,
+                     cfg: EncoderConfig, ctx: RunCtx) -> Node:
+    """h + body(layer_norm(h)), the pre-norm residual `module` of block `p`,
+    as one tape node."""
+    body, leaves = MODULES[module]
+    p = f"{p}/{module}"
+
+    def fn(x, ln_g, ln_b, *values):
+        y, ln = nn.layer_norm_vjp(x, ln_g, ln_b)
+        r, back = body(y, *values[:-1], lambda site, shape: ctx.mask(
+            cfg.dropout, f"{p}/{site}", shape), cfg.heads)
+
+        def residual_back(g):
+            dy, *grads = back(g)
+            dx, *ln_grads = ln(dy)
+            return (g, *ln_grads, *grads, dx)
+
+        return x + r, residual_back
+
+    # h is the first and the last parent: the residual's gradient reaches
+    # it before the layer norm's, as in the composed graph
+    return ad.vjp_node(module, fn, h, *(ps.get(f"{p}/{leaf}") for leaf in
+                                        ("ln_g", "ln_b", *leaves)), h)
 
 
 def conformer_block(h, ps: ParamStore, p: str, cfg: EncoderConfig, ctx: RunCtx):
     """Pre-norm conformer block: half-FF, self-attention, convolution
-    module, half-FF, closing layer norm."""
-    h = ad.add(h, ad.scale(_ff(h, ps, f"{p}/ff1", cfg, ctx), 0.5))
-
-    y = nn.layer_norm(h, ps.get(f"{p}/mhsa/ln_g"), ps.get(f"{p}/mhsa/ln_b"))
-    q = nn.linear(y, ps.get(f"{p}/mhsa/wq"), ps.get(f"{p}/mhsa/bq"))
-    k = nn.linear(y, ps.get(f"{p}/mhsa/wk"), ps.get(f"{p}/mhsa/bk"))
-    v = nn.linear(y, ps.get(f"{p}/mhsa/wv"), ps.get(f"{p}/mhsa/bv"))
-    y = nn.multi_head_attention(q, k, v, cfg.heads)
-    y = nn.linear(y, ps.get(f"{p}/mhsa/wo"), ps.get(f"{p}/mhsa/bo"))
-    h = ad.add(h, ctx.drop(y, cfg.dropout, f"{p}/mhsa/d"))
-
-    y = nn.layer_norm(h, ps.get(f"{p}/conv/ln_g"), ps.get(f"{p}/conv/ln_b"))
-    y = nn.glu(nn.linear(y, ps.get(f"{p}/conv/pw1_w"), ps.get(f"{p}/conv/pw1_b")))
-    y = nn.depthwise_conv1d(y, ps.get(f"{p}/conv/dw_k"))
-    y = nn.layer_norm(y, ps.get(f"{p}/conv/ln2_g"), ps.get(f"{p}/conv/ln2_b"))
-    y = nn.linear(ad.swish(y), ps.get(f"{p}/conv/pw2_w"), ps.get(f"{p}/conv/pw2_b"))
-    h = ad.add(h, ctx.drop(y, cfg.dropout, f"{p}/conv/d"))
-
-    h = ad.add(h, ad.scale(_ff(h, ps, f"{p}/ff2", cfg, ctx), 0.5))
+    module and half-FF, each one residual node, then the closing layer norm."""
+    for module in MODULES:
+        h = conformer_module(h, ps, p, module, cfg, ctx)
     return nn.layer_norm(h, ps.get(f"{p}/fin_g"), ps.get(f"{p}/fin_b"))
 
 
-def _subsample(x, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx):
-    e = cfg.encoder
-    d = e.attention_dim
+SUB_LEAVES = ("conv1/w", "conv1/b", "conv2/w", "conv2/b", "proj/w", "proj/b")
+
+
+def _subsample(x, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx) -> Node:
+    """Two stride-2 convolutions with swish, the projection to the attention
+    dimension scaled by sqrt(d), sinusoidal positions and dropout: one node."""
     x = ad.as_node(x)
-    T = x.value.shape[0]
     if x.value.ndim != 2 or x.value.shape[1] != cfg.input_dim:
         raise ContractViolation(f"expected features (T, {cfg.input_dim}), "
                                 f"got {x.value.shape}")
-    y = ad.reshape(x, (T, cfg.input_dim, 1))
-    for conv in ("sub/conv1", "sub/conv2"):
-        y = ad.swish(nn.conv2d(y, ps.get(f"{conv}/w"), ps.get(f"{conv}/b")))
-    Tp, f, C = y.value.shape
-    h = nn.linear(ad.reshape(y, (Tp, f * C)), ps.get("sub/proj/w"),
-                  ps.get("sub/proj/b"))
-    pe = nn.sinusoid_positions(Tp, d)
-    h = ad.add(ad.scale(h, math.sqrt(d)), Node(pe))
-    return ctx.drop(h, e.dropout, "sub/d")
+    d = cfg.encoder.attention_dim
+
+    def fn(x, w1, b1, w2, b2, pw, pb):
+        y, conv1 = nn.conv2d_vjp(x.reshape(*x.shape, 1), w1, b1)
+        y, swish1 = nn.swish_vjp(y)
+        y, conv2 = nn.conv2d_vjp(y, w2, b2)
+        y, swish2 = nn.swish_vjp(y)
+        h, proj = nn.linear_vjp(y.reshape(len(y), -1), pw, pb)
+        m = ctx.mask(cfg.encoder.dropout, "sub/d", h.shape)
+
+        def back(g):
+            dh, dpw, dpb = proj(_drop(g, m) * math.sqrt(d))
+            dy, dw2, db2 = conv2(swish2(dh.reshape(y.shape))[0])
+            dx, dw1, db1 = conv1(swish1(dy)[0])
+            return dx.reshape(x.shape), dw1, db1, dw2, db2, dpw, dpb
+
+        return _drop(h * math.sqrt(d) + nn.sinusoid_positions(len(h), d), m), back
+
+    return ad.vjp_node("subsample", fn, x, *(ps.get(f"sub/{leaf}")
+                                             for leaf in SUB_LEAVES))
 
 
 def ctc_head(h, ps: ParamStore, name: str):
@@ -517,23 +626,24 @@ class ConformerTransducer:
         self.seed = seed
         self.params = build_params(cfg, pmu, seed)
 
-    def encode(self, x, train: bool = False, step: int = 0) -> tuple[Node, dict]:
-        """The trunk's top and {head name: logits}."""
-        ctx = RunCtx(train=train, seed=self.seed, step=step)
-        return aencoder_forward(x, self.cfg, self.pmu, self.params, ctx)
+    def encode(self, x) -> tuple[Node, dict]:
+        """The trunk's top and {head name: logits}, dropout off."""
+        return aencoder_forward(x, self.cfg, self.pmu, self.params, RunCtx())
 
     def prepare(self, xs: list, targets: list[dict], train: bool = False,
                 step: int = 0) -> list[ForwardOutputs]:
         """Phases 1 and 2 of `train.train_step`: each utterance's forward
         (encoder, label encoder, taps' log-probs, joint's (z, logprobs)),
-        then one `losses.ctc_losses` call over every (utterance, head) row
+        with each dropout mask drawn once for the batch, then one `losses.ctc_losses` call over every (utterance, head) row
         and one `losses.transducer_losses` call over every utterance."""
         specs = head_specs(self.pmu)
         y_trans = [_target(t, self.pmu.trans_units, "the transducer")
                    for t in targets]
+        ctx = RunCtx(train, self.seed, step, max(subsampled_length(
+            len(x), self.cfg.encoder.subsample_factor) for x in xs))
         outs = []
         for x, y in zip(xs, y_trans):
-            top, heads = self.encode(x, train=train, step=step)
+            top, heads = aencoder_forward(x, self.cfg, self.pmu, self.params, ctx)
             h_u = label_encoder_forward(y, self.params)
             outs.append(ForwardOutputs(
                 top, heads, h_u,

@@ -1,10 +1,11 @@
-"""Neural-network primitives built on the autodiff tape.
+"""Neural-network primitives for the autodiff tape and its fused nodes.
 
-Composite layers (linear, glu, attention) are compositions of tape ops and
-inherit their gradients; layer_norm, the convolutions and the LSTM sequence
-node carry hand-written backward rules, all verified against finite
-differences.  `lstm_cell` is the one LSTM formula: the sequence node runs it
-for training and decode calls it directly, off the tape.
+A `*_vjp` function computes on arrays and returns (value, back), where
+back(g) is a tuple of the gradients of its array inputs.  The fused nodes of
+`model` compose them, and `ad.vjp_node` makes one a tape node, as `linear`
+and `layer_norm` are.  `lstm_sequence` is a node with hand-written BPTT over
+`lstm_cell`, the one LSTM formula, which decode calls directly, off the
+tape.  Every backward rule is verified against finite differences.
 """
 
 from __future__ import annotations
@@ -21,143 +22,114 @@ from .errors import ContractViolation
 LN_EPS = 1e-5
 
 
-def linear(x, w, b=None) -> Node:
-    """x @ w (+ b), with w shaped (in_dim, out_dim)."""
-    x, w = as_node(x), as_node(w)
-    if x.value.shape[-1] != w.value.shape[0]:
+def linear_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """x @ w + b, with w shaped (in_dim, out_dim), on arrays: (value, back),
+    back(g) -> (dx, dw, db), db unsummed.  The products take g C-ordered,
+    as the tape's gradient buffer of a matmul is."""
+    if x.shape[-1] != w.shape[0]:
         raise ContractViolation(
-            f"linear: input dim {x.value.shape[-1]} != weight rows {w.value.shape[0]}")
-    y = ad.matmul(x, w)
-    if b is not None:
-        y = ad.add(y, b)
-    return y
+            f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
+
+    def back(g):
+        g = np.ascontiguousarray(g)
+        return g @ w.T, x.T @ g, g
+
+    return x @ w + b, back
 
 
-def layer_norm(x, gain, bias) -> Node:
-    """Normalize over the last axis, then scale and shift."""
-    x, gain, bias = as_node(x), as_node(gain), as_node(bias)
-    d = x.value.shape[-1]
-    if gain.value.shape != (d,) or bias.value.shape != (d,):
+def linear(x, w, b) -> Node:
+    return ad.vjp_node("linear", linear_vjp, x, w, b)
+
+
+def swish_vjp(a: np.ndarray):
+    """x * sigmoid(x) on arrays: (value, back)."""
+    s = 1.0 / (1.0 + np.exp(-a))
+    return a * s, lambda g: (g * (s + a * s * (1.0 - s)),)
+
+
+def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize over the last axis, then scale and shift, on arrays:
+    (value, back), back(g) -> (dx, dgain, dbias)."""
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
         raise ContractViolation(
-            f"layer_norm: gain/bias must be ({d},), got {gain.value.shape}/{bias.value.shape}")
-    mu = x.value.mean(axis=-1, keepdims=True)
-    xc = x.value - mu
+            f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out = Node(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm")
 
-    def _bw(g):
-        gg = g * gain.value
+    def back(g):
+        gg = g * gain
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        ad._acc(x, (gg - m1 - xhat * m2) * inv)
-        ad._acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        ad._acc(bias, g.reshape(-1, d).sum(axis=0))
+        return ((gg - m1 - xhat * m2) * inv, (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return xhat * gain + bias, back
 
 
-def glu(x) -> Node:
-    """Gated linear unit: split the last axis in half, gate with sigmoid."""
-    x = as_node(x)
-    n = x.value.shape[-1]
-    if n % 2 != 0:
-        raise ContractViolation(f"glu: last axis size {n} is odd")
-    a = ad.take_slice(x, (..., slice(0, n // 2)))
-    b = ad.take_slice(x, (..., slice(n // 2, n)))
-    return ad.mul(a, ad.sigmoid(b))
+def layer_norm(x, gain, bias) -> Node:
+    return ad.vjp_node("layer_norm", layer_norm_vjp, x, gain, bias)
 
 
-def depthwise_conv1d(x, kernel) -> Node:
-    """Per-channel 1-D convolution with same padding; kernel is (k, d), k odd."""
-    x, kernel = as_node(x), as_node(kernel)
-    T, d = x.value.shape
-    k, dk = kernel.value.shape
+def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray):
+    """Per-channel 1-D convolution with same padding, kernel (k, d) with k
+    odd, on arrays: (value, back), back(g) -> (dx, dkernel)."""
+    T, d = x.shape
+    k, dk = kernel.shape
     if dk != d:
         raise ContractViolation(f"depthwise_conv1d: kernel dim {dk} != input dim {d}")
     if k % 2 == 0:
         raise ContractViolation(f"depthwise_conv1d: kernel size {k} must be odd")
     pad = (k - 1) // 2
-    xp = np.zeros((T + 2 * pad, d), dtype=x.value.dtype)
-    xp[pad:pad + T] = x.value
-    y = np.zeros_like(x.value)
+    xp = np.zeros((T + 2 * pad, d), dtype=x.dtype)
+    xp[pad:pad + T] = x
+    y = np.zeros_like(x)
     for j in range(k):
-        y += xp[j:j + T] * kernel.value[j]
-    out = Node(y, (x, kernel), "depthwise_conv1d")
+        y += xp[j:j + T] * kernel[j]
 
-    def _bw(g):
+    def back(g):
         dxp = np.zeros_like(xp)
-        dker = np.zeros_like(kernel.value)
+        dker = np.zeros_like(kernel)
         for j in range(k):
-            dxp[j:j + T] += g * kernel.value[j]
+            dxp[j:j + T] += g * kernel[j]
             dker[j] = (g * xp[j:j + T]).sum(axis=0)
-        ad._acc(x, dxp[pad:pad + T])
-        ad._acc(kernel, dker)
+        return dxp[pad:pad + T], dker
 
-    out._backward = _bw
-    return out
+    return y, back
 
 
-def conv2d(x, w, b) -> Node:
-    """2-D convolution with stride 2 and zero padding 1 on both spatial axes:
-    x (H, W, Cin), w (kh, kw, Cin, Cout), bias b (Cout,)."""
-    x, w, b = as_node(x), as_node(w), as_node(b)
-    H, W, cin = x.value.shape
-    kh, kw, wcin, cout = w.value.shape
+def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """2-D convolution with stride 2 and zero padding 1 on both spatial axes,
+    x (H, W, Cin), w (kh, kw, Cin, Cout), bias b (Cout,), on arrays: (value,
+    back), back(g) -> (dx, dw, db)."""
+    H, W, cin = x.shape
+    kh, kw, wcin, cout = w.shape
     if wcin != cin:
         raise ContractViolation(f"conv2d: input channels {cin} != weight channels {wcin}")
-    xp = np.pad(x.value, ((1, 1), (1, 1), (0, 0)))
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     Ho = (H + 2 - kh) // 2 + 1
     Wo = (W + 2 - kw) // 2 + 1
     if Ho < 1 or Wo < 1:
         raise ContractViolation(
-            f"conv2d: output would be empty for input {x.value.shape} kernel ({kh},{kw})")
+            f"conv2d: output would be empty for input {x.shape} kernel ({kh},{kw})")
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
     cols = win[::2, ::2]  # (Ho, Wo, Cin, kh, kw)
-    y = np.einsum("xycij,ijco->xyo", cols, w.value, optimize=True) + b.value
-    out = Node(y, (x, w, b), "conv2d")
+    y = np.einsum("xycij,ijco->xyo", cols, w, optimize=True) + b
 
-    def _bw(g):
+    def back(g):
+        g = ad.laid_out_as(y, g)  # the einsums and sum follow its layout
         dw = np.einsum("xycij,xyo->ijco", cols, g, optimize=True)
-        dcols = np.einsum("xyo,ijco->xycij", g, w.value, optimize=True)
+        dcols = np.einsum("xyo,ijco->xycij", g, w, optimize=True)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
                 dxp[i:i + Ho * 2:2, j:j + Wo * 2:2] += dcols[:, :, :, i, j]
-        ad._acc(x, dxp[1:1 + H, 1:1 + W])
-        ad._acc(w, dw)
-        ad._acc(b, g.sum(axis=(0, 1)))
+        return dxp[1:1 + H, 1:1 + W], dw, g.sum(axis=(0, 1))
 
-    out._backward = _bw
-    return out
-
-
-def multi_head_attention(q, k, v, num_heads: int) -> Node:
-    """Scaled dot-product attention over (T, d) sequences."""
-    q, k, v = as_node(q), as_node(k), as_node(v)
-    Tq, d = q.value.shape
-    Tk, dk_ = k.value.shape
-    if d != dk_ or v.value.shape != (Tk, d):
-        raise ContractViolation(
-            f"multi_head_attention: incompatible shapes q{q.value.shape} "
-            f"k{k.value.shape} v{v.value.shape}")
-    if d % num_heads != 0:
-        raise ContractViolation(
-            f"multi_head_attention: dim {d} not divisible by heads {num_heads}")
-    dh = d // num_heads
-
-    def split(x, T):
-        return ad.transpose(ad.reshape(x, (T, num_heads, dh)), (1, 0, 2))
-
-    qh = split(q, Tq)  # (h, Tq, dh)
-    kh = split(k, Tk)
-    vh = split(v, Tk)
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores)
-    ctx = ad.matmul(attn, vh)  # (h, Tq, dh)
-    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (Tq, d))
+    return y, back
 
 
 def lstm_cell(x, h, c, wx, wh, b):
@@ -226,15 +198,14 @@ def lstm_sequence(table, ids, wx, wh, b) -> Node:
     return out
 
 
-def dropout(x, p: float, seed: int, step: int, site: str, train: bool) -> Node:
-    """Inverted dropout with a deterministic (seed, step, site) mask."""
-    if not train or p <= 0.0:
-        return as_node(x)
-    x = as_node(x)
+def dropout_mask(p: float, seed: int, step: int, site: str, shape: tuple):
+    """Inverted dropout's keep mask, scaled by 1/(1-p), for (seed, step,
+    site).  The draw fills rows in order, so the mask of T rows is the first
+    T rows of any longer one: a step's utterances share each site's mask
+    prefix."""
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, step,
                                  zlib.crc32(site.encode("utf-8"))])
-    mask = (rng.random(x.value.shape) >= p) / (1.0 - p)
-    return ad.mul(x, Node(mask.astype(x.value.dtype)))
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def sinusoid_positions(T: int, d: int) -> np.ndarray:

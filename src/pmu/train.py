@@ -334,20 +334,21 @@ def load_tokenizers(dcfg: DataConfig, pmu: PMUConfig) -> tuple[dict, list[str]]:
 
 
 def run_experiment(exp: Experiment, resume: str | None = None,
-                   quiet: bool = False, problems: list[str] | tuple = ()) -> dict:
+                   quiet: bool = False, problems: list[str] | tuple = (),
+                   source: str = "") -> dict:
     """Tokenize, train, periodically evaluate, and checkpoint the best-WER
     model.  One InputError lists every config, tokenizer and manifest-path
     problem, after `problems` (a config file's, from `config.read_config`),
-    before any feature file is read."""
+    before any feature file is read; `source`, that file's path, names the
+    problems found here, as `config.load_config` names them."""
     tcfg, pmu, mcfg, dcfg = exp.train, exp.pmu, exp.model, exp.data
     toks, found = load_tokenizers(dcfg, pmu)
     mcfg.vocab = {kind: len(tok.vocab) for kind, tok in toks.items()}
-    found += [f"[data] {key} is required"
-              for key in ("train_manifest", "dev_manifest")
-              if not getattr(dcfg, key)]
-    raise_problems([*problems, *tcfg.problems(),
-                    *config_problems(mcfg, pmu, set(unit_kinds(pmu)) - set(toks)),
-                    *found])
+    found = [*tcfg.problems(),
+             *config_problems(mcfg, pmu, set(unit_kinds(pmu)) - set(toks)),
+             *found, *(f"[data] {key} is required" for key in
+                       ("train_manifest", "dev_manifest") if not getattr(dcfg, key))]
+    raise_problems([*problems, *(f"{source}: {p}" if source else p for p in found)])
     trans_tok = toks[pmu.trans_units]
 
     if resume:

@@ -21,7 +21,12 @@ import pytest
 
 import pmu.autodiff as ad
 import pmu.nn as nn
-from finite_diff import ctc_node_case, finite_diff_sample, joint_transducer_case
+from finite_diff import (
+    ctc_node_case,
+    encoder_node_cases,
+    finite_diff_sample,
+    joint_transducer_case,
+)
 from pmu.autodiff import finite_diff_grad
 from pmu.config import DataConfig, Experiment, TrainConfig
 from pmu.losses import (
@@ -45,7 +50,16 @@ from pmu.tokenizers.bpe import save_bpe, train_bpe
 from pmu.tokenizers.pasm import save_pasm, segment_word, train_pasm
 from pmu.tokenizers.vocab import Lexicon
 from pmu.train import run_experiment
-from tape_ops import tape_sum
+from tape_ops import (
+    tape_matmul,
+    tape_mul,
+    tape_reshape,
+    tape_sigmoid,
+    tape_sum,
+    tape_swish,
+    tape_take_slice,
+    tape_transpose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -98,27 +112,28 @@ def _primitive_worst(seeds: int) -> float:
                 rng.normal(size=(2, 8)), rng.normal(size=(8,))]
         cases = [
             (lambda x, y: ad.add(x, y), [a.copy(), b.copy()]),
-            (lambda x, y: ad.mul(x, y), [a.copy(), b.copy()]),
+            (lambda x, y: tape_mul(x, y), [a.copy(), b.copy()]),
             (lambda x: ad.scale(x, 1.7), [a.copy()]),
-            (lambda x: ad.sigmoid(x), [a.copy()]),
-            (lambda x: ad.swish(x), [a.copy()]),
+            (lambda x: tape_sigmoid(x), [a.copy()]),
+            (lambda x: tape_swish(x), [a.copy()]),
             (lambda x: ad.softmax(x), [a.copy()]),
-            (lambda x, y: ad.matmul(x, y), [a[:, :4].copy(), m.copy()]),
-            (lambda x: ad.reshape(x, (4, 3)), [a.copy()]),
-            (lambda x: ad.transpose(x, (1, 0)), [a.copy()]),
-            (lambda x: ad.take_slice(x, 1), [a.copy()]),
+            (lambda x, y: tape_matmul(x, y), [a[:, :4].copy(), m.copy()]),
+            (lambda x: tape_reshape(x, (4, 3)), [a.copy()]),
+            (lambda x: tape_transpose(x, (1, 0)), [a.copy()]),
+            (lambda x: tape_take_slice(x, 1), [a.copy()]),
             (lambda t, wx, wh, bias: nn.lstm_sequence(t, [0, 2, 2, 1], wx, wh, bias),
              [arr.copy() for arr in lstm]),
             joint_transducer_case(rng),
             ctc_node_case(rng),
+            *encoder_node_cases(rng),
         ]
         for build, arrays in cases:
             nodes = [ad.Node(arr) for arr in arrays]
-            ad.backward(tape_sum(ad.mul(build(*nodes), build(*nodes))))
+            ad.backward(tape_sum(tape_mul(build(*nodes), build(*nodes))))
 
             def f():
                 ns = [ad.Node(arr) for arr in arrays]
-                return float(tape_sum(ad.mul(build(*ns), build(*ns))).value)
+                return float(tape_sum(tape_mul(build(*ns), build(*ns))).value)
 
             fd = finite_diff_grad(f, arrays, eps=1e-4)
             for node, est in zip(nodes, fd):
@@ -139,15 +154,15 @@ def _sc_path_worst(seeds: int) -> float:
                   rng.normal(size=(6,)) * 0.1]          # feedback bias
 
         def build(h, w, b, sw, sb):
-            post = ad.softmax(ad.add(ad.matmul(h, w), b))
+            post = ad.softmax(ad.add(tape_matmul(h, w), b))
             return self_condition(h, post, sw, sb)
 
         nodes = [ad.Node(arr) for arr in arrays]
-        ad.backward(tape_sum(ad.mul(build(*nodes), build(*nodes))))
+        ad.backward(tape_sum(tape_mul(build(*nodes), build(*nodes))))
 
         def f():
             ns = [ad.Node(arr) for arr in arrays]
-            return float(tape_sum(ad.mul(build(*ns), build(*ns))).value)
+            return float(tape_sum(tape_mul(build(*ns), build(*ns))).value)
 
         fd = finite_diff_grad(f, arrays, eps=1e-4)
         for node, est in zip(nodes, fd):

@@ -7,22 +7,40 @@ import pytest
 
 import pmu.autodiff as ad
 import pmu.nn as nn
-from finite_diff import ctc_node_case, finite_diff_sample, joint_transducer_case
+from finite_diff import (
+    ctc_node_case,
+    encoder_node_cases,
+    finite_diff_sample,
+    joint_transducer_case,
+)
 from pmu.errors import ContractViolation
-from tape_ops import tape_sum
+from tape_ops import (
+    tape_conv2d,
+    tape_depthwise_conv1d,
+    tape_glu,
+    tape_matmul,
+    tape_mul,
+    tape_multi_head_attention,
+    tape_reshape,
+    tape_sigmoid,
+    tape_sum,
+    tape_swish,
+    tape_take_slice,
+    tape_transpose,
+)
 
 
 def _check_grads(build, arrays, eps=1e-4, tol=1e-5):
     """Backward grads of build(arrays...) vs central finite differences."""
     nodes = [ad.Node(a) for a in arrays]
     out = build(*nodes)
-    loss = tape_sum(ad.mul(out, out))  # smooth scalarizer
+    loss = tape_sum(tape_mul(out, out))  # smooth scalarizer
     ad.backward(loss)
 
     def f():
         ns = [ad.Node(a) for a in arrays]
         o = build(*ns)
-        return float(tape_sum(ad.mul(o, o)).value)
+        return float(tape_sum(tape_mul(o, o)).value)
 
     fd = ad.finite_diff_grad(f, arrays, eps=eps)
     for node, est in zip(nodes, fd):
@@ -40,27 +58,29 @@ def test_primitive_gradients():
             rng.normal(size=(2, 8)), rng.normal(size=(8,))]
     cases = [
         (lambda x, y: ad.add(x, y), [a.copy(), b.copy()]),
-        (lambda x, y: ad.mul(x, y), [a.copy(), b.copy()]),
+        (lambda x, y: tape_mul(x, y), [a.copy(), b.copy()]),
         (lambda x: ad.scale(x, 1.7), [a.copy()]),
-        (lambda x: ad.sigmoid(x), [a.copy()]),
-        (lambda x: ad.swish(x), [a.copy()]),
+        (lambda x: tape_sigmoid(x), [a.copy()]),
+        (lambda x: tape_swish(x), [a.copy()]),
         (lambda x: ad.softmax(x), [a.copy()]),
-        (lambda x, y: ad.matmul(x, y), [a[:, :4].copy(), m.copy()]),
-        (lambda x: ad.reshape(x, (4, 3)), [a.copy()]),
-        (lambda x: ad.transpose(x, (1, 0)), [a.copy()]),
-        (lambda x: ad.take_slice(x, 1), [a.copy()]),
+        (lambda x, y: tape_matmul(x, y), [a[:, :4].copy(), m.copy()]),
+        (lambda x: tape_reshape(x, (4, 3)), [a.copy()]),
+        (lambda x: tape_transpose(x, (1, 0)), [a.copy()]),
+        (lambda x: tape_take_slice(x, 1), [a.copy()]),
         (lambda t, wx, wh, bias: nn.lstm_sequence(t, [0, 2, 2, 1], wx, wh, bias),
          [arr.copy() for arr in lstm]),
-        # the layers with hand-written backward rules, one by one
+        # the layers with hand-written backward rules, one by one, and the
+        # encoder's fused nodes
         (nn.layer_norm, [a.copy(), rng.normal(size=(4,)), rng.normal(size=(4,))]),
-        (nn.depthwise_conv1d, [a.copy(), rng.normal(size=(3, 4))]),
-        (nn.conv2d, [rng.normal(size=(5, 4, 2)), rng.normal(size=(3, 3, 2, 3)),
-                     rng.normal(size=(3,))]),
-        (nn.glu, [a.copy()]),
-        (lambda q, k, val: nn.multi_head_attention(q, k, val, 2),
+        (tape_depthwise_conv1d, [a.copy(), rng.normal(size=(3, 4))]),
+        (tape_conv2d, [rng.normal(size=(5, 4, 2)),
+                       rng.normal(size=(3, 3, 2, 3)), rng.normal(size=(3,))]),
+        (tape_glu, [a.copy()]),
+        (lambda q, k, val: tape_multi_head_attention(q, k, val, 2),
          [a.copy(), rng.normal(size=(5, 4)), rng.normal(size=(5, 4))]),
         joint_transducer_case(rng),
         ctc_node_case(rng),
+        *encoder_node_cases(rng),
     ]
     for build, arrays in cases:
         _check_grads(build, arrays)
@@ -74,13 +94,13 @@ def test_broadcast_gradients_unbroadcast():
     col = rng.normal(size=(3, 1))
     scalar = rng.normal(size=())
     _check_grads(lambda x, y: ad.add(x, y), [a.copy(), row.copy()])
-    _check_grads(lambda x, y: ad.mul(x, y), [a.copy(), col.copy()])
+    _check_grads(lambda x, y: tape_mul(x, y), [a.copy(), col.copy()])
     _check_grads(lambda x, y: ad.add(x, y), [a.copy(), scalar.copy()])
 
 
 def test_two_consumer_graph_sums_path_gradients():
     x = ad.Node(np.array(3.0))
-    y = ad.add(ad.mul(x, x), ad.scale(x, 5.0))  # x^2 + 5x
+    y = ad.add(tape_mul(x, x), ad.scale(x, 5.0))  # x^2 + 5x
     ad.backward(y)
     assert y.value == pytest.approx(24.0)
     assert x.grad == pytest.approx(2 * 3.0 + 5.0)
@@ -114,7 +134,7 @@ def test_softmax_rows_are_simplex_points():
 
 def test_shape_mismatch_raises_contract_violation():
     with pytest.raises(ContractViolation):
-        ad.matmul(ad.Node(np.zeros((2, 3))), ad.Node(np.zeros((4, 5))))
+        tape_matmul(ad.Node(np.zeros((2, 3))), ad.Node(np.zeros((4, 5))))
     with pytest.raises(ContractViolation):
         ad.add(ad.Node(np.zeros((2, 3))), ad.Node(np.zeros((2, 4))))
 

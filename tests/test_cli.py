@@ -156,8 +156,8 @@ def test_bad_input_exits_2(workspace, capsys, tmp_path):
 
 def test_config_and_run_problems_are_one_list(workspace, capsys, tmp_path):
     """A config file's problems and the run's are reported together, in
-    one error line: a value that does not parse, a layer split that does
-    not add up, and a missing manifest."""
+    one error line, each naming the file: a value that does not parse, a
+    layer split that does not add up, and a missing manifest."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text((workspace / "exp.cfg").read_text(encoding="utf-8")
                    .replace("variant = para_ctc",
@@ -170,7 +170,7 @@ def test_config_and_run_problems_are_one_list(workspace, capsys, tmp_path):
     for problem in ("[train] batch_size: invalid literal",
                     "n1+n2+n3 = 3 != num_layers = 2",
                     "[data] dev_manifest is required"):
-        assert problem in err
+        assert f"{cfg}: {problem}" in err
 
 
 def test_unknown_tokenizer_header_exits_2(workspace, capsys, tmp_path):
@@ -427,12 +427,11 @@ def test_removed_config_keys_exit_2(workspace, capsys, tmp_path, section, line):
 def test_non_finite_train_values_exit_2(workspace, capsys, tmp_path, old, new,
                                         problem):
     """NaN compares false against every bound, so a check written as
-    `x <= 0` would let it through and training would start."""
+    `x <= 0` would let it through and training would start.  The problem
+    names the config file, as `load_config` names it."""
     cfg = edited_config(workspace, tmp_path, old, new)
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert problem in err
+    assert f"{cfg}: {problem}" in assert_one_error_naming(capsys, cfg)
     assert not (tmp_path / "run").exists()
 
 

@@ -26,7 +26,7 @@ from pmu.losses import (
 )
 from pmu.model import self_condition
 from finite_diff import ctc_node_of
-from tape_ops import smoothed_loss_node, tape_log_softmax, tape_sum
+from tape_ops import smoothed_loss_node, tape_log_softmax, tape_mul, tape_sum
 
 
 def logp(*rows):
@@ -588,7 +588,7 @@ class TestCtcNode:
             root = ad.scale(node, 0.37)
             if sc:
                 h = self_condition(nodes[0], ad.softmax(logits), *nodes[3:])
-                root = ad.add(root, tape_sum(ad.mul(h, h)))
+                root = ad.add(root, tape_sum(tape_mul(h, h)))
             ad.backward(root)
             results.append([node.value, logits.grad] + [n.grad for n in nodes])
         fused, composed = results

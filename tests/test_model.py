@@ -8,7 +8,7 @@ import pytest
 import pmu.autodiff as ad
 import pmu.model
 from finite_diff import finite_diff_sample, joint_transducer_of
-from pmu import losses, nn
+from pmu import losses
 from pmu.errors import ContractViolation, InputError
 from pmu.losses import LOG_FLOOR
 from pmu.model import (
@@ -29,7 +29,17 @@ from pmu.model import (
     subsampled_length,
     validate_configs,
 )
-from tape_ops import smoothed_loss_node, tape_log_softmax, tape_sum
+from tape_ops import (
+    smoothed_loss_node,
+    tape_linear,
+    tape_log_softmax,
+    tape_matmul,
+    tape_mul,
+    tape_reshape,
+    tape_sigmoid,
+    tape_sum,
+    tape_take_slice,
+)
 
 
 def tiny_cfg(num_layers=2, **over):
@@ -239,11 +249,11 @@ def composed_joint_transducer(h_t, h_u, labels, ps, label_smoothing):
     tape ops the fused node replaces, label smoothing's term included."""
     T, U1 = h_t.value.shape[0], h_u.value.shape[0]
     J = ps.get("joint/b").value.shape[0]
-    at = ad.reshape(nn.linear(h_t, ps.get("joint/wt")), (T, 1, J))
-    au = ad.reshape(nn.linear(h_u, ps.get("joint/wu"), ps.get("joint/b")),
-                    (1, U1, J))
+    at = tape_reshape(tape_matmul(h_t, ps.get("joint/wt")), (T, 1, J))
+    au = tape_reshape(tape_linear(h_u, ps.get("joint/wu"), ps.get("joint/b")),
+                      (1, U1, J))
     z = tape_tanh(ad.add(at, au))
-    lattice = tape_log_softmax(ad.add(ad.matmul(z, ps.get("joint/out_w")),
+    lattice = tape_log_softmax(ad.add(tape_matmul(z, ps.get("joint/out_w")),
                                       ps.get("joint/out_b")))
     return smoothed_loss_node(losses.transducer_loss, lattice, labels,
                               label_smoothing)
@@ -420,14 +430,14 @@ class TestLabelEncoder:
             ps = build_params(tiny_cfg(), pmu_for("baseline"), seed=4)
             h_u = build(ps)
             w = np.random.default_rng(2).normal(size=h_u.value.shape)
-            ad.backward(tape_sum(ad.mul(h_u, ad.Node(w))))
+            ad.backward(tape_sum(tape_mul(h_u, ad.Node(w))))
             return h_u.value, {p: n.grad for p, n in ps.items()}
 
         def by_steps(ps):
             state = (ad.Node(np.zeros((1, 8))), ad.Node(np.zeros((1, 8))))
             rows = []
             for t in [0, 1, 3, 3, 2, 4]:
-                x = ad.take_slice(ps.get("lab/embed"), slice(t, t + 1))
+                x = tape_take_slice(ps.get("lab/embed"), slice(t, t + 1))
                 out, state = per_step_lstm(x, state, ps.get("lab/lstm/wx"),
                                            ps.get("lab/lstm/wh"),
                                            ps.get("lab/lstm/b"))
@@ -471,13 +481,13 @@ def per_step_lstm(x, state, wx, wh, b):
     h, c = state
     x, h, c = ad.as_node(x), ad.as_node(h), ad.as_node(c)
     d = ad.as_node(wx).value.shape[1] // 4
-    z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
-    i = ad.sigmoid(ad.take_slice(z, (slice(None), slice(0, d))))
-    f = ad.sigmoid(ad.take_slice(z, (slice(None), slice(d, 2 * d))))
-    g = tape_tanh(ad.take_slice(z, (slice(None), slice(2 * d, 3 * d))))
-    o = ad.sigmoid(ad.take_slice(z, (slice(None), slice(3 * d, 4 * d))))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, tape_tanh(c_new))
+    z = ad.add(ad.add(tape_matmul(x, wx), tape_matmul(h, wh)), b)
+    i = tape_sigmoid(tape_take_slice(z, (slice(None), slice(0, d))))
+    f = tape_sigmoid(tape_take_slice(z, (slice(None), slice(d, 2 * d))))
+    g = tape_tanh(tape_take_slice(z, (slice(None), slice(2 * d, 3 * d))))
+    o = tape_sigmoid(tape_take_slice(z, (slice(None), slice(3 * d, 4 * d))))
+    c_new = ad.add(tape_mul(f, c), tape_mul(i, g))
+    h_new = tape_mul(o, tape_tanh(c_new))
     return h_new, (h_new, c_new)
 
 
