@@ -23,6 +23,7 @@ from pmu.model import (
     subsampled_length,
 )
 from tape_ops import composed_module, composed_subsample, tape_mul, tape_sum
+from test_model import reachable
 
 PRESET = os.path.join(os.path.dirname(config.__file__), "presets",
                       "toy-desk.cfg")
@@ -135,7 +136,7 @@ def test_training_forward_does_not_depend_on_the_batch():
     for x, t, out in zip(xs, targets, batch):
         alone = model.prepare([x], [t], train=True, step=4)[0]
         assert np.array_equal(out.h_n3.value, alone.h_n3.value)
-        assert (model.loss(out, t).l_total == model.loss(alone, t).l_total)
+        assert model.loss(out, t).l_total == model.loss(alone, t).l_total
 
 
 def test_desk_training_utterance_graph_is_small():
@@ -148,15 +149,9 @@ def test_desk_training_utterance_graph_is_small():
     x = np.random.default_rng(0).normal(size=(92, exp.model.input_dim))
     targets = {"pasm": [1, 4, 2, 7], "bpe": [3, 5, 9]}
     out = model.prepare([x], [targets], train=True, step=1)[0]
-    root = model.loss(out, targets, label_smoothing=0.1).node
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if node.id not in seen:
-            seen[node.id] = node
-            stack.extend(node.parents)
-    ops = [n for n in seen.values() if n.parents]
-    leaves = [n for n in seen.values()
+    graph = reachable(model.loss(out, targets, label_smoothing=0.1).node)
+    ops = [n for n in graph.values() if n.parents]
+    leaves = [n for n in graph.values()
               if not n.parents and not n.op.startswith("param:")]
     assert len(ops) <= 30, len(ops)
     assert len(leaves) == 1 and np.array_equal(leaves[0].value, x)
