@@ -114,10 +114,8 @@ def _cmd_eval_wer(args) -> int:
                          f"{'...' if len(missing) > 5 else ''}")
     report = wer_corpus([(u.transcript, hyps[u.id]) for u in refs])
     print(f"wer {report.wer:.6f}")
-    print(f"substitutions {report.substitutions}")
-    print(f"insertions {report.insertions}")
-    print(f"deletions {report.deletions}")
-    print(f"ref_words {report.ref_words}")
+    for key in ("substitutions", "insertions", "deletions", "ref_words"):
+        print(f"{key} {getattr(report, key)}")
     if report.undefined:
         print("undefined true")
     print(report.format())

@@ -5,20 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .losses import collapse
 from .model import ConformerTransducer, joint, label_encoder_step
 
 
 def greedy_decode_ctc(emissions: np.ndarray, blank_id: int = 0) -> list[int]:
     """Frame-wise argmax, collapse adjacent repeats, delete blanks."""
-    path = np.asarray(emissions).argmax(axis=-1)
-    out: list[int] = []
-    prev = -1
-    for k in path:
-        k = int(k)
-        if k != prev and k != blank_id:
-            out.append(k)
-        prev = k
-    return out
+    return list(collapse(np.asarray(emissions).argmax(axis=-1).tolist(), blank_id))
 
 
 def greedy_decode_transducer(model: ConformerTransducer, x,
@@ -28,19 +21,23 @@ def greedy_decode_transducer(model: ConformerTransducer, x,
 
     The label state changes only when a symbol is emitted, so one joint call
     scores every remaining frame against it and the search jumps to the
-    first frame whose argmax is not blank.  The label state advances off
-    the tape, by the same LSTM cell that training runs."""
+    first frame whose argmax is not blank.  The frames are projected once,
+    a last frame alone (a one-row product rounds otherwise), and the label
+    state advances off the tape, by the LSTM cell that training runs."""
     if max_symbols_per_frame < 1:
         raise InputError(f"max_symbols_per_frame must be >= 1, "
                          f"got {max_symbols_per_frame}")
     ps = model.params
     h_t = model.encode(x)[0].value
+    wt = ps.get("joint/wt").value
+    ht_wt = h_t @ wt
     zeros = np.zeros((1, ps.get("lab/embed").value.shape[1]))
     state = label_encoder_step(0, (zeros, zeros), ps)
     out: list[int] = []
     t, at_t = 0, 0  # at_t: symbols emitted at frame t so far
     while t < h_t.shape[0]:
-        best = joint(h_t[t:], state[0], ps)[1][:, 0].argmax(axis=-1)
+        rows = ht_wt[t:] if t + 1 < len(h_t) else h_t[t:] @ wt
+        best = joint(rows, state[0], ps)[1][:, 0].argmax(axis=-1)
         hits = np.flatnonzero(best != 0)
         if hits.size == 0:
             break

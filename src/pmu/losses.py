@@ -150,11 +150,12 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
     return ctc_losses([(emissions, labels)])[0]
 
 
-def _collapse(path) -> tuple:
+def collapse(path, blank: int) -> tuple:
+    """CTC's many-to-one map: merge adjacent repeats, then delete blanks."""
     out = []
     prev = None
     for symbol in path:
-        if symbol != prev and symbol != 0:
+        if symbol != prev and symbol != blank:
             out.append(symbol)
         prev = symbol
     return tuple(out)
@@ -170,7 +171,7 @@ def ctc_brute_force(emissions: np.ndarray, labels) -> float:
     target = tuple(int(i) for i in labels)
     total = 0.0
     for path in itertools.product(range(V), repeat=T):
-        if _collapse(path) != target:
+        if collapse(path, 0) != target:
             continue
         p = 1.0
         for t, s in enumerate(path):
@@ -369,8 +370,7 @@ def oracle_equivalence_suite(instances: int = 200, seed: int = 0) -> dict:
     """Compare both DP losses against their enumeration oracles on random
     small instances; returns max absolute deviations in nats."""
     rng = np.random.default_rng(seed)
-    max_ctc = 0.0
-    max_trans = 0.0
+    max_ctc = max_trans = 0.0
     for _ in range(instances):
         V = int(rng.integers(2, 5))
         T = int(rng.integers(1, 5))
@@ -395,8 +395,7 @@ def oracle_equivalence_suite(instances: int = 200, seed: int = 0) -> dict:
 def gradient_suite(seeds: int = 20) -> dict:
     """Finite-difference check of both loss gradients; returns max relative
     errors (scaled by max(1, |analytic|, |numeric|) per entry)."""
-    worst_ctc = 0.0
-    worst_trans = 0.0
+    worst_ctc = worst_trans = 0.0
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
         V = int(rng.integers(2, 5))

@@ -524,15 +524,16 @@ def label_encoder_step(token: int, state, ps: ParamStore):
 JOINT_LEAVES = ("wt", "wu", "b", "out_w", "out_b")  # the joint's parameters
 
 
-def joint(h_t, h_u, ps: ParamStore):
+def joint(ht_wt, h_u, ps: ParamStore):
     """The joint network, forward only, on arrays: z = tanh(W_t h_t + W_u h_u
-    + b) and the log-probs log_softmax(W_out z + b_out) on every (t, u) pair.
-    Returns (z, logprobs), shaped (T, U+1, J) and (T, U+1, V); training's
+    + b) and the log-probs log_softmax(W_out z + b_out) on every (t, u) pair,
+    given the frames' projection ht_wt = h_t @ joint/wt.  Returns (z,
+    logprobs), shaped (T, U+1, J) and (T, U+1, V); training's
     `joint_transducer` and greedy decode both call it."""
-    wt, wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value
-                               for leaf in JOINT_LEAVES)
-    T, U1, J = h_t.shape[0], h_u.shape[0], b.shape[0]
-    z = np.add((h_t @ wt).reshape(T, 1, J), (h_u @ wu + b).reshape(1, U1, J))
+    wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value
+                           for leaf in JOINT_LEAVES[1:])
+    T, U1, J = ht_wt.shape[0], h_u.shape[0], b.shape[0]
+    z = np.add(ht_wt.reshape(T, 1, J), (h_u @ wu + b).reshape(1, U1, J))
     np.tanh(z, out=z)
     logits = z @ out_w
     logits += out_b
@@ -541,7 +542,7 @@ def joint(h_t, h_u, ps: ParamStore):
 
 def joint_transducer(h_t, h_u, labels, lattice: tuple, res: losses.LossResult,
                      ps: ParamStore, label_smoothing: float) -> Node:
-    """The transducer loss of `lattice` = joint(h_t, h_u)'s (z, logprobs),
+    """The transducer loss of `lattice`, the joint's (z, logprobs) on h_t, h_u,
     with ok kernel result `res`, plus label smoothing's uniform-KL term, as
     one tape node.  The backward runs the numpy ops of the composed graph's
     backward (log_softmax by `losses.smoothed`, the output layer, tanh, the
@@ -649,7 +650,8 @@ class ConformerTransducer:
                 top, heads, h_u,
                 {name: losses.log_softmax(logits.value)
                  for name, logits in heads.items()},
-                joint(top.value, h_u.value, self.params)))
+                joint(top.value @ self.params.get("joint/wt").value,
+                      h_u.value, self.params)))
         ctc = iter(losses.ctc_losses([
             (out.ctc_logprobs[s.name], _target(t, s.units, f"active head {s.name!r}"))
             for out, t in zip(outs, targets) for s in specs]))

@@ -54,16 +54,16 @@ def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     if gain.shape != (d,) or bias.shape != (d,):
         raise ContractViolation(
             f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # np.add.reduce(a) / d is np.mean's arithmetic without its wrappers
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
 
     def back(g):
         gg = g * gain
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
         return ((gg - m1 - xhat * m2) * inv, (g * xhat).reshape(-1, d).sum(axis=0),
                 g.reshape(-1, d).sum(axis=0))
 
@@ -104,25 +104,33 @@ def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray):
 def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """2-D convolution with stride 2 and zero padding 1 on both spatial axes,
     x (H, W, Cin), w (kh, kw, Cin, Cout), bias b (Cout,), on arrays: (value,
-    back), back(g) -> (dx, dw, db)."""
+    back), back(g) -> (dx, dw, db).  Each product is the matmul that numpy's
+    einsum(optimize=True) runs for it, operand order, K = (kh, kw, Cin) order
+    and the value's channel-major layout included, so values and gradients
+    are einsum's bit for bit unless Wo = 1 and Ho or Cout is 1 too."""
     H, W, cin = x.shape
     kh, kw, wcin, cout = w.shape
     if wcin != cin:
         raise ContractViolation(f"conv2d: input channels {cin} != weight channels {wcin}")
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    Ho = (H + 2 - kh) // 2 + 1
-    Wo = (W + 2 - kw) // 2 + 1
+    Ho, Wo = (H + 2 - kh) // 2 + 1, (W + 2 - kw) // 2 + 1
     if Ho < 1 or Wo < 1:
         raise ContractViolation(
             f"conv2d: output would be empty for input {x.shape} kernel ({kh},{kw})")
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    cols = win[::2, ::2]  # (Ho, Wo, Cin, kh, kw)
-    y = np.einsum("xycij,ijco->xyo", cols, w, optimize=True) + b
+    xp = np.zeros((H + 2, W + 2, cin), dtype=x.dtype)
+    xp[1:1 + H, 1:1 + W] = x
+    s0, s1, s2 = xp.strides  # cols: (Ho, Wo, Cin, kh, kw) windows
+    cols = np.lib.stride_tricks.as_strided(xp, (Ho, Wo, cin, kh, kw),
+                                           (2 * s0, 2 * s1, s2, s0, s1))
+    K, M = kh * kw * cin, Ho * Wo
+    y = (w.transpose(3, 0, 1, 2).reshape(cout, K)
+         @ cols.transpose(3, 4, 2, 0, 1).reshape(K, M)
+         ).reshape(cout, Ho, Wo).transpose(1, 2, 0) + b
 
     def back(g):
-        g = ad.laid_out_as(y, g)  # the einsums and sum follow its layout
-        dw = np.einsum("xycij,xyo->ijco", cols, g, optimize=True)
-        dcols = np.einsum("xyo,ijco->xycij", g, w, optimize=True)
+        g = ad.laid_out_as(y, g)  # the products and sum follow its layout
+        go = g.transpose(2, 0, 1).reshape(cout, M)
+        dw = (go @ cols.reshape(M, K)).reshape(cout, cin, kh, kw).transpose(2, 3, 1, 0)
+        dcols = (w.reshape(K, cout) @ go).reshape(kh, kw, cin, Ho, Wo).transpose(3, 4, 2, 0, 1)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):

@@ -81,8 +81,7 @@ def adam_update(ps: ParamStore, state: AdamState, lr: float):
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for path, node in ps.items():
         g = node.grad
-        m = state.m[path]
-        v = state.v[path]
+        m, v = state.m[path], state.v[path]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -142,12 +141,10 @@ def train_step(model: ConformerTransducer, batch: list[Sample],
                             f"({where})")
     adam_update(model.params, opt, lr)
 
-    comps: dict[str, float] = {}
-    for name in bundles[0].l_ctc_components:
-        comps[name] = sum(b.l_ctc_components[name] for b in bundles) / n
     agg = LossBundle(
         l_trans=sum(b.l_trans for b in bundles) / n,
-        l_ctc_components=comps,
+        l_ctc_components={name: sum(b.l_ctc_components[name] for b in bundles) / n
+                          for name in bundles[0].l_ctc_components},
         l_total=sum(b.l_total for b in bundles) / n,
         skipped_samples=skipped)
     return agg, {"lr": lr, "grad_norm": norm, "updated": True}
@@ -155,8 +152,7 @@ def train_step(model: ConformerTransducer, batch: list[Sample],
 
 def sample_batch(n: int, batch_size: int, seed: int, step: int) -> list[int]:
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 7, step])
-    replace = n < batch_size
-    return [int(i) for i in rng.choice(n, size=batch_size, replace=replace)]
+    return [int(i) for i in rng.choice(n, size=batch_size, replace=n < batch_size)]
 
 
 # ---------------------------------------------------------------------------

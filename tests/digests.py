@@ -12,6 +12,8 @@ and evals at steps 2 and 4.  One more run covers skipped samples: pca_ctc
 1+1+1 with self-conditioning at label smoothing 0.1 on data of 4-6 frames
 per word with adjacent repeats, where some but not all utterances of a
 step have a tap no path reaches; it also prints each step's skipped count.
+Last, it prints the sha256 of the dev hypotheses that greedy transducer
+decoding of baseline_bpe_ls0.1's final model gives, a gate on decode.
 A change that keeps the arithmetic bit-identical prints the same lines as
 its parent, so the check is a `diff` of the outputs of two checkouts.
 Pytest does not collect this file.
@@ -23,8 +25,11 @@ import os
 import sys
 
 from pmu import config, synth
+from pmu.data import load_manifest
+from pmu.decode import decode_dataset
 from pmu.model import PMUConfig
-from pmu.tokenizers import save_bpe, save_pasm, train_bpe, train_pasm
+from pmu.tokenizers import (load_tokenizer, save_bpe, save_pasm, train_bpe,
+                            train_pasm)
 from pmu.train import run_experiment
 
 PRESET = os.path.join(os.path.dirname(config.__file__), "presets",
@@ -50,6 +55,7 @@ CONFIGS = {
     "pca_111_shared": pca(1, sc=True, shared=True),
 }
 FILES = ("runlog.jsonl", "final.ckpt", "best.ckpt")
+HYPS_RUN = "baseline_bpe_ls0.1"  # the run whose final model decodes dev
 # data on which some utterances are too short for their CTC targets
 SHORT = synth.ToySpec(frames_min=4, frames_max=6, adjacent_repeats=True)
 
@@ -111,8 +117,11 @@ def main(out: str):
             run = f"{name}_ls{label_smoothing}"
             exp = experiment(pmu, label_smoothing, data, models,
                              os.path.join(out, run))
-            run_experiment(exp, quiet=True)
+            model = run_experiment(exp, quiet=True)["model"]
             report(out, run)
+            if run == HYPS_RUN:
+                hyps = decode_dataset(model, load_manifest(data["dev_manifest"]),
+                                      load_tokenizer(models["bpe_model"]).vocab)
     short = synth.materialize(os.path.join(out, "short"), SHORT, 0)
     run = "skip_path_pca_111_sc_ls0.1"
     run_experiment(experiment(CONFIGS["pca_111_sc"], 0.1, short, models,
@@ -121,6 +130,8 @@ def main(out: str):
     with open(os.path.join(out, run, "runlog.jsonl"), encoding="utf-8") as fh:
         steps = [e for e in map(json.loads, fh) if e["kind"] == "step"]
     print(f"{run}/skipped {','.join(str(e['skipped']) for e in steps)}")
+    text = json.dumps(hyps, sort_keys=True).encode("utf-8")
+    print(f"{HYPS_RUN}/dev_hyps {hashlib.sha256(text).hexdigest()}")
 
 
 if __name__ == "__main__":

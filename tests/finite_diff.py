@@ -61,7 +61,7 @@ def ctc_node_of(logits, labels, label_smoothing):
 def joint_transducer_of(h_t, h_u, labels, ps, label_smoothing):
     """`model.joint_transducer` on the joint of h_t and h_u's values and
     the batched kernel's result."""
-    lattice = joint(h_t.value, h_u.value, ps)
+    lattice = joint(h_t.value @ ps.get("joint/wt").value, h_u.value, ps)
     res = transducer_losses([(lattice[1], labels)])[0]
     return joint_transducer(h_t, h_u, labels, lattice, res, ps,
                             label_smoothing)

@@ -2,9 +2,11 @@
 references: the full sum (the gradient checks' scalarizer), the product,
 sigmoid, swish, reshape, transpose and slice ops, log-softmax, a loss
 kernel as a node, label smoothing's uniform-KL term, GLU, multi-head
-attention and per-call dropout.  From them come the graphs the fused nodes
-replace: each conformer module and the subsampling as the composed graph of
-tape ops, for the fused nodes' bit-equality tests."""
+attention and per-call dropout, and the array forms `pmu.nn` replaced with
+the same arithmetic: the convolution as np.pad plus einsum and layer norm's
+means as np.mean.  From them come the graphs the fused nodes replace: each
+conformer module and the subsampling as the composed graph of tape ops, for
+the fused nodes' bit-equality tests."""
 
 import math
 import zlib
@@ -169,6 +171,55 @@ def tape_dropout(x, p, ctx, site):
     return tape_mul(x, Node(mask))
 
 
+def einsum_conv2d_vjp(x, w, b):
+    """`nn.conv2d_vjp` as np.pad plus einsum(optimize=True), whose matmuls
+    it runs: the reference its products equal bit for bit."""
+    H, W, _ = x.shape
+    kh, kw, _, _ = w.shape
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    Ho = (H + 2 - kh) // 2 + 1
+    Wo = (W + 2 - kw) // 2 + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
+    cols = win[::2, ::2]  # (Ho, Wo, Cin, kh, kw)
+    y = np.einsum("xycij,ijco->xyo", cols, w, optimize=True) + b
+
+    def back(g):
+        g = ad.laid_out_as(y, g)  # the einsums and sum follow its layout
+        dw = np.einsum("xycij,xyo->ijco", cols, g, optimize=True)
+        dcols = np.einsum("xyo,ijco->xycij", g, w, optimize=True)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[i:i + Ho * 2:2, j:j + Wo * 2:2] += dcols[:, :, :, i, j]
+        return dxp[1:1 + H, 1:1 + W], dw, g.sum(axis=(0, 1))
+
+    return y, back
+
+
+def mean_layer_norm_vjp(x, gain, bias):
+    """`nn.layer_norm_vjp` with its means taken by np.mean: the reference
+    it equals bit for bit."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nn.LN_EPS)
+    xhat = xc * inv
+
+    def back(g):
+        gg = g * gain
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        return ((gg - m1 - xhat * m2) * inv, (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
+
+    return xhat * gain + bias, back
+
+
+def tape_layer_norm(x, gain, bias):
+    return ad.vjp_node("layer_norm", mean_layer_norm_vjp, x, gain, bias)
+
+
 def tape_conv2d(x, w, b):
     return ad.vjp_node("conv2d", nn.conv2d_vjp, x, w, b)
 
@@ -186,7 +237,7 @@ def composed_module(h, ps, p, module, cfg, ctx):
     def drop(x, site):
         return tape_dropout(x, cfg.dropout, ctx, f"{p}/{module}/{site}")
 
-    y = nn.layer_norm(h, get("ln_g"), get("ln_b"))
+    y = tape_layer_norm(h, get("ln_g"), get("ln_b"))
     if module in ("ff1", "ff2"):
         y = tape_swish(tape_linear(y, get("w1"), get("b1")))
         y = tape_linear(drop(y, "d1"), get("w2"), get("b2"))
@@ -198,7 +249,7 @@ def composed_module(h, ps, p, module, cfg, ctx):
     else:
         y = tape_glu(tape_linear(y, get("pw1_w"), get("pw1_b")))
         y = tape_depthwise_conv1d(y, get("dw_k"))
-        y = nn.layer_norm(y, get("ln2_g"), get("ln2_b"))
+        y = tape_layer_norm(y, get("ln2_g"), get("ln2_b"))
         y = tape_linear(tape_swish(y), get("pw2_w"), get("pw2_b"))
     return ad.add(h, drop(y, "d"))
 
@@ -211,7 +262,8 @@ def composed_subsample(x, cfg, ps, ctx):
     T = x.value.shape[0]
     y = tape_reshape(x, (T, cfg.input_dim, 1))
     for conv in ("sub/conv1", "sub/conv2"):
-        y = tape_swish(tape_conv2d(y, ps.get(f"{conv}/w"), ps.get(f"{conv}/b")))
+        y = tape_swish(ad.vjp_node("conv2d", einsum_conv2d_vjp, y,
+                                   ps.get(f"{conv}/w"), ps.get(f"{conv}/b")))
     Tp, f, C = y.value.shape
     h = tape_linear(tape_reshape(y, (Tp, f * C)), ps.get("sub/proj/w"),
                   ps.get("sub/proj/b"))

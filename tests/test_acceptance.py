@@ -324,7 +324,8 @@ def test_criterion_4_structure(acceptance):
     out_c = cond.prepare([x], [targets])[0]
     if not np.array_equal(out_p.h_n3.value, out_c.h_n3.value):
         problems.append("conditioned trunk differs at init")
-    lattice_p, lattice_c = (joint(o.h_n3.value, o.h_u.value, m.params)[1]
+    lattice_p, lattice_c = (joint(o.h_n3.value @ m.params.get("joint/wt").value,
+                                  o.h_u.value, m.params)[1]
                             for o, m in ((out_p, plain), (out_c, cond)))
     if not np.array_equal(lattice_p, lattice_c):
         problems.append("conditioned lattice differs at init")

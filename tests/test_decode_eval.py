@@ -121,7 +121,8 @@ def reference_greedy(model, x, max_symbols_per_frame, blank_id=0):
     for t in range(h_t.shape[0]):
         for _ in range(max_symbols_per_frame):
             h_u = label_encoder_forward(out, model.params).value[-1:]
-            k = int(joint(h_t[t:t + 1], h_u, model.params)[1][0, 0].argmax())
+            ht_wt = h_t[t:t + 1] @ model.params.get("joint/wt").value
+            k = int(joint(ht_wt, h_u, model.params)[1][0, 0].argmax())
             if k == blank_id:
                 break
             out.append(k)

@@ -1,7 +1,8 @@
 """The encoder's fused nodes: each conformer module and the subsampling
-equal the graphs of tape ops they replace bit for bit, a dropout site's
-mask of T rows is the prefix of its longer masks, and a training
-utterance's graph stays small."""
+equal the graphs of tape ops they replace bit for bit, the convolution's
+matmuls and layer norm's reductions equal the einsum and np.mean forms
+they replace, a dropout site's mask of T rows is the prefix of its longer
+masks, and a training utterance's graph stays small."""
 
 import os
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import pmu.autodiff as ad
+import pmu.nn as nn
 from pmu import config
 from pmu.model import (
     MODULES,
@@ -22,7 +24,14 @@ from pmu.model import (
     conformer_module,
     subsampled_length,
 )
-from tape_ops import composed_module, composed_subsample, tape_mul, tape_sum
+from tape_ops import (
+    composed_module,
+    composed_subsample,
+    einsum_conv2d_vjp,
+    mean_layer_norm_vjp,
+    tape_mul,
+    tape_sum,
+)
 from test_model import reachable
 
 PRESET = os.path.join(os.path.dirname(config.__file__), "presets",
@@ -101,6 +110,42 @@ def test_subsampling_equals_the_composed_graph_bit_for_bit(train, T):
                    None)
     assert fused[0].shape == (subsampled_length(frames, 4), 32)
     assert_same(fused, composed)
+
+
+def assert_same_bits(fn, reference, args, g):
+    """fn and reference give the same value and gradients under g: equal
+    entries, equal signs (zeros included) and equal strides, but on axes of
+    length 1, whose stride addresses nothing."""
+    value, back = fn(*args)
+    want, want_back = reference(*args)
+    for i, (got, ref) in enumerate(zip((value, *back(g)), (want, *want_back(g)))):
+        assert np.array_equal(got, ref), i
+        assert np.array_equal(np.signbit(got), np.signbit(ref)), i
+        assert all(a == b for a, b, n in zip(got.strides, ref.strides,
+                                             got.shape) if n > 1), i
+
+
+# (H, W): Ho = 1 at H 1-3, odd and even sides, and the desk (92 frames) and
+# long (640 frames) utterances at conv1's and at conv2's input
+@pytest.mark.parametrize("H,W", [(1, 16), (2, 7), (3, 8), (5, 5), (6, 4),
+                                 (92, 16), (640, 16), (46, 8), (320, 8)])
+@pytest.mark.parametrize("cin", [1, 8])
+def test_conv2d_matmuls_equal_einsum_bit_for_bit(H, W, cin):
+    rng = np.random.default_rng(H * W * cin)
+    x = rng.normal(size=(H, W, cin))
+    x[::3] = -0.0  # signed zeros beside the padding's
+    w, b = rng.normal(size=(3, 3, cin, 8)), rng.normal(size=8)
+    g = rng.normal(size=((H - 1) // 2 + 1, (W - 1) // 2 + 1, 8))
+    assert_same_bits(nn.conv2d_vjp, einsum_conv2d_vjp, (x, w, b), g)
+
+
+@pytest.mark.parametrize("T", [1, 2, 23, 92, 160, 300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_layer_norm_reductions_equal_mean_bit_for_bit(T, order):
+    rng = np.random.default_rng(T)
+    x, g = (np.asarray(rng.normal(size=(T, 32)), order=order) for _ in range(2))
+    args = (x, rng.normal(size=32), rng.normal(size=32))
+    assert_same_bits(nn.layer_norm_vjp, mean_layer_norm_vjp, args, g)
 
 
 @pytest.mark.parametrize("site,width", [

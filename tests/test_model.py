@@ -205,7 +205,8 @@ class TestShapes:
     def test_lattice_shape(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         out = model.prepare([feats(12)], [{"bpe": [1, 3, 2]}])[0]
-        z, lattice = joint(out.h_n3.value, out.h_u.value, model.params)
+        ht_wt = out.h_n3.value @ model.params.get("joint/wt").value
+        z, lattice = joint(ht_wt, out.h_u.value, model.params)
         assert lattice.shape == (3, 4, 5)  # T'=3, U+1=4, V=5
         assert z.shape == (3, 4, 8)
         assert out.h_u.value.shape == (4, 8)
@@ -213,7 +214,8 @@ class TestShapes:
     def test_lattice_rows_normalized(self):
         model = ConformerTransducer(tiny_cfg(), pmu_for("baseline"))
         out = model.prepare([feats(12)], [{"bpe": [1, 3]}])[0]
-        lattice = joint(out.h_n3.value, out.h_u.value, model.params)[1]
+        ht_wt = out.h_n3.value @ model.params.get("joint/wt").value
+        lattice = joint(ht_wt, out.h_u.value, model.params)[1]
         sums = np.exp(lattice).sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -226,12 +228,13 @@ class TestJoint:
         rng = np.random.default_rng(5)
         h_t = rng.normal(size=(4, 8))
         h_u = rng.normal(size=(3, 8))
-        base = joint(h_t, h_u, ps)[1]
+        wt = ps.get("joint/wt").value
+        base = joint(h_t @ wt, h_u, ps)[1]
         perm = np.array([2, 0, 3, 1])
-        permuted = joint(h_t[perm], h_u, ps)[1]
+        permuted = joint(h_t[perm] @ wt, h_u, ps)[1]
         np.testing.assert_array_equal(permuted, base[perm])
         uperm = np.array([1, 2, 0])
-        permuted_u = joint(h_t, h_u[uperm], ps)[1]
+        permuted_u = joint(h_t @ wt, h_u[uperm], ps)[1]
         np.testing.assert_array_equal(permuted_u, base[:, uperm])
 
     def test_zero_inputs_give_uniform_only_with_zero_weights(self):
@@ -240,7 +243,8 @@ class TestJoint:
         out_b = ps.get("joint/out_b")
         out_w.value[:] = 0.0
         out_b.value[:] = 0.0
-        lat = joint(np.zeros((2, 8)), np.zeros((2, 8)), ps)[1]
+        lat = joint(np.zeros((2, 8)) @ ps.get("joint/wt").value,
+                    np.zeros((2, 8)), ps)[1]
         np.testing.assert_allclose(lat, math.log(1 / 5), atol=1e-12)
 
 

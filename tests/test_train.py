@@ -488,9 +488,9 @@ class TestTrainStep:
         exactly as over the batch without it."""
         real_joint, real_loss = pmu.model.joint, ConformerTransducer.loss
 
-        def joint(h_t, h_u, ps):  # floors the 14-frame utterance's lattice
-            z, lattice = real_joint(h_t, h_u, ps)
-            if bad.get("floored") and len(h_t) == 4:
+        def joint(ht_wt, h_u, ps):  # floors the 14-frame utterance's lattice
+            z, lattice = real_joint(ht_wt, h_u, ps)
+            if bad.get("floored") and len(ht_wt) == 4:
                 lattice[-1, -1, 0] = 2 * LOG_FLOOR
             return z, lattice
 
