@@ -114,8 +114,8 @@ def test_subsampling_equals_the_composed_graph_bit_for_bit(train, T):
 
 def assert_same_bits(fn, reference, args, g):
     """fn and reference give the same value and gradients under g: equal
-    entries, equal signs (zeros included) and equal strides, but on axes of
-    length 1, whose stride addresses nothing."""
+    entries, equal signs (zeros included) and equal strides, except on axes
+    of length 1, whose stride addresses nothing."""
     value, back = fn(*args)
     want, want_back = reference(*args)
     for i, (got, ref) in enumerate(zip((value, *back(g)), (want, *want_back(g)))):
