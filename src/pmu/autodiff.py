@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -192,18 +192,25 @@ class ParamStore:
     """Named map from parameter path to Node, with path aliasing.
 
     Aliasing lets two logical layers resolve to the same underlying Node
-    (same id, same storage), which is how weight sharing is expressed.
-    """
+    (same id, same storage), which is how weight sharing is expressed.  Once
+    packed, values and gradients are C-ordered views of two float64 arenas,
+    in sorted path order; `layout` lists their [path, shape] pairs."""
 
     def __init__(self, rng_seed: int = 0):
         self.rng_seed = rng_seed
         self._params: dict[str, Node] = {}
         self._aliases: dict[str, str] = {}
+        self.layout, self.values, self.grads = None, np.zeros(0), np.zeros(0)
+
+    def _claim(self, path: str):
+        if self.layout is not None:
+            raise ContractViolation(f"{path!r}: the store is already packed")
+        if path in self._params or path in self._aliases:
+            raise ContractViolation(f"parameter path {path!r} already exists")
 
     def create(self, path: str, shape: tuple, init: str = "uniform_fanin",
                fan_in: int | None = None) -> Node:
-        if path in self._params or path in self._aliases:
-            raise ContractViolation(f"parameter path {path!r} already exists")
+        self._claim(path)
         shape = tuple(shape)
         if init == "zeros":
             value = np.zeros(shape, dtype=DEFAULT_DTYPE)
@@ -223,8 +230,7 @@ class ParamStore:
     def alias(self, path: str, target: str):
         """Make `path` resolve to the existing parameter at `target`, which
         must not itself be an alias."""
-        if path in self._params:
-            raise ContractViolation(f"{path!r} already holds a parameter")
+        self._claim(path)
         if target not in self._params:
             raise ContractViolation(f"alias target {target!r} is not a parameter")
         self._aliases[path] = target
@@ -235,17 +241,32 @@ class ParamStore:
             raise KeyError(path)
         return self._params[real]
 
-    def items(self) -> Iterable[tuple[str, Node]]:
+    def items(self) -> list[tuple[str, Node]]:
         """Real (non-alias) parameters in sorted path order."""
-        for path in sorted(self._params):
-            yield path, self._params[path]
+        return sorted(self._params.items())
 
     def paths(self) -> list[str]:
         return sorted(self._params)
 
+    def pack(self):
+        """Move the values into the `values` arena and give each node a
+        zeroed gradient view of `grads`; no parameter can join after."""
+        items = self.items()
+        self.layout = [[path, list(n.value.shape)] for path, n in items]
+        self.values = np.concatenate([np.zeros(0)] + [n.value.ravel() for _, n in items])
+        self.grads = np.zeros_like(self.values)
+        ends = np.cumsum([n.value.size for _, n in items])
+        for (_, n), v, g in zip(items, np.split(self.values, ends),
+                                np.split(self.grads, ends)):
+            n.value, n.grad = v.reshape(n.value.shape), g.reshape(n.value.shape)
+
     def zero_grad(self):
-        for node in self._params.values():
-            node.grad = None
+        """Zero the gradient arena; a parameter rebound off the arenas
+        raises, as Adam would skip it."""
+        for path, n in self.items():
+            if n.value.base is not self.values or n.grad.base is not self.grads:
+                raise ContractViolation(f"parameter {path!r} does not view the arenas")
+        self.grads.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

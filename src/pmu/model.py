@@ -202,7 +202,7 @@ def subsampled_length(T: int, factor: int) -> int:
 # parameter construction
 
 def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
-    """Create every parameter the configured variant needs.
+    """Create every parameter the configured variant needs, then pack them.
 
     Initial values depend only on (seed, path), so two configs that differ
     in one component still agree on all common parameters.
@@ -278,6 +278,7 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
     ps.create("joint/b", (cfg.joint_dim,), init="zeros")
     ps.create("joint/out_w", (cfg.joint_dim, V))
     ps.create("joint/out_b", (V,), init="zeros")
+    ps.pack()
     return ps
 
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,30 +48,24 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    m: np.ndarray  # the moment arenas, laid out as `ParamStore.values`
+    v: np.ndarray
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, ps: ParamStore) -> "AdamState":
-        state = cls()
-        for path, node in ps.items():
-            state.m[path] = np.zeros_like(node.value)
-            state.v[path] = np.zeros_like(node.value)
-        return state
+        return cls(np.zeros_like(ps.values), np.zeros_like(ps.values))
 
 
 def clip_gradients(ps: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm; returns
-    the pre-clip norm."""
+    """Scale the gradient arena so the global norm is at most max_norm;
+    returns the pre-clip norm, summed per parameter in sorted order."""
     total = 0.0
     for _, node in ps.items():
         total += float((node.grad * node.grad).sum())
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for _, node in ps.items():
-            node.grad *= factor
+        ps.grads *= max_norm / norm
     return norm
 
 
@@ -79,14 +73,12 @@ def adam_update(ps: ParamStore, state: AdamState, lr: float):
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for path, node in ps.items():
-        g = node.grad
-        m, v = state.m[path], state.v[path]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        node.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g, m, v = ps.grads, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    ps.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +201,12 @@ class RunLog:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _checkpoint_layout(model: ConformerTransducer, opt: AdamState):
-    """(the header's `params` list of [path, shape] pairs, the payload's
-    arrays in file order): every parameter, then Adam's m, then Adam's v,
-    each in `ParamStore.items()` order."""
-    values = {p: node.value for p, node in model.params.items()}
-    return ([[p, list(v.shape)] for p, v in values.items()],
-            [d[p] for d in (values, opt.m, opt.v) for p in values])
-
-
 def save_checkpoint(path: str, model: ConformerTransducer, opt: AdamState,
                     next_step: int, meta: dict | None = None):
     """Magic, u32 header length, JSON header, then the float64 little-endian
-    arrays of `_checkpoint_layout` back to back."""
-    params, arrays = _checkpoint_layout(model, opt)
+    arenas of the parameters, Adam's m and Adam's v, laid out as `params`."""
     header = {**model.config_dict(), "opt_t": opt.t, "next_step": next_step,
-              "seed": model.seed, "params": params}
+              "seed": model.seed, "params": model.params.layout}
     if meta:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -233,8 +215,8 @@ def save_checkpoint(path: str, model: ConformerTransducer, opt: AdamState,
         fh.write(CKPT_MAGIC)
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
-        for arr in arrays:
-            fh.write(arr.astype("<f8").tobytes())
+        for arena in (model.params.values, opt.m, opt.v):
+            fh.write(arena.astype("<f8").tobytes())
 
     _write_atomic(path, fill)
 
@@ -285,17 +267,12 @@ def restore_model(path: str) -> tuple[ConformerTransducer, AdamState, dict]:
     except (AttributeError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: checkpoint header does not hold a model "
                           f"config ({type(e).__name__}: {e})")
-    opt = AdamState.for_params(model.params)
-    opt.t = header["opt_t"]
-    params, arrays = _checkpoint_layout(model, opt)
-    if header["params"] != params:
+    if header["params"] != model.params.layout:
         raise FormatError(f"{path}: checkpoint params list does not match "
                           f"the parameters its config builds")
-    values, start = np.frombuffer(payload, dtype="<f8"), 0
-    for dest in arrays:
-        dest[...] = values[start:start + dest.size].reshape(dest.shape)
-        start += dest.size
-    return model, opt, header
+    values, m, v = np.frombuffer(payload, dtype="<f8").reshape(3, -1)
+    model.params.values[...] = values
+    return model, AdamState(m.copy(), v.copy(), header["opt_t"]), header
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,17 @@ per word with adjacent repeats, where some but not all utterances of a
 step have a tap no path reaches; it also prints each step's skipped count.
 Last, it prints the sha256 of the dev hypotheses that greedy transducer
 decoding of baseline_bpe_ls0.1's final model gives, a gate on decode.
-A change that keeps the arithmetic bit-identical prints the same lines as
-its parent, so the check is a `diff` of the outputs of two checkouts.
+Three `#` lines head the output: numpy's version, its OpenBLAS build and
+the CPU features numpy dispatches on, since BLAS kernels and numpy's SIMD
+loops round differently across builds and CPUs.
+
+`tests/digests.txt` holds this output, and `tests/test_digests.py` checks
+that the script still prints it, on a host whose three head lines match.  A
+change that keeps the arithmetic bit-identical leaves the file as it is; a
+change meant to move the arithmetic re-records it:
+
+    PYTHONPATH=src python tests/digests.py OUT > tests/digests.txt
+
 Pytest does not collect this file.
 """
 
@@ -23,6 +32,8 @@ import hashlib
 import json
 import os
 import sys
+
+import numpy as np
 
 from pmu import config, synth
 from pmu.data import load_manifest
@@ -109,7 +120,23 @@ def report(out: str, run: str):
         print(f"{run}/{file} {digest}")
 
 
+def host_lines() -> list[str]:
+    """numpy's version, the `openblas configuration` string of its BLAS
+    build and the CPU features numpy found to dispatch its SIMD loops on
+    (exp and log among them), as comment lines."""
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 has no dicts mode
+        info = {}
+    blas = info.get("Build Dependencies", {}).get("blas", {})
+    simd = info.get("SIMD Extensions", {}).get("found", ["unknown"])
+    return [f"# numpy {np.__version__}",
+            f"# openblas {blas.get('openblas configuration', 'unknown')}",
+            f"# simd {' '.join(simd)}"]
+
+
 def main(out: str):
+    print(*host_lines(), sep="\n")
     data = synth.materialize(os.path.join(out, "data"), synth.ToySpec(), 0)
     models = tokenizers(data, os.path.join(out, "data"))
     for label_smoothing in (0.0, 0.1):

@@ -209,3 +209,65 @@ class TestParamStore:
         ps = ad.ParamStore()
         node = ps.create("sc/w", (3, 4), init="zeros")
         assert np.array_equal(node.value, np.zeros((3, 4)))
+
+
+class TestArenas:
+    """A packed store holds its values and gradients as views of two
+    float64 arenas in sorted path order."""
+
+    @staticmethod
+    def packed():
+        ps = ad.ParamStore(rng_seed=3)
+        ps.create("b/w", (2, 3))
+        ps.create("a/w", (4,))
+        ps.alias("c/w", "b/w")
+        before = [n.value.copy() for _, n in ps.items()]
+        ps.pack()
+        return ps, before
+
+    def test_pack_lays_out_the_arenas_in_sorted_path_order(self):
+        ps, before = self.packed()
+        a, b = ps.get("a/w"), ps.get("b/w")
+        assert ps.layout == [["a/w", [4]], ["b/w", [2, 3]]]
+        assert ps.values.tobytes() == b"".join(v.tobytes() for v in before)
+        assert ps.get("c/w") is b and b.value.flags.c_contiguous
+        b.grad[...] = 1.0
+        ps.values[:4] = 7.0
+        assert ps.grads.tolist() == [0.0] * 4 + [1.0] * 6
+        assert a.value.tolist() == [7.0] * 4
+        ps.zero_grad()
+        assert not ps.grads.any() and b.grad.base is ps.grads
+
+    def test_first_write_into_a_zeroed_view_is_laid_out_as_g_plus_zero(self):
+        """What keeps the arenas bit-identical: `_acc` adds a parameter's
+        first gradient into its zeroed view, which gives the bits of the
+        fresh buffer an unpacked node gets, signed zeros and NaN included."""
+        ps, _ = self.packed()
+        g = np.array([-0.0, 0.0, 1e-310, -np.inf, np.nan, 3.5])
+        ad._acc(ps.get("b/w"), g.reshape(2, 3))
+        assert ps.get("b/w").grad.tobytes() == ad.laid_out_as(
+            np.zeros((2, 3)), g.reshape(2, 3)).tobytes()
+
+    @pytest.mark.parametrize("late", [lambda ps: ps.create("z/w", (2,)),
+                                      lambda ps: ps.alias("z/w", "a/w")],
+                             ids=["create", "alias"])
+    def test_no_parameter_joins_a_packed_store(self, late):
+        """The arena would not hold it, so Adam would never update it."""
+        ps, _ = self.packed()
+        with pytest.raises(ContractViolation, match="'z/w'.*packed"):
+            late(ps)
+
+    @pytest.mark.parametrize("field", ["value", "grad"])
+    def test_zero_grad_names_a_rebound_parameter(self, field):
+        """A value or gradient rebound off the arenas would be skipped by
+        Adam without an error."""
+        ps, _ = self.packed()
+        setattr(ps.get("c/w"), field, np.ones((2, 3)))
+        with pytest.raises(ContractViolation, match="'b/w' does not view"):
+            ps.zero_grad()
+
+    def test_zero_grad_needs_a_packed_store(self):
+        ps = ad.ParamStore()
+        ps.create("a/w", (2,))
+        with pytest.raises(ContractViolation, match="'a/w' does not view"):
+            ps.zero_grad()

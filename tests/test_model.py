@@ -270,6 +270,7 @@ def joint_case(T, U, d=8, J=8, V=5, seed=0):
     ps = ad.ParamStore(seed)
     for leaf, shape in zip(JOINT_LEAVES, ((d, J), (d, J), (J,), (J, V), (V,))):
         ps.create(f"joint/{leaf}", shape).value[...] = rng.normal(size=shape)
+    ps.pack()
     labels = [int(k) for k in rng.integers(1, V, size=U)]
     return rng.normal(size=(T, d)), rng.normal(size=(U + 1, d)), labels, ps
 
@@ -303,7 +304,7 @@ class TestJointTransducer:
             node = build(*nodes, labels, ps, label_smoothing)
             ad.backward(ad.scale(node, 0.37))
             results.append([node.value] + [n.grad for n in nodes]
-                           + [ps.get(f"joint/{leaf}").grad
+                           + [ps.get(f"joint/{leaf}").grad.copy()
                               for leaf in JOINT_LEAVES])
         fused, composed = results
         for name, a, b in zip(["value", "h_t", "h_u", *JOINT_LEAVES],

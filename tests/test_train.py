@@ -113,10 +113,9 @@ class TestAdam:
         node = ps.get(path)
         before = node.value.copy()
         rng = np.random.default_rng(0)
-        for _, n in ps.items():
-            n.grad = np.zeros_like(n.value)
+        ps.zero_grad()
         g = rng.normal(size=node.value.shape)
-        node.grad = g.copy()
+        node.grad[...] = g
 
         adam_update(ps, opt, lr=0.1)
 
@@ -135,14 +134,13 @@ class TestAdam:
         path = "joint/out_b"
         node = ps.get(path)
         before = node.value.copy()
-        for _, n in ps.items():
-            n.grad = np.zeros_like(n.value)
+        ps.zero_grad()
         g1 = np.full_like(node.value, 1.0)
         g2 = np.full_like(node.value, -2.0)
 
-        node.grad = g1.copy()
+        node.grad[...] = g1
         adam_update(ps, opt, lr=0.1)
-        node.grad = g2.copy()
+        node.grad[...] = g2
         adam_update(ps, opt, lr=0.1)
 
         m = (1 - ADAM_BETA1) * g1
@@ -163,7 +161,7 @@ class TestAdam:
         rng = np.random.default_rng(1)
         before = {p: n.value.copy() for p, n in ps.items()}
         for _, n in ps.items():
-            n.grad = rng.normal(size=n.value.shape)
+            n.grad[...] = rng.normal(size=n.value.shape)
         adam_update(ps, opt, lr=0.0)
         for p, n in ps.items():
             np.testing.assert_array_equal(n.value, before[p])
@@ -173,10 +171,8 @@ class TestClipping:
     def test_large_gradient_scaled_to_cap(self):
         model = tiny_model()
         ps = model.params
-        for _, n in ps.items():
-            n.grad = np.zeros_like(n.value)
+        ps.zero_grad()
         node = ps.get("joint/out_b")
-        node.grad = np.zeros_like(node.value)
         node.grad.reshape(-1)[0] = 10.0
         pre = clip_gradients(ps, 5.0)
         assert pre == pytest.approx(10.0, abs=1e-12)
@@ -188,8 +184,7 @@ class TestClipping:
     def test_small_gradient_untouched(self):
         model = tiny_model()
         ps = model.params
-        for _, n in ps.items():
-            n.grad = np.zeros_like(n.value)
+        ps.zero_grad()
         node = ps.get("joint/out_b")
         node.grad.reshape(-1)[0] = 3.0
         pre = clip_gradients(ps, 5.0)
@@ -270,8 +265,8 @@ class TestCheckpoints:
         for path, node in model.params.items():
             np.testing.assert_array_equal(back.params.get(path).value,
                                           node.value)
-            np.testing.assert_array_equal(opt2.m[path], opt.m[path])
-            np.testing.assert_array_equal(opt2.v[path], opt.v[path])
+        assert opt2.m.tobytes() == opt.m.tobytes()
+        assert opt2.v.tobytes() == opt.v.tobytes()
 
     def test_restored_model_trains_identically(self, tmp_path):
         model = tiny_model(seed=1)
@@ -297,21 +292,33 @@ class TestCheckpoints:
         save_checkpoint(str(p), model, opt, next_step=1)
         before = p.read_bytes()
 
-        layout, calls = train_mod._checkpoint_layout, []
+        writes = []
 
-        def failing_arrays(arrays):
-            for arr in arrays:
-                calls.append(arr)
-                if len(calls) == 5:
+        class FailingFile:
+            """The real temp file, whose fifth write fails: the magic, the
+            header length, the header and the parameter arena are written,
+            and Adam's m arena is not."""
+
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 5:
                     raise OSError("disk full")
-                yield arr
+                return self.fh.write(data)
 
-        monkeypatch.setattr(train_mod, "_checkpoint_layout", lambda m, o: (
-            layout(m, o)[0], failing_arrays(layout(m, o)[1])))
+        monkeypatch.setattr(train_mod, "open", FailingFile, raising=False)
         train_step(model, [sample(seed=2)], TrainConfig(), opt, step=1)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(str(p), model, opt, next_step=2)
-        assert len(calls) == 5
+        assert len(writes) == 5 and writes[3] == model.params.values.nbytes
         assert p.read_bytes() == before
         assert sorted(x.name for x in tmp_path.iterdir()) == ["m.ckpt"]
 
@@ -406,10 +413,10 @@ def checkpoint_cases(draw):
                                 seed=draw(st.integers(0, 2 ** 32)))
     opt = AdamState.for_params(model.params)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
-    for arr in train_mod._checkpoint_layout(model, opt)[1]:
-        arr[...] = np.where(rng.random(arr.shape) < 0.5,
-                            rng.choice(SPECIAL_VALUES, arr.shape),
-                            rng.normal(size=arr.shape))
+    for arena in (model.params.values, opt.m, opt.v):
+        arena[...] = np.where(rng.random(arena.shape) < 0.5,
+                              rng.choice(SPECIAL_VALUES, arena.shape),
+                              rng.normal(size=arena.shape))
     opt.t = draw(st.integers(0, 2 ** 40))
     json_values = st.one_of(st.none(), st.booleans(), st.integers(),
                             st.floats(allow_nan=False), st.text())
@@ -433,8 +440,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path_factory, case):
         model.cfg, model.pmu, model.seed, opt.t)
     for q, node in model.params.items():
         assert back.params.get(q).value.tobytes() == node.value.tobytes()
-        assert opt2.m[q].tobytes() == opt.m[q].tobytes()
-        assert opt2.v[q].tobytes() == opt.v[q].tobytes()
+    assert opt2.m.tobytes() == opt.m.tobytes()
+    assert opt2.v.tobytes() == opt.v.tobytes()
 
 
 class TestTrainStep:
@@ -552,9 +559,8 @@ class TestTrainStep:
         model = tiny_model()
         opt = AdamState.for_params(model.params)
         opt.t = 2
-        for p in opt.m:
-            opt.m[p][...] = 0.5
-            opt.v[p][...] = 0.25
+        opt.m[...] = 0.5
+        opt.v[...] = 0.25
         before = {p: n.value.copy() for p, n in model.params.items()}
         with pytest.raises(TrainingError, match="at step 3") as err:
             train_step(model, [sample()], TrainConfig(), opt, 3)
@@ -564,7 +570,7 @@ class TestTrainStep:
         assert opt.t == 2
         for p, n in model.params.items():
             np.testing.assert_array_equal(n.value, before[p])
-            assert (opt.m[p] == 0.5).all() and (opt.v[p] == 0.25).all()
+        assert (opt.m == 0.5).all() and (opt.v == 0.25).all()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_transducer_loss_stops_the_step(self):
