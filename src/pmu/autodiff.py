@@ -150,15 +150,30 @@ def scale(a, c: float) -> Node:
 
 def vjp_node(op: str, fn, *parents) -> Node:
     """One tape node of `fn` on the parents' values: `fn` returns (value,
-    back), and back(g) the gradient of each parent, added in parent
-    order."""
+    back), and back(g) the gradient of each parent, added in parent order;
+    a list of gradients adds to its parent one by one, in list order."""
     parents = tuple(as_node(p) for p in parents)
     value, back = fn(*(p.value for p in parents))
     out = Node(value, parents, op)
 
     def _bw(g):
         for p, gp in zip(parents, back(g)):
-            _acc(p, gp)
+            for piece in gp if isinstance(gp, list) else (gp,):
+                _acc(p, piece)
+
+    out._backward = _bw
+    return out
+
+
+def rows(x: Node, a: int, b: int) -> Node:
+    """Rows a:b of x; the backward adds into those rows of x's gradient
+    only, so each row receives exactly the additions it would alone."""
+    out = Node(x.value[a:b], (x,), "rows")
+
+    def _bw(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        x.grad[a:b] += g
 
     out._backward = _bw
     return out

@@ -1,9 +1,13 @@
 """Conformer-Transducer with multi-target CTC heads.
 
 The encoder is a stack of pre-norm conformer blocks over 4x-subsampled
-features.  The subsampling and each block's four residual modules are one
-tape node each, whose backward replays the numpy ops of the graph of tape
-ops it replaces, so values and gradients equal that graph's bit for bit.
+features.  A batch's utterances run through it as one stack of rows: the
+subsampling and each block's four residual modules are one tape node each
+over the stack, whose backward replays, utterance by utterance, the numpy
+ops of the graph of tape ops it replaces, so values and gradients equal
+those of each utterance's own graph bit for bit.  Row-wise work runs once
+on the stack; products, column sums, attention and convolution edges run
+per utterance, and each utterance's taps and joint read its own rows.
 The variant's CTC heads come from one table, `head_specs`: each entry names
 the head's units, the block after which it taps the trunk (the top for
 baseline / basic_pmu / para_ctc, between block groups for pca_ctc), its
@@ -287,40 +291,41 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
 
 @dataclass
 class RunCtx:
-    """Per-forward switches: dropout only fires when train is set.  A
-    site's mask, a pure function of (seed, step, site), is drawn once at
-    `rows` rows or more (`prepare` sets the batch's longest T'), and an
-    activation of T rows takes its first T rows."""
+    """Per-forward switches: dropout only fires when train is set.  `spans`,
+    which `_subsample` sets, are each utterance's (start, stop) rows of the
+    stacked trunk (none: the rows are one utterance).  A site's mask, a pure
+    function of (seed, step, site), is drawn at `rows` rows or more, and an
+    utterance of T rows takes its first T rows."""
     train: bool = False
     seed: int = 0
     step: int = 0
     rows: int = 0
-    masks: dict = field(default_factory=dict)
+    spans: tuple = ()
 
     def mask(self, p: float, site: str, shape: tuple):
         """The mask for an activation of `shape`, or None: no dropout."""
         if not self.train or p <= 0.0:
             return None
-        if len(self.masks.get(site, ())) < shape[0]:
-            self.masks[site] = nn.dropout_mask(
-                p, self.seed, self.step, site, (max(self.rows, shape[0]), shape[1]))
-        return self.masks[site][:shape[0]]
+        lengths = [b - a for a, b in self.spans] or [shape[0]]
+        m = nn.dropout_mask(p, self.seed, self.step, site,
+                            (max(self.rows, *lengths), shape[1]))
+        return nn.stack_rows([m[:n] for n in lengths])
 
 
 def _drop(x, mask):
     return x if mask is None else x * mask
 
 
-# The modules' bodies on the normed input y, on arrays: body(y, *parameter
-# values, mask(site, shape), heads) returns (value, back), and back(g) the
-# gradients of y and of each parameter.
+# The modules' bodies on the normed stack y, on arrays: body(y, *parameter
+# values, mask(site, shape), heads, spans) returns (value, back), and back(g)
+# the gradients of y and of each parameter, per utterance in span order.
 
-def _ff(y, w1, b1, w2, b2, mask, heads):
+def _ff(y, w1, b1, w2, b2, mask, heads, spans):
     """Half-step feed-forward: 0.5 * drop(W2 drop(swish(W1 y)))."""
-    s, lin1 = nn.linear_vjp(y, w1, b1)
+    s, lin1 = nn.linear_vjp(y, w1, b1, spans)
     s, swish = nn.swish_vjp(s)
     m1 = mask("d1", s.shape)
-    l, lin2 = nn.linear_vjp(_drop(s, m1), w2, b2)
+    l, lin2 = nn.linear_vjp(_drop(s, m1), w2, b2, spans)
     m2 = mask("d2", l.shape)
 
     def back(g):
@@ -330,27 +335,37 @@ def _ff(y, w1, b1, w2, b2, mask, heads):
     return _drop(l, m2) * 0.5, back
 
 
-def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads):
-    """Multi-head scaled dot-product self-attention, the output projection
-    and dropout."""
-    T, d = y.shape
+def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
+    """Multi-head scaled dot-product self-attention within each utterance,
+    the output projection and dropout."""
+    d = y.shape[1]
     dh = d // heads
-    (q, lq), (k, lk), (v, lv) = (nn.linear_vjp(y, w, b) for w, b in
+    (q, lq), (k, lk), (v, lv) = (nn.linear_vjp(y, w, b, spans) for w, b in
                                  ((wq, bq), (wk, bk), (wv, bv)))
-    qh, kh, vh = (m.reshape(T, heads, dh).transpose(1, 0, 2) for m in (q, k, v))
     c = 1.0 / np.sqrt(dh)
-    attn, softmax = ad.softmax_vjp((qh @ kh.transpose(0, 2, 1)) * c)
-    l, lo = nn.linear_vjp((attn @ vh).transpose(1, 0, 2).reshape(T, d), wo, bo)
+    ctx, cores = np.empty_like(q), []
+    for a, b in spans:
+        qh, kh, vh = (m[a:b].reshape(b - a, heads, dh).transpose(1, 0, 2)
+                      for m in (q, k, v))
+        attn, softmax = ad.softmax_vjp((qh @ kh.transpose(0, 2, 1)) * c)
+        ctx[a:b] = (attn @ vh).transpose(1, 0, 2).reshape(b - a, d)
+        cores.append((qh, kh, vh, attn, softmax))
+    l, lo = nn.linear_vjp(ctx, wo, bo, spans)
     m = mask("d", l.shape)
 
     def back(g):
         do, dwo, dbo = lo(_drop(g, m))
-        dctx = np.ascontiguousarray(do.reshape(T, heads, dh).transpose(1, 0, 2))
-        ds = softmax(dctx @ vh.transpose(0, 2, 1))[0] * c
-        # the (heads, T, dh) gradients of q, k and v, each back to (T, d)
-        grads = [lin(dm.transpose(1, 0, 2).reshape(T, d)) for lin, dm in (
-            (lq, ds @ kh), (lk, (qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)),
-            (lv, attn.transpose(0, 2, 1) @ dctx))]
+        dq, dk, dv = (np.empty_like(do) for _ in range(3))
+        for (a, b), (qh, kh, vh, attn, softmax) in zip(spans, cores):
+            dctx = np.ascontiguousarray(
+                do[a:b].reshape(b - a, heads, dh).transpose(1, 0, 2))
+            ds = softmax(dctx @ vh.transpose(0, 2, 1))[0] * c
+            # the (heads, T, dh) gradients of q, k and v, each back to (T, d)
+            for out, dm in ((dq, ds @ kh), (dk, (qh.transpose(0, 2, 1) @ ds)
+                                            .transpose(0, 2, 1)),
+                            (dv, attn.transpose(0, 2, 1) @ dctx)):
+                out[a:b] = dm.transpose(1, 0, 2).reshape(b - a, d)
+        grads = [lin(dm) for lin, dm in ((lq, dq), (lk, dk), (lv, dv))]
         dy = grads[0][0] + grads[1][0]
         dy += grads[2][0]  # as the composed graph adds them: q's, k's, then v's
         return (dy, *(gp for gr in grads for gp in gr[1:]), dwo, dbo)
@@ -358,16 +373,16 @@ def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads):
     return _drop(l, m), back
 
 
-def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads):
+def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads, spans):
     """Convolution module: pointwise conv to 2d, GLU, depthwise conv, layer
     norm, swish, pointwise conv, dropout."""
     d = y.shape[1]
-    z, lin1 = nn.linear_vjp(y, w1, b1)
+    z, lin1 = nn.linear_vjp(y, w1, b1, spans)
     a, sg = z[:, :d], 1.0 / (1.0 + np.exp(-z[:, d:]))
-    u, dwconv = nn.depthwise_conv1d_vjp(a * sg, dw_k)
-    u, ln2 = nn.layer_norm_vjp(u, ln2_g, ln2_b)
+    u, dwconv = nn.depthwise_conv1d_vjp(a * sg, dw_k, spans)
+    u, ln2 = nn.layer_norm_vjp(u, ln2_g, ln2_b, spans)
     u, swish = nn.swish_vjp(u)
-    l, lin2 = nn.linear_vjp(u, w2, b2)
+    l, lin2 = nn.linear_vjp(u, w2, b2, spans)
     m = mask("d", l.shape)
 
     def back(g):
@@ -392,14 +407,15 @@ MODULES = {"ff1": _FF,
 def conformer_module(h, ps: ParamStore, p: str, module: str,
                      cfg: EncoderConfig, ctx: RunCtx) -> Node:
     """h + body(layer_norm(h)), the pre-norm residual `module` of block `p`,
-    as one tape node."""
+    as one tape node over the stack."""
     body, leaves = MODULES[module]
     p = f"{p}/{module}"
 
     def fn(x, ln_g, ln_b, *values):
-        y, ln = nn.layer_norm_vjp(x, ln_g, ln_b)
+        spans = ctx.spans or ((0, len(x)),)
+        y, ln = nn.layer_norm_vjp(x, ln_g, ln_b, spans)
         r, back = body(y, *values[:-1], lambda site, shape: ctx.mask(
-            cfg.dropout, f"{p}/{site}", shape), cfg.heads)
+            cfg.dropout, f"{p}/{site}", shape), cfg.heads, spans)
 
         def residual_back(g):
             dy, *grads = back(g)
@@ -419,39 +435,58 @@ def conformer_block(h, ps: ParamStore, p: str, cfg: EncoderConfig, ctx: RunCtx):
     module and half-FF, each one residual node, then the closing layer norm."""
     for module in MODULES:
         h = conformer_module(h, ps, p, module, cfg, ctx)
-    return nn.layer_norm(h, ps.get(f"{p}/fin_g"), ps.get(f"{p}/fin_b"))
+    return nn.layer_norm(h, ps.get(f"{p}/fin_g"), ps.get(f"{p}/fin_b"),
+                         ctx.spans or None)
 
 
 SUB_LEAVES = ("conv1/w", "conv1/b", "conv2/w", "conv2/b", "proj/w", "proj/b")
 
 
-def _subsample(x, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx) -> Node:
-    """Two stride-2 convolutions with swish, the projection to the attention
-    dimension scaled by sqrt(d), sinusoidal positions and dropout: one node."""
-    x = ad.as_node(x)
-    if x.value.ndim != 2 or x.value.shape[1] != cfg.input_dim:
-        raise ContractViolation(f"expected features (T, {cfg.input_dim}), "
-                                f"got {x.value.shape}")
+def _convs(x, w1, b1, w2, b2):
+    """One utterance's two stride-2 convolutions with swish, as rows:
+    (value, back), back(g) -> (dw1, db1, dw2, db2).  The features are not
+    trained, so conv1 gives them no gradient."""
+    y, conv1 = nn.conv2d_vjp(x.reshape(*x.shape, 1), w1, b1, input_grad=False)
+    y, swish1 = nn.swish_vjp(y)
+    y, conv2 = nn.conv2d_vjp(y, w2, b2)
+    y, swish2 = nn.swish_vjp(y)
+
+    def back(g):
+        dy, dw2, db2 = conv2(swish2(g.reshape(y.shape))[0])
+        return (*conv1(swish1(dy)[0])[1:], dw2, db2)
+
+    return y.reshape(len(y), -1), back
+
+
+def _subsample(xs, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx) -> Node:
+    """Each utterance's convolutions, then on the stacked rows the
+    projection to the attention dimension scaled by sqrt(d), each
+    utterance's sinusoidal positions and dropout: one node, which sets
+    `ctx.spans`."""
+    xs = [ad.as_node(x).value for x in xs]
+    for x in xs:
+        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+            raise ContractViolation(f"expected features (T, {cfg.input_dim}), "
+                                    f"got {x.shape}")
     d = cfg.encoder.attention_dim
 
-    def fn(x, w1, b1, w2, b2, pw, pb):
-        y, conv1 = nn.conv2d_vjp(x.reshape(*x.shape, 1), w1, b1)
-        y, swish1 = nn.swish_vjp(y)
-        y, conv2 = nn.conv2d_vjp(y, w2, b2)
-        y, swish2 = nn.swish_vjp(y)
-        h, proj = nn.linear_vjp(y.reshape(len(y), -1), pw, pb)
+    def fn(w1, b1, w2, b2, pw, pb):
+        ys, convs = zip(*(_convs(x, w1, b1, w2, b2) for x in xs))
+        ends = list(itertools.accumulate(map(len, ys)))
+        spans = ctx.spans = tuple(zip([0, *ends], ends))
+        h, proj = nn.linear_vjp(nn.stack_rows(ys), pw, pb, spans)
         m = ctx.mask(cfg.encoder.dropout, "sub/d", h.shape)
 
         def back(g):
             dh, dpw, dpb = proj(_drop(g, m) * math.sqrt(d))
-            dy, dw2, db2 = conv2(swish2(dh.reshape(y.shape))[0])
-            dx, dw1, db1 = conv1(swish1(dy)[0])
-            return dx.reshape(x.shape), dw1, db1, dw2, db2, dpw, dpb
+            grads = [conv(dh[a:b]) for conv, (a, b) in zip(convs, spans)]
+            return (*map(list, zip(*grads)), dpw, dpb)
 
-        return _drop(h * math.sqrt(d) + nn.sinusoid_positions(len(h), d), m), back
+        pe = nn.stack_rows([nn.sinusoid_positions(b - a, d) for a, b in spans])
+        return _drop(h * math.sqrt(d) + pe, m), back
 
-    return ad.vjp_node("subsample", fn, x, *(ps.get(f"sub/{leaf}")
-                                             for leaf in SUB_LEAVES))
+    return ad.vjp_node("subsample", fn, *(ps.get(f"sub/{leaf}")
+                                          for leaf in SUB_LEAVES))
 
 
 def ctc_head(h, ps: ParamStore, name: str):
@@ -477,26 +512,54 @@ class ForwardOutputs:
     results: dict = field(default_factory=dict)
 
 
-def aencoder_forward(x, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
-                     ctx: RunCtx) -> tuple[Node, dict]:
-    """Subsampling, the conformer blocks, and the variant's CTC taps: a tap
-    reads the trunk after its block and, with a projection, conditions the
-    blocks above it on its softmax posterior.  Returns the trunk's top and
-    {head name: logits}."""
+def aencoder_forward(xs, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
+                     ctx: RunCtx) -> tuple[list, dict]:
+    """Subsampling and the conformer blocks over the stacked rows of the
+    utterances `xs`, and the variant's CTC taps: per utterance, a tap reads
+    its rows of the trunk after its block and, with a projection, conditions
+    the blocks above it on its softmax posterior.  Returns each utterance's
+    rows of the top and {head name: each utterance's logits}."""
     e = cfg.encoder
-    h = _subsample(x, cfg, ps, ctx)
-    heads = {}
+    h = _subsample(xs, cfg, ps, ctx)
+    heads, held = {}, {}
     specs = head_specs(pmu)
     for i in range(e.num_layers):
         h = conformer_block(h, ps, f"enc/l{i:02d}", e, ctx)
+        utts = [ad.rows(h, a, b) for a, b in ctx.spans] if len(xs) > 1 else [h]
         for spec in specs:
             if (spec.tap or e.num_layers) == i + 1:
-                logits = heads[spec.name] = ctc_head(h, ps, spec.name)
+                views = _head_stores(ps, spec, specs, len(xs), held)
+                heads[spec.name] = [ctc_head(u, v, spec.name)
+                                    for u, v in zip(utts, views)]
                 if spec.sc:
-                    h = self_condition(h, ad.softmax(logits),
-                                       ps.get(f"{spec.sc}/w"),
-                                       ps.get(f"{spec.sc}/b"))
-    return h, heads
+                    utts = [self_condition(u, ad.softmax(logits),
+                                           v.get(f"{spec.sc}/w"), v.get(f"{spec.sc}/b"))
+                            for u, logits, v in zip(utts, heads[spec.name], views)]
+                    h = ad.vjp_node("stack", lambda *hs: (nn.stack_rows(hs), lambda g: [
+                        g[a:b] for a, b in ctx.spans]), *utts)
+    return utts, heads
+
+
+def _head_stores(ps: ParamStore, spec: HeadSpec, specs: list, n: int,
+                 held: dict) -> list:
+    """The store each of n utterances' tap (and projection) of `spec` reads.
+    A shared parameter gets two gradients per utterance, and must get them
+    as each utterance's own backward adds them: the sharer's, then the
+    owner's.  So the sharer's go to stand-ins held for the owner's, which
+    add them to the parameter just before their own."""
+    if spec.shares:
+        return held.pop(spec.name)
+    sharer = next((s for s in specs if s.shares == spec.name), None)
+    if sharer is None:
+        return [ps] * n
+    pairs = [(f"{own}/{leaf}", f"{theirs}/{leaf}") for own, theirs in (
+        (f"tap/{spec.name}", f"tap/{sharer.name}"), (spec.sc, sharer.sc))
+        for leaf in "wb"]
+    held[sharer.name] = [{t: Node(ps.get(t).value) for _, t in pairs}
+                         for _ in range(n)]
+    return [{o: ad.vjp_node("stand_in", lambda v, h=h[t]: (v, lambda g: (
+        [g] if h.grad is None else [h.grad, g],)), ps.get(o)) for o, t in pairs}
+        for h in held[sharer.name]]
 
 
 def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
@@ -629,27 +692,30 @@ class ConformerTransducer:
         self.params = build_params(cfg, pmu, seed)
 
     def encode(self, x) -> tuple[Node, dict]:
-        """The trunk's top and {head name: logits}, dropout off."""
-        return aencoder_forward(x, self.cfg, self.pmu, self.params, RunCtx())
+        """One utterance's top of the trunk and {head name: logits}, dropout
+        off."""
+        tops, heads = aencoder_forward([x], self.cfg, self.pmu, self.params,
+                                       RunCtx())
+        return tops[0], {name: logits[0] for name, logits in heads.items()}
 
     def prepare(self, xs: list, targets: list[dict], train: bool = False,
                 step: int = 0) -> list[ForwardOutputs]:
-        """Phases 1 and 2 of `train.train_step`: each utterance's forward
-        (encoder, label encoder, taps' log-probs, joint's (z, logprobs)),
-        with each dropout mask drawn once for the batch, then one `losses.ctc_losses` call over every (utterance, head) row
-        and one `losses.transducer_losses` call over every utterance."""
+        """Phases 1 and 2 of `train.train_step`: one stacked encoder over
+        the batch, then each utterance's forward on its rows (taps'
+        log-probs, label encoder, joint's (z, logprobs)), then one
+        `losses.ctc_losses` call over every (utterance, head) row and one
+        `losses.transducer_losses` call over every utterance."""
         specs = head_specs(self.pmu)
         y_trans = [_target(t, self.pmu.trans_units, "the transducer")
                    for t in targets]
-        ctx = RunCtx(train, self.seed, step, max(subsampled_length(
-            len(x), self.cfg.encoder.subsample_factor) for x in xs))
+        tops, heads = aencoder_forward(xs, self.cfg, self.pmu, self.params,
+                                       RunCtx(train, self.seed, step))
         outs = []
-        for x, y in zip(xs, y_trans):
-            top, heads = aencoder_forward(x, self.cfg, self.pmu, self.params, ctx)
+        for j, (top, y) in enumerate(zip(tops, y_trans)):
             h_u = label_encoder_forward(y, self.params)
             outs.append(ForwardOutputs(
-                top, heads, h_u,
-                {name: losses.log_softmax(logits.value)
+                top, {name: logits[j] for name, logits in heads.items()}, h_u,
+                {name: losses.log_softmax(logits[j].value)
                  for name, logits in heads.items()},
                 joint(top.value @ self.params.get("joint/wt").value,
                       h_u.value, self.params)))

@@ -3,13 +3,17 @@
 A `*_vjp` function computes on arrays and returns (value, back), where
 back(g) is a tuple of the gradients of its array inputs.  The fused nodes of
 `model` compose them, and `ad.vjp_node` makes one a tape node, as `linear`
-and `layer_norm` are.  `lstm_sequence` is a node with hand-written BPTT over
-`lstm_cell`, the one LSTM formula, which decode calls directly, off the
-tape.  Every backward rule is verified against finite differences.
+and `layer_norm` are.  Given `spans`, the (start, stop) rows of utterances
+stacked in the input, each product, column sum and convolution edge runs
+on one utterance's rows, as on that utterance alone, and a parameter's
+gradient is the list of the utterances' contributions.  `lstm_sequence` is
+a node with hand-written BPTT over `lstm_cell`, the one LSTM formula,
+which decode calls directly, off the tape.  Every backward rule is verified against finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -22,23 +26,43 @@ from .errors import ContractViolation
 LN_EPS = 1e-5
 
 
-def linear_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x @ w + b, with w shaped (in_dim, out_dim), on arrays: (value, back),
-    back(g) -> (dx, dw, db), db unsummed.  The products take g C-ordered,
-    as the tape's gradient buffer of a matmul is."""
+def linear_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, spans=None):
+    """x @ w + b, with w shaped (in_dim, out_dim) and x (T, in_dim), on
+    arrays: (value, back), back(g) -> (dx, dw, db), db unsummed.  The
+    products take g C-ordered, as the tape's gradient buffer of a matmul
+    is."""
     if x.shape[-1] != w.shape[0]:
         raise ContractViolation(
             f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
+    spans = spans or ((0, len(x)),)
 
     def back(g):
         g = np.ascontiguousarray(g)
-        return g @ w.T, x.T @ g, g
+        return (per_span(g, w.T, spans), [x[a:b].T @ g[a:b] for a, b in spans],
+                [g[a:b] for a, b in spans])
 
-    return x @ w + b, back
+    return per_span(x, w, spans) + b, back
+
+
+def per_span(x: np.ndarray, w: np.ndarray, spans) -> np.ndarray:
+    """x @ w, one product per span of rows: a stacked product rounds some
+    rows otherwise, depending on the shapes and the BLAS kernel."""
+    return stack_rows([x[a:b] @ w for a, b in spans])
 
 
 def linear(x, w, b) -> Node:
     return ad.vjp_node("linear", linear_vjp, x, w, b)
+
+
+def stack_rows(arrays: list) -> np.ndarray:
+    """The arrays' rows in one array; one array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def column_sums(a: np.ndarray, spans):
+    """The sum over rows of `a`, or with spans, each span's."""
+    a = a.reshape(-1, a.shape[-1])
+    return a.sum(axis=0) if spans is None else [a[s:e].sum(axis=0) for s, e in spans]
 
 
 def swish_vjp(a: np.ndarray):
@@ -47,7 +71,8 @@ def swish_vjp(a: np.ndarray):
     return a * s, lambda g: (g * (s + a * s * (1.0 - s)),)
 
 
-def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                   spans=None):
     """Normalize over the last axis, then scale and shift, on arrays:
     (value, back), back(g) -> (dx, dgain, dbias)."""
     d = x.shape[-1]
@@ -64,17 +89,18 @@ def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
         gg = g * gain
         m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
-        return ((gg - m1 - xhat * m2) * inv, (g * xhat).reshape(-1, d).sum(axis=0),
-                g.reshape(-1, d).sum(axis=0))
+        return ((gg - m1 - xhat * m2) * inv, column_sums(g * xhat, spans),
+                column_sums(g, spans))
 
     return xhat * gain + bias, back
 
 
-def layer_norm(x, gain, bias) -> Node:
-    return ad.vjp_node("layer_norm", layer_norm_vjp, x, gain, bias)
+def layer_norm(x, gain, bias, spans=None) -> Node:
+    return ad.vjp_node("layer_norm", lambda *a: layer_norm_vjp(*a, spans),
+                       x, gain, bias)
 
 
-def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray):
+def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray, spans=None):
     """Per-channel 1-D convolution with same padding, kernel (k, d) with k
     odd, on arrays: (value, back), back(g) -> (dx, dkernel)."""
     T, d = x.shape
@@ -84,30 +110,46 @@ def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray):
     if k % 2 == 0:
         raise ContractViolation(f"depthwise_conv1d: kernel size {k} must be odd")
     pad = (k - 1) // 2
-    xp = np.zeros((T + 2 * pad, d), dtype=x.dtype)
-    xp[pad:pad + T] = x
-    y = np.zeros_like(x)
+    # utterance i's rows start at row a + i * pad of the output, and of xp
+    # after `pad` zero rows, which pad both it and the utterance before
+    spans = [(a, b, a + i * pad) for i, (a, b) in enumerate(spans or ((0, T),))]
+    xp = np.zeros((T + (len(spans) + 1) * pad, d), dtype=x.dtype)
+    for a, b, o in spans:
+        xp[o + pad:o + pad + b - a] = x[a:b]
+    L = len(xp) - 2 * pad
+    y = np.zeros((L, d), dtype=x.dtype)
     for j in range(k):
-        y += xp[j:j + T] * kernel[j]
+        y += xp[j:j + L] * kernel[j]
 
     def back(g):
+        if len(spans) > 1:  # the utterances' gradients, `pad` zero rows apart
+            g, stacked = np.zeros_like(y), g
+            for a, b, o in spans:
+                g[o:o + b - a] = stacked[a:b]
         dxp = np.zeros_like(xp)
-        dker = np.zeros_like(kernel)
         for j in range(k):
-            dxp[j:j + T] += g * kernel[j]
-            dker[j] = (g * xp[j:j + T]).sum(axis=0)
-        return dxp[pad:pad + T], dker
+            dxp[j:j + L] += g * kernel[j]
+        s0, s1 = xp.strides  # windows[t, j] = xp[t + j]
+        dker = g[:, None, :] * np.lib.stride_tricks.as_strided(
+            xp, (L, k, d), (s0, s0, s1))
+        return unpad(dxp[pad:pad + L]), [dker[o:o + b - a].sum(axis=0)
+                                         for a, b, o in spans]
 
-    return y, back
+    def unpad(rows):
+        return stack_rows([rows[o:o + b - a] for a, b, o in spans])
+
+    return unpad(y), back
 
 
-def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+               input_grad: bool = True):
     """2-D convolution with stride 2 and zero padding 1 on both spatial axes,
     x (H, W, Cin), w (kh, kw, Cin, Cout), bias b (Cout,), on arrays: (value,
-    back), back(g) -> (dx, dw, db).  Each product is the matmul that numpy's
-    einsum(optimize=True) runs for it, operand order, K = (kh, kw, Cin) order
-    and the value's channel-major layout included, so values and gradients
-    are einsum's bit for bit unless Wo = 1 and Ho or Cout is 1 too."""
+    back), back(g) -> (dx, dw, db), dx None without `input_grad`.  Each
+    product is the matmul that numpy's einsum(optimize=True) runs for it,
+    operand order, K = (kh, kw, Cin) order and the value's channel-major
+    layout included, so values and gradients are einsum's bit for bit unless
+    Wo = 1 and Ho or Cout is 1 too."""
     H, W, cin = x.shape
     kh, kw, wcin, cout = w.shape
     if wcin != cin:
@@ -130,6 +172,8 @@ def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         g = ad.laid_out_as(y, g)  # the products and sum follow its layout
         go = g.transpose(2, 0, 1).reshape(cout, M)
         dw = (go @ cols.reshape(M, K)).reshape(cout, cin, kh, kw).transpose(2, 3, 1, 0)
+        if not input_grad:
+            return None, dw, g.sum(axis=(0, 1))
         dcols = (w.reshape(K, cout) @ go).reshape(kh, kw, cin, Ho, Wo).transpose(3, 4, 2, 0, 1)
         dxp = np.zeros_like(xp)
         for i in range(kh):
@@ -216,12 +260,15 @@ def dropout_mask(p: float, seed: int, step: int, site: str, shape: tuple):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
+@functools.lru_cache(maxsize=1024)
 def sinusoid_positions(T: int, d: int) -> np.ndarray:
-    """Classic sin/cos absolute positional table, shape (T, d)."""
+    """Classic sin/cos absolute positional table, shape (T, d), read-only:
+    each (T, d) is computed once."""
     pos = np.arange(T, dtype=np.float64)[:, None]
     dim = np.arange(0, d, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, dim / d)
     pe = np.zeros((T, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2])
+    pe.flags.writeable = False
     return pe

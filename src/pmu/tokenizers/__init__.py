@@ -26,15 +26,3 @@ def encode(tok: BpeModel | PasmModel, text: str) -> EncodedText:
     """Tokenize `text` with a model of either family."""
     return (encode_pasm if isinstance(tok, PasmModel) else encode_bpe)(tok, text)
 
-
-# both bpe and pasm define a module-level segment_word(model, word); import
-# the submodule to reach a specific one
-__all__ = [
-    "BLANK", "SPACE", "UNK", "EncodedText", "Lexicon", "Vocabulary",
-    "build_vocab", "decode_units", "load_lexicon", "normalize_text",
-    "vocab_from_units", "load_tokenizer", "encode",
-    "BpeModel", "encode_bpe", "load_bpe", "save_bpe", "train_bpe",
-    "AlignmentTable", "align_lexicon", "viterbi_align",
-    "PasmModel", "encode_pasm", "extract_pasm", "load_pasm", "save_pasm",
-    "train_pasm",
-]

@@ -8,6 +8,7 @@ runs of the same config are byte-identical; timing goes to stdout only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -93,10 +94,12 @@ class Sample:
 
 def train_step(model: ConformerTransducer, batch: list[Sample],
                cfg: TrainConfig, opt: AdamState, step: int) -> tuple[LossBundle, dict]:
-    """One optimizer update in three phases: each utterance's forward graph,
+    """One optimizer update in three phases: the batch's forward graph,
     one batched CTC and one batched transducer kernel call (`model.prepare`),
-    then per utterance its objective (`model.loss`) and, unless skipped, its
-    backward, in batch order; gradients sum, scaled to a mean."""
+    then per utterance its objective (`model.loss`); one backward runs from
+    the sum of the objectives not skipped, each scaled to a mean.  The
+    utterances' parts of that graph run in batch order, so every gradient
+    adds as in one backward per utterance."""
     model.params.zero_grad()
     outs = model.prepare([s.features for s in batch], [s.targets for s in batch],
                          train=True, step=step)
@@ -119,8 +122,7 @@ def train_step(model: ConformerTransducer, batch: list[Sample],
         return agg, {"lr": lr, "grad_norm": 0.0, "updated": False}
 
     n = len(bundles)
-    for b in bundles:
-        ad.backward(ad.scale(b.node, 1.0 / n))
+    ad.backward(functools.reduce(ad.add, [ad.scale(b.node, 1.0 / n) for b in bundles]))
     norm = clip_gradients(model.params, cfg.grad_clip_norm)
     if not math.isfinite(norm):
         # a NaN norm compares false against the clip bound, so it must be

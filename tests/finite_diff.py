@@ -94,9 +94,9 @@ def ctc_node_case(rng: np.random.Generator):
 
 def encoder_node_cases(rng: np.random.Generator):
     """[(build, arrays)]: each conformer module (4 wide, 2 heads, kernel 3)
-    on 3 trunk rows, then the subsampling of 7 frames of 6 features, with
-    dropout on, as functions of the input and every parameter, with arrays
-    drawn from `rng`."""
+    on 3 trunk rows, as a function of the input and every parameter, then
+    the subsampling of 7 frames of 6 features, as a function of every
+    parameter, with dropout on and arrays drawn from `rng`."""
     enc = EncoderConfig(attention_dim=4, ff_dim=8, heads=2, conv_kernel=3,
                         dropout=0.1)
     cfg = ModelConfig(encoder=enc, input_dim=6, subsample_channels=2)
@@ -121,10 +121,12 @@ def encoder_node_cases(rng: np.random.Generator):
             rng.normal(scale=0.5, size=shapes[p.rsplit("/", 1)[1]])
             for p in paths]))
 
-    def subsample(x, *params):
-        ps = {f"sub/{leaf}": p for leaf, p in zip(SUB_LEAVES, params)}
-        return _subsample(x, cfg, ps, RunCtx(True, 1, 2))
+    x = rng.normal(size=(7, 6))  # features get no gradient: not an input
 
-    cases.append((subsample, [rng.normal(size=(7, 6))] + [
-        rng.normal(scale=0.5, size=shapes[leaf]) for leaf in SUB_LEAVES]))
+    def subsample(*params):
+        ps = {f"sub/{leaf}": p for leaf, p in zip(SUB_LEAVES, params)}
+        return _subsample([x], cfg, ps, RunCtx(True, 1, 2))
+
+    cases.append((subsample, [rng.normal(scale=0.5, size=shapes[leaf])
+                              for leaf in SUB_LEAVES]))
     return cases

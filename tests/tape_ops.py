@@ -196,6 +196,30 @@ def einsum_conv2d_vjp(x, w, b):
     return y, back
 
 
+def loop_depthwise_conv1d_vjp(x, kernel):
+    """One utterance's depthwise convolution, padded alone, with the
+    kernel's gradient summed tap by tap: the reference `nn.
+    depthwise_conv1d_vjp` equals on each utterance of a stack."""
+    T, d = x.shape
+    k = kernel.shape[0]
+    pad = (k - 1) // 2
+    xp = np.zeros((T + 2 * pad, d), dtype=x.dtype)
+    xp[pad:pad + T] = x
+    y = np.zeros_like(x)
+    for j in range(k):
+        y += xp[j:j + T] * kernel[j]
+
+    def back(g):
+        dxp = np.zeros_like(xp)
+        dker = np.zeros_like(kernel)
+        for j in range(k):
+            dxp[j:j + T] += g * kernel[j]
+            dker[j] = (g * xp[j:j + T]).sum(axis=0)
+        return dxp[pad:pad + T], dker
+
+    return y, back
+
+
 def mean_layer_norm_vjp(x, gain, bias):
     """`nn.layer_norm_vjp` with its means taken by np.mean: the reference
     it equals bit for bit."""

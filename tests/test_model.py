@@ -728,9 +728,9 @@ class TestPrepare:
             ad.backward(bundle.node)
             return bundle, {p: n.grad.copy() for p, n in model.params.items()}
 
-        outs = model.prepare(xs, targets)
         for i, (x, t) in enumerate(zip(xs, targets)):
-            got, got_grads = scored(outs[i], t)
+            # one backward per prepared batch: each utterance's is fresh
+            got, got_grads = scored(model.prepare(xs, targets)[i], t)
             want, want_grads = scored(x, t)
             assert got.l_total == want.l_total, i
             assert got.l_trans == want.l_trans, i

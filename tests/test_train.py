@@ -8,6 +8,7 @@ import pytest
 from checkpoint_edit import edited_checkpoint
 from hypothesis import given, settings, strategies as st
 
+import pmu.autodiff as ad
 import pmu.data as data_mod
 import pmu.model
 import pmu.train as train_mod
@@ -551,6 +552,69 @@ class TestTrainStep:
             assert b.status == "ok"
             assert b.l_total == combine_losses(model.pmu, b.l_trans,
                                                b.l_ctc_components)
+
+    @pytest.mark.parametrize("pmu", [
+        PMUConfig(variant="para_ctc"),
+        PMUConfig(variant="pca_ctc", n1=1, n2=1, n3=1, sc_enabled=True),
+        PMUConfig(variant="pca_ctc", n1=1, n2=1, n3=1, sc_enabled=True,
+                  heads_shared=True)], ids=["para_ctc", "pca_111_sc", "shared"])
+    def test_step_equals_one_backward_per_utterance(self, monkeypatch, pmu):
+        """One step (a stacked forward and one backward) gives the gradient
+        arena before clipping and, after Adam, the value, m and v arenas
+        (array_equal) of a step that prepares and backpropagates each
+        utterance alone, in batch order.  Toy-desk widths, dropout on,
+        label smoothing 0.1; the batch mixes lengths, with a T' = 1
+        utterance and one whose bpe tap no path reaches, and the
+        self-conditioning projections are non-zero."""
+        enc = EncoderConfig(num_layers=3 if pmu.n1 else 2, attention_dim=32,
+                            ff_dim=64, heads=2, conv_kernel=7, dropout=0.1)
+        cfg = ModelConfig(encoder=enc, input_dim=16, lstm_dim=32, joint_dim=32,
+                          subsample_channels=8,
+                          vocab={"pasm": 9, "bpe": 11, "bpe_small": 9})
+        rng = np.random.default_rng(5)
+        targets = {"pasm": [1, 4, 2], "bpe": [3, 7, 7, 1], "bpe_small": [2, 8]}
+        batch = [Sample(f"u{i}", rng.normal(size=(T, 16)), targets)
+                 for i, T in enumerate((93, 61, 37, 88))]
+        batch.insert(1, Sample("one", rng.normal(size=(4, 16)),
+                               {"pasm": [5], "bpe": [2], "bpe_small": [3]}))
+        batch.insert(3, Sample("bad", rng.normal(size=(9, 16)), targets))
+        tcfg = TrainConfig(label_smoothing=0.1)
+        models = [ConformerTransducer(cfg, pmu, seed=2) for _ in range(2)]
+        for model in models:
+            for path, node in model.params.items():
+                if path.startswith("sc/"):  # zero at init: make them act
+                    node.value[...] = np.random.default_rng(len(path)).normal(
+                        scale=0.3, size=node.value.shape)
+        opts = [AdamState.for_params(m.params) for m in models]
+        grads, backwards = [], []
+        real_clip, real_backward = train_mod.clip_gradients, ad.backward
+
+        def clip(ps, max_norm):
+            grads.append(ps.grads.copy())
+            return real_clip(ps, max_norm)
+
+        monkeypatch.setattr(train_mod, "clip_gradients", clip)
+        monkeypatch.setattr(ad, "backward", lambda root: backwards.append(
+            real_backward(root)))
+        bundle, info = train_step(models[0], batch, tcfg, opts[0], 3)
+        assert (len(backwards), bundle.skipped_samples, info["updated"]) == (1, 1, True)
+
+        model = models[1]
+        model.params.zero_grad()
+        bundles = [model.loss(model.prepare([s.features], [s.targets], train=True,
+                                            step=3)[0], s.targets, 0.1)
+                   for s in batch]
+        assert [b.status for b in bundles] == ["ok"] * 3 + ["unreachable:bpe_n3"
+                                               if pmu.n1 else "unreachable:bpe"] + ["ok"] * 2
+        live = [b.node for b in bundles if not b.skipped_samples]
+        for node in live:
+            real_backward(ad.scale(node, 1.0 / len(live)))
+        clip(model.params, tcfg.grad_clip_norm)
+        adam_update(model.params, opts[1], lr_at(3, tcfg))
+        assert grads[0].any() and np.array_equal(grads[0], grads[1])
+        for got, want in ((models[0].params.values, model.params.values),
+                          (opts[0].m, opts[1].m), (opts[0].v, opts[1].v)):
+            assert np.array_equal(got, want)
 
     def test_non_finite_gradient_stops_before_adam(self, nan_transducer_grad):
         """A finite loss with a NaN gradient must not reach the optimizer:
