@@ -108,14 +108,10 @@ def backward(root: Node):
         node, processed = stack.pop()
         if processed:
             order.append(node)
-            continue
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        stack.append((node, True))
-        for p in node.parents:
-            if p.id not in seen:
-                stack.append((p, False))
+        elif node.id not in seen:
+            seen.add(node.id)
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents if p.id not in seen)
     _acc(root, np.ones_like(root.value))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
@@ -127,22 +123,13 @@ def backward(root: Node):
 
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    out = Node(_combine("add", lambda x, y: x + y, a, b), (a, b), "add")
-
-    def _bw(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    out._backward = _bw
-    return out
+    value = _combine("add", lambda x, y: x + y, a, b)
+    return vjp_node("add", lambda x, y: (value, lambda g: (g, g)), a, b)
 
 
 def scale(a, c: float) -> Node:
     """Multiply by a python constant (no gradient to the constant)."""
-    a = as_node(a)
-    out = Node(a.value * c, (a,), "scale")
-    out._backward = lambda g: _acc(a, g * c)
-    return out
+    return vjp_node("scale", lambda x: (x * c, lambda g: (g * c,)), a)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +139,8 @@ def vjp_node(op: str, fn, *parents) -> Node:
     """One tape node of `fn` on the parents' values: `fn` returns (value,
     back), and back(g) the gradient of each parent, added in parent order;
     a list of gradients adds to its parent one by one, in list order."""
-    parents = tuple(as_node(p) for p in parents)
-    value, back = fn(*(p.value for p in parents))
+    parents = tuple([as_node(p) for p in parents])
+    value, back = fn(*[p.value for p in parents])
     out = Node(value, parents, op)
 
     def _bw(g):
@@ -171,9 +158,7 @@ def rows(x: Node, a: int, b: int) -> Node:
     out = Node(x.value[a:b], (x,), "rows")
 
     def _bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[a:b] += g
+        x.ensure_grad()[a:b] += g
 
     out._backward = _bw
     return out

@@ -152,13 +152,7 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
 
 def collapse(path, blank: int) -> tuple:
     """CTC's many-to-one map: merge adjacent repeats, then delete blanks."""
-    out = []
-    prev = None
-    for symbol in path:
-        if symbol != prev and symbol != blank:
-            out.append(symbol)
-        prev = symbol
-    return tuple(out)
+    return tuple(s for s, _ in itertools.groupby(path) if s != blank)
 
 
 def ctc_brute_force(emissions: np.ndarray, labels) -> float:
@@ -173,10 +167,7 @@ def ctc_brute_force(emissions: np.ndarray, labels) -> float:
     for path in itertools.product(range(V), repeat=T):
         if collapse(path, 0) != target:
             continue
-        p = 1.0
-        for t, s in enumerate(path):
-            p *= math.exp(lp[t, s])
-        total += p
+        total += math.prod(math.exp(lp[t, s]) for t, s in enumerate(path))
     return math.inf if total == 0.0 else -math.log(total)
 
 
@@ -354,9 +345,7 @@ def ctc_node(logits: Node, logprobs: np.ndarray, res: LossResult,
     """The CTC loss of `logprobs` = log_softmax(logits), whose ok kernel
     result is `res`, label smoothing's term included, as one tape node."""
     value, backward = smoothed(res, logprobs, label_smoothing)
-    out = Node(np.asarray(value), (logits,), "ctc")
-    out._backward = lambda g: ad._acc(logits, backward(g))
-    return out
+    return ad.vjp_node("ctc", lambda _: (value, lambda g: (backward(g),)), logits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Conformer-Transducer with multi-target CTC heads.
 
 The encoder is a stack of pre-norm conformer blocks over 4x-subsampled
-features.  A batch's utterances run through it as one stack of rows: the
-subsampling and each block's four residual modules are one tape node each
-over the stack, whose backward replays, utterance by utterance, the numpy
-ops of the graph of tape ops it replaces, so values and gradients equal
-those of each utterance's own graph bit for bit.  Row-wise work runs once
-on the stack; products, column sums, attention and convolution edges run
-per utterance, and each utterance's taps and joint read its own rows.
+features, which runs a batch's utterances stacked as rows.  The subsampling
+and each block's four residual modules are one tape node each, whose
+backward replays, utterance by utterance, the numpy ops of the graph of tape
+ops it replaces, so values and gradients equal each utterance's own graph's
+bit for bit.
 The variant's CTC heads come from one table, `head_specs`: each entry names
 the head's units, the block after which it taps the trunk (the top for
 baseline / basic_pmu / para_ctc, between block groups for pca_ctc), its
@@ -226,32 +224,18 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
     ps.create("sub/proj/w", (freq * C, d))
     ps.create("sub/proj/b", (d,), init="zeros")
 
-    for i in range(e.num_layers):
-        p = f"enc/l{i:02d}"
-        for ff in ("ff1", "ff2"):
-            ps.create(f"{p}/{ff}/ln_g", (d,), init="ones")
-            ps.create(f"{p}/{ff}/ln_b", (d,), init="zeros")
-            ps.create(f"{p}/{ff}/w1", (d, e.ff_dim))
-            ps.create(f"{p}/{ff}/b1", (e.ff_dim,), init="zeros")
-            ps.create(f"{p}/{ff}/w2", (e.ff_dim, d))
-            ps.create(f"{p}/{ff}/b2", (d,), init="zeros")
-        ps.create(f"{p}/mhsa/ln_g", (d,), init="ones")
-        ps.create(f"{p}/mhsa/ln_b", (d,), init="zeros")
-        for w in ("wq", "wk", "wv", "wo"):
-            ps.create(f"{p}/mhsa/{w}", (d, d))
-        for b in ("bq", "bk", "bv", "bo"):
-            ps.create(f"{p}/mhsa/{b}", (d,), init="zeros")
-        ps.create(f"{p}/conv/ln_g", (d,), init="ones")
-        ps.create(f"{p}/conv/ln_b", (d,), init="zeros")
-        ps.create(f"{p}/conv/pw1_w", (d, 2 * d))
-        ps.create(f"{p}/conv/pw1_b", (2 * d,), init="zeros")
-        ps.create(f"{p}/conv/dw_k", (e.conv_kernel, d), fan_in=e.conv_kernel)
-        ps.create(f"{p}/conv/ln2_g", (d,), init="ones")
-        ps.create(f"{p}/conv/ln2_b", (d,), init="zeros")
-        ps.create(f"{p}/conv/pw2_w", (d, d))
-        ps.create(f"{p}/conv/pw2_b", (d,), init="zeros")
-        ps.create(f"{p}/fin_g", (d,), init="ones")
-        ps.create(f"{p}/fin_b", (d,), init="zeros")
+    # each block's leaves, module by module as MODULES lists them: gains
+    # (*_g) start at one, biases (b*, *_b) at zero and weights uniform
+    shapes = {"w1": (d, e.ff_dim), "b1": (e.ff_dim,), "w2": (e.ff_dim, d),
+              "pw1_w": (d, 2 * d), "pw1_b": (2 * d,), "dw_k": (e.conv_kernel, d),
+              **dict.fromkeys(("wq", "wk", "wv", "wo", "pw2_w"), (d, d))}
+    block = [f"{module}/{leaf}" for module, (_, leaves) in MODULES.items()
+             for leaf in ("ln_g", "ln_b", *leaves)] + ["fin_g", "fin_b"]
+    for i, path in itertools.product(range(e.num_layers), block):
+        leaf = path.rsplit("/", 1)[-1]
+        ps.create(f"enc/l{i:02d}/{path}", shapes.get(leaf, (d,)),
+                  init="ones" if leaf.endswith("_g") else "zeros"
+                  if leaf[0] == "b" or leaf.endswith("_b") else "uniform_fanin")
 
     heads = {}
     for spec in head_specs(pmu):
@@ -292,24 +276,25 @@ def build_params(cfg: ModelConfig, pmu: PMUConfig, seed: int = 0) -> ParamStore:
 @dataclass
 class RunCtx:
     """Per-forward switches: dropout only fires when train is set.  `spans`,
-    which `_subsample` sets, are each utterance's (start, stop) rows of the
-    stacked trunk (none: the rows are one utterance).  A site's mask, a pure
-    function of (seed, step, site), is drawn at `rows` rows or more, and an
-    utterance of T rows takes its first T rows."""
+    set by `_subsample`, are the utterances' (start, stop) rows of the stack.
+    A site's mask, a pure function of (seed, step, site), is drawn once at
+    `rows` rows or more; an utterance of T rows takes its first T rows."""
     train: bool = False
     seed: int = 0
     step: int = 0
     rows: int = 0
     spans: tuple = ()
+    masks: dict = field(default_factory=dict)
 
     def mask(self, p: float, site: str, shape: tuple):
         """The mask for an activation of `shape`, or None: no dropout."""
         if not self.train or p <= 0.0:
             return None
         lengths = [b - a for a, b in self.spans] or [shape[0]]
-        m = nn.dropout_mask(p, self.seed, self.step, site,
-                            (max(self.rows, *lengths), shape[1]))
-        return nn.stack_rows([m[:n] for n in lengths])
+        if len(self.masks.get(site, ())) < max(lengths):
+            self.masks[site] = nn.dropout_mask(
+                p, self.seed, self.step, site, (max(self.rows, *lengths), shape[1]))
+        return nn.stack_rows([self.masks[site][:n] for n in lengths])
 
 
 def _drop(x, mask):
@@ -324,15 +309,13 @@ def _ff(y, w1, b1, w2, b2, mask, heads, spans):
     """Half-step feed-forward: 0.5 * drop(W2 drop(swish(W1 y)))."""
     s, lin1 = nn.linear_vjp(y, w1, b1, spans)
     s, swish = nn.swish_vjp(s)
-    m1 = mask("d1", s.shape)
-    l, lin2 = nn.linear_vjp(_drop(s, m1), w2, b2, spans)
-    m2 = mask("d2", l.shape)
+    l, lin2 = nn.linear_vjp(_drop(s, mask("d1", s.shape)), w2, b2, spans)
 
     def back(g):
-        ds, dw2, db2 = lin2(_drop(g * 0.5, m2))
-        return (*lin1(swish(_drop(ds, m1))[0]), dw2, db2)
+        ds, dw2, db2 = lin2(_drop(g * 0.5, mask("d2", g.shape)))
+        return (*lin1(swish(_drop(ds, mask("d1", ds.shape)))[0]), dw2, db2)
 
-    return _drop(l, m2) * 0.5, back
+    return _drop(l, mask("d2", l.shape)) * 0.5, back
 
 
 def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
@@ -343,18 +326,17 @@ def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
     (q, lq), (k, lk), (v, lv) = (nn.linear_vjp(y, w, b, spans) for w, b in
                                  ((wq, bq), (wk, bk), (wv, bv)))
     c = 1.0 / np.sqrt(dh)
-    ctx, cores = np.empty_like(q), []
+    ctx, cores = [], []
     for a, b in spans:
-        qh, kh, vh = (m[a:b].reshape(b - a, heads, dh).transpose(1, 0, 2)
-                      for m in (q, k, v))
+        qh, kh, vh = [m[a:b].reshape(b - a, heads, dh).transpose(1, 0, 2)
+                      for m in (q, k, v)]
         attn, softmax = ad.softmax_vjp((qh @ kh.transpose(0, 2, 1)) * c)
-        ctx[a:b] = (attn @ vh).transpose(1, 0, 2).reshape(b - a, d)
+        ctx.append((attn @ vh).transpose(1, 0, 2).reshape(b - a, d))
         cores.append((qh, kh, vh, attn, softmax))
-    l, lo = nn.linear_vjp(ctx, wo, bo, spans)
-    m = mask("d", l.shape)
+    l, lo = nn.linear_vjp(nn.stack_rows(ctx), wo, bo, spans)
 
     def back(g):
-        do, dwo, dbo = lo(_drop(g, m))
+        do, dwo, dbo = lo(_drop(g, mask("d", g.shape)))
         dq, dk, dv = (np.empty_like(do) for _ in range(3))
         for (a, b), (qh, kh, vh, attn, softmax) in zip(spans, cores):
             dctx = np.ascontiguousarray(
@@ -370,7 +352,7 @@ def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
         dy += grads[2][0]  # as the composed graph adds them: q's, k's, then v's
         return (dy, *(gp for gr in grads for gp in gr[1:]), dwo, dbo)
 
-    return _drop(l, m), back
+    return _drop(l, mask("d", l.shape)), back
 
 
 def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads, spans):
@@ -383,16 +365,15 @@ def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads, spans):
     u, ln2 = nn.layer_norm_vjp(u, ln2_g, ln2_b, spans)
     u, swish = nn.swish_vjp(u)
     l, lin2 = nn.linear_vjp(u, w2, b2, spans)
-    m = mask("d", l.shape)
 
     def back(g):
-        du, dw2, db2 = lin2(_drop(g, m))
+        du, dw2, db2 = lin2(_drop(g, mask("d", g.shape)))
         du, dg2, dbeta2 = ln2(swish(du)[0])
         du, dk = dwconv(du)
         dy, dw1, db1 = lin1(np.concatenate([du * sg, du * a * sg * (1.0 - sg)], 1))
         return dy, dw1, db1, dk, dg2, dbeta2, dw2, db2
 
-    return _drop(l, m), back
+    return _drop(l, mask("d", l.shape)), back
 
 
 _FF = (_ff, ("w1", "b1", "w2", "b2"))
@@ -426,8 +407,8 @@ def conformer_module(h, ps: ParamStore, p: str, module: str,
 
     # h is the first and the last parent: the residual's gradient reaches
     # it before the layer norm's, as in the composed graph
-    return ad.vjp_node(module, fn, h, *(ps.get(f"{p}/{leaf}") for leaf in
-                                        ("ln_g", "ln_b", *leaves)), h)
+    return ad.vjp_node(module, fn, h, *[ps.get(f"{p}/{leaf}") for leaf in
+                                        ("ln_g", "ln_b", *leaves)], h)
 
 
 def conformer_block(h, ps: ParamStore, p: str, cfg: EncoderConfig, ctx: RunCtx):
@@ -435,8 +416,7 @@ def conformer_block(h, ps: ParamStore, p: str, cfg: EncoderConfig, ctx: RunCtx):
     module and half-FF, each one residual node, then the closing layer norm."""
     for module in MODULES:
         h = conformer_module(h, ps, p, module, cfg, ctx)
-    return nn.layer_norm(h, ps.get(f"{p}/fin_g"), ps.get(f"{p}/fin_b"),
-                         ctx.spans or None)
+    return nn.layer_norm(h, ps.get(f"{p}/fin_g"), ps.get(f"{p}/fin_b"), ctx.spans or None)
 
 
 SUB_LEAVES = ("conv1/w", "conv1/b", "conv2/w", "conv2/b", "proj/w", "proj/b")
@@ -444,8 +424,7 @@ SUB_LEAVES = ("conv1/w", "conv1/b", "conv2/w", "conv2/b", "proj/w", "proj/b")
 
 def _convs(x, w1, b1, w2, b2):
     """One utterance's two stride-2 convolutions with swish, as rows:
-    (value, back), back(g) -> (dw1, db1, dw2, db2).  The features are not
-    trained, so conv1 gives them no gradient."""
+    (value, back), back(g) -> (dw1, db1, dw2, db2): no features gradient."""
     y, conv1 = nn.conv2d_vjp(x.reshape(*x.shape, 1), w1, b1, input_grad=False)
     y, swish1 = nn.swish_vjp(y)
     y, conv2 = nn.conv2d_vjp(y, w2, b2)
@@ -459,10 +438,9 @@ def _convs(x, w1, b1, w2, b2):
 
 
 def _subsample(xs, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx) -> Node:
-    """Each utterance's convolutions, then on the stacked rows the
-    projection to the attention dimension scaled by sqrt(d), each
-    utterance's sinusoidal positions and dropout: one node, which sets
-    `ctx.spans`."""
+    """Each utterance's convolutions, then on the stacked rows the projection
+    to the attention dimension scaled by sqrt(d), each utterance's sinusoidal
+    positions and dropout: one node, which sets `ctx.spans`."""
     xs = [ad.as_node(x).value for x in xs]
     for x in xs:
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -485,8 +463,7 @@ def _subsample(xs, cfg: ModelConfig, ps: ParamStore, ctx: RunCtx) -> Node:
         pe = nn.stack_rows([nn.sinusoid_positions(b - a, d) for a, b in spans])
         return _drop(h * math.sqrt(d) + pe, m), back
 
-    return ad.vjp_node("subsample", fn, *(ps.get(f"sub/{leaf}")
-                                          for leaf in SUB_LEAVES))
+    return ad.vjp_node("subsample", fn, *(ps.get(f"sub/{leaf}") for leaf in SUB_LEAVES))
 
 
 def ctc_head(h, ps: ParamStore, name: str):
@@ -513,53 +490,50 @@ class ForwardOutputs:
 
 
 def aencoder_forward(xs, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
-                     ctx: RunCtx) -> tuple[list, dict]:
-    """Subsampling and the conformer blocks over the stacked rows of the
-    utterances `xs`, and the variant's CTC taps: per utterance, a tap reads
-    its rows of the trunk after its block and, with a projection, conditions
-    the blocks above it on its softmax posterior.  Returns each utterance's
-    rows of the top and {head name: each utterance's logits}."""
+                     ctx: RunCtx) -> tuple[list, list]:
+    """Subsampling and the conformer blocks over the utterances `xs` stacked,
+    and the variant's CTC taps: a tap reads each utterance's rows after its
+    block and, with a projection, conditions the blocks above on its softmax
+    posterior.  Returns each utterance's top and {head name: its logits}."""
     e = cfg.encoder
     h = _subsample(xs, cfg, ps, ctx)
-    heads, held = {}, {}
     specs = head_specs(pmu)
+    heads, stores = [{} for _ in xs], _head_stores(ps, specs, len(xs))
     for i in range(e.num_layers):
         h = conformer_block(h, ps, f"enc/l{i:02d}", e, ctx)
         utts = [ad.rows(h, a, b) for a, b in ctx.spans] if len(xs) > 1 else [h]
         for spec in specs:
             if (spec.tap or e.num_layers) == i + 1:
-                views = _head_stores(ps, spec, specs, len(xs), held)
-                heads[spec.name] = [ctc_head(u, v, spec.name)
-                                    for u, v in zip(utts, views)]
+                views = stores[spec.name]
+                for hd, u, v in zip(heads, utts, views):
+                    hd[spec.name] = ctc_head(u, v, spec.name)
                 if spec.sc:
-                    utts = [self_condition(u, ad.softmax(logits),
+                    utts = [self_condition(u, ad.softmax(hd[spec.name]),
                                            v.get(f"{spec.sc}/w"), v.get(f"{spec.sc}/b"))
-                            for u, logits, v in zip(utts, heads[spec.name], views)]
+                            for u, hd, v in zip(utts, heads, views)]
                     h = ad.vjp_node("stack", lambda *hs: (nn.stack_rows(hs), lambda g: [
                         g[a:b] for a, b in ctx.spans]), *utts)
     return utts, heads
 
 
-def _head_stores(ps: ParamStore, spec: HeadSpec, specs: list, n: int,
-                 held: dict) -> list:
-    """The store each of n utterances' tap (and projection) of `spec` reads.
-    A shared parameter gets two gradients per utterance, and must get them
-    as each utterance's own backward adds them: the sharer's, then the
-    owner's.  So the sharer's go to stand-ins held for the owner's, which
-    add them to the parameter just before their own."""
-    if spec.shares:
-        return held.pop(spec.name)
-    sharer = next((s for s in specs if s.shares == spec.name), None)
-    if sharer is None:
-        return [ps] * n
-    pairs = [(f"{own}/{leaf}", f"{theirs}/{leaf}") for own, theirs in (
-        (f"tap/{spec.name}", f"tap/{sharer.name}"), (spec.sc, sharer.sc))
-        for leaf in "wb"]
-    held[sharer.name] = [{t: Node(ps.get(t).value) for _, t in pairs}
-                         for _ in range(n)]
-    return [{o: ad.vjp_node("stand_in", lambda v, h=h[t]: (v, lambda g: (
-        [g] if h.grad is None else [h.grad, g],)), ps.get(o)) for o, t in pairs}
-        for h in held[sharer.name]]
+def _head_stores(ps: ParamStore, specs: list, n: int) -> dict:
+    """{head name: the store each of n utterances' tap and projection read}.
+    A shared parameter must get its two gradients per utterance as that
+    utterance's own backward adds them, the sharer's first: the sharer reads
+    stand-ins, and the owner nodes that add a stand-in's gradient first."""
+    stores = {spec.name: [ps] * n for spec in specs}
+    for spec in specs:
+        if spec.shares:
+            owner = next(s for s in specs if s.name == spec.shares)
+            pairs = [(f"{own}/{leaf}", f"{theirs}/{leaf}") for own, theirs in (
+                (f"tap/{owner.name}", f"tap/{spec.name}"), (owner.sc, spec.sc))
+                for leaf in "wb"]
+            held = stores[spec.name] = [{t: Node(ps.get(t).value) for _, t in pairs}
+                                        for _ in range(n)]
+            stores[owner.name] = [{o: ad.vjp_node("stand_in", lambda v, h=h[t]: (
+                v, lambda g: ([g] if h.grad is None else [h.grad, g],)), ps.get(o))
+                for o, t in pairs} for h in held]
+    return stores
 
 
 def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
@@ -578,11 +552,8 @@ def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
 def label_encoder_step(token: int, state, ps: ParamStore):
     """Consume one label off the tape: embed it and advance the LSTM from
     `state`, an (h, c) pair of (1, d) arrays.  Returns the new (h, c)."""
-    h, c, *_ = nn.lstm_cell(ps.get("lab/embed").value[[token]], *state,
-                            ps.get("lab/lstm/wx").value,
-                            ps.get("lab/lstm/wh").value,
-                            ps.get("lab/lstm/b").value)
-    return h, c
+    return nn.lstm_cell(ps.get("lab/embed").value[[token]], *state, *(
+        ps.get(f"lab/lstm/{leaf}").value for leaf in ("wx", "wh", "b")))[:2]
 
 
 JOINT_LEAVES = ("wt", "wu", "b", "out_w", "out_b")  # the joint's parameters
@@ -594,8 +565,7 @@ def joint(ht_wt, h_u, ps: ParamStore):
     given the frames' projection ht_wt = h_t @ joint/wt.  Returns (z,
     logprobs), shaped (T, U+1, J) and (T, U+1, V); training's
     `joint_transducer` and greedy decode both call it."""
-    wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value
-                           for leaf in JOINT_LEAVES[1:])
+    wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value for leaf in JOINT_LEAVES[1:])
     T, U1, J = ht_wt.shape[0], h_u.shape[0], b.shape[0]
     z = np.add(ht_wt.reshape(T, 1, J), (h_u @ wu + b).reshape(1, U1, J))
     np.tanh(z, out=z)
@@ -608,35 +578,30 @@ def joint_transducer(h_t, h_u, labels, lattice: tuple, res: losses.LossResult,
                      ps: ParamStore, label_smoothing: float) -> Node:
     """The transducer loss of `lattice`, the joint's (z, logprobs) on h_t, h_u,
     with ok kernel result `res`, plus label smoothing's uniform-KL term, as
-    one tape node.  The backward runs the numpy ops of the composed graph's
-    backward (log_softmax by `losses.smoothed`, the output layer, tanh, the
-    broadcast add, the two input projections) in the same order, so the
-    value and every gradient equal that graph's bit for bit, while only z,
-    the log-probs and the loss gradient's blank and label entries stay
-    alive until backward."""
+    one tape node.  Its backward runs the numpy ops of the composed graph's
+    (log_softmax by `losses.smoothed`, the output layer, tanh, the broadcast
+    add, the input projections), so value and gradients equal that graph's
+    bit for bit; only z, the log-probs and the loss gradient's blank and
+    label entries stay alive until backward."""
     z, lp = lattice
     value, dlogits = losses.smoothed(res, lp, label_smoothing, labels)
-    wt, wu, b, out_w, out_b = params = [ps.get(f"joint/{leaf}")
-                                        for leaf in JOINT_LEAVES]
-    out = Node(np.asarray(value), (h_t, h_u, *params), "joint_transducer")
 
-    def _bw(g):
-        dlog = dlogits(g)
-        ad._acc(out_b, dlog)
-        dz = dlog @ np.swapaxes(out_w.value, -1, -2)
-        ad._acc(out_w, np.swapaxes(z, -1, -2) @ dlog)
-        dz *= 1.0 - z * z  # tanh
-        T, U1, J = z.shape
-        dt = ad._unbroadcast(dz, (T, 1, J)).reshape(T, J)
-        ad._acc(h_t, dt @ np.swapaxes(wt.value, -1, -2))
-        ad._acc(wt, np.swapaxes(h_t.value, -1, -2) @ dt)
-        du = ad._unbroadcast(dz, (1, U1, J)).reshape(U1, J)
-        ad._acc(b, du)
-        ad._acc(h_u, du @ np.swapaxes(wu.value, -1, -2))
-        ad._acc(wu, np.swapaxes(h_u.value, -1, -2) @ du)
+    def fn(ht, hu, wt, wu, b, out_w, out_b):
+        def back(g):
+            dlog = dlogits(g)
+            dz = dlog @ np.swapaxes(out_w, -1, -2)
+            dz *= 1.0 - z * z  # tanh
+            T, U1, J = z.shape
+            dt = ad._unbroadcast(dz, (T, 1, J)).reshape(T, J)
+            du = ad._unbroadcast(dz, (1, U1, J)).reshape(U1, J)
+            return (dt @ np.swapaxes(wt, -1, -2), du @ np.swapaxes(wu, -1, -2),
+                    np.swapaxes(ht, -1, -2) @ dt, np.swapaxes(hu, -1, -2) @ du,
+                    du, np.swapaxes(z, -1, -2) @ dlog, dlog)
 
-    out._backward = _bw
-    return out
+        return np.asarray(value), back
+
+    return ad.vjp_node("joint_transducer", fn, h_t, h_u, *[
+        ps.get(f"joint/{leaf}") for leaf in JOINT_LEAVES])
 
 
 # ---------------------------------------------------------------------------
@@ -692,33 +657,27 @@ class ConformerTransducer:
         self.params = build_params(cfg, pmu, seed)
 
     def encode(self, x) -> tuple[Node, dict]:
-        """One utterance's top of the trunk and {head name: logits}, dropout
-        off."""
-        tops, heads = aencoder_forward([x], self.cfg, self.pmu, self.params,
-                                       RunCtx())
-        return tops[0], {name: logits[0] for name, logits in heads.items()}
+        """One utterance's top of the trunk and {head name: logits}."""
+        tops, heads = aencoder_forward([x], self.cfg, self.pmu, self.params, RunCtx())
+        return tops[0], heads[0]
 
     def prepare(self, xs: list, targets: list[dict], train: bool = False,
                 step: int = 0) -> list[ForwardOutputs]:
-        """Phases 1 and 2 of `train.train_step`: one stacked encoder over
-        the batch, then each utterance's forward on its rows (taps'
-        log-probs, label encoder, joint's (z, logprobs)), then one
-        `losses.ctc_losses` call over every (utterance, head) row and one
-        `losses.transducer_losses` call over every utterance."""
+        """Phases 1 and 2 of `train.train_step`: the batch's stacked encoder,
+        each utterance's forward on its rows (taps' log-probs, label encoder,
+        joint's (z, logprobs)), then one `losses.ctc_losses` call over every
+        (utterance, head) row and one `losses.transducer_losses` call."""
         specs = head_specs(self.pmu)
         y_trans = [_target(t, self.pmu.trans_units, "the transducer")
                    for t in targets]
         tops, heads = aencoder_forward(xs, self.cfg, self.pmu, self.params,
                                        RunCtx(train, self.seed, step))
         outs = []
-        for j, (top, y) in enumerate(zip(tops, y_trans)):
+        for top, logits, y in zip(tops, heads, y_trans):
             h_u = label_encoder_forward(y, self.params)
-            outs.append(ForwardOutputs(
-                top, {name: logits[j] for name, logits in heads.items()}, h_u,
-                {name: losses.log_softmax(logits[j].value)
-                 for name, logits in heads.items()},
-                joint(top.value @ self.params.get("joint/wt").value,
-                      h_u.value, self.params)))
+            outs.append(ForwardOutputs(top, logits, h_u, {
+                name: losses.log_softmax(z.value) for name, z in logits.items()},
+                joint(top.value @ self.params.get("joint/wt").value, h_u.value, self.params)))
         ctc = iter(losses.ctc_losses([
             (out.ctc_logprobs[s.name], _target(t, s.units, f"active head {s.name!r}"))
             for out, t in zip(outs, targets) for s in specs]))

@@ -3,17 +3,16 @@
 A `*_vjp` function computes on arrays and returns (value, back), where
 back(g) is a tuple of the gradients of its array inputs.  The fused nodes of
 `model` compose them, and `ad.vjp_node` makes one a tape node, as `linear`
-and `layer_norm` are.  Given `spans`, the (start, stop) rows of utterances
-stacked in the input, each product, column sum and convolution edge runs
-on one utterance's rows, as on that utterance alone, and a parameter's
-gradient is the list of the utterances' contributions.  `lstm_sequence` is
-a node with hand-written BPTT over `lstm_cell`, the one LSTM formula,
-which decode calls directly, off the tape.  Every backward rule is verified against finite differences.
+and `layer_norm` are.  Given `spans`, the (start, stop) rows of stacked
+utterances, products, column sums and convolution edges run per utterance,
+and a parameter's gradient is the list of the utterances' contributions.
+`lstm_sequence` is a node with hand-written BPTT over `lstm_cell`, which
+decode calls off the tape.  Every backward rule is checked by finite
+differences.
 """
 
 from __future__ import annotations
 
-import functools
 import zlib
 
 import numpy as np
@@ -27,27 +26,24 @@ LN_EPS = 1e-5
 
 
 def linear_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, spans=None):
-    """x @ w + b, with w shaped (in_dim, out_dim) and x (T, in_dim), on
-    arrays: (value, back), back(g) -> (dx, dw, db), db unsummed.  The
-    products take g C-ordered, as the tape's gradient buffer of a matmul
-    is."""
+    """x @ w + b, with w shaped (in_dim, out_dim), on arrays: (value, back),
+    back(g) -> (dx, dw, db), db unsummed.  Each product runs per span: a
+    stacked one rounds some rows otherwise, by shape and BLAS kernel.  The
+    products take g C-ordered, as the tape's gradient buffer of a matmul is."""
     if x.shape[-1] != w.shape[0]:
         raise ContractViolation(
             f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
     spans = spans or ((0, len(x)),)
 
+    def per_span(a, m):
+        return stack_rows([a[s:e] @ m for s, e in spans])
+
     def back(g):
         g = np.ascontiguousarray(g)
-        return (per_span(g, w.T, spans), [x[a:b].T @ g[a:b] for a, b in spans],
-                [g[a:b] for a, b in spans])
+        return (per_span(g, w.T), [x[s:e].T @ g[s:e] for s, e in spans],
+                [g[s:e] for s, e in spans])
 
-    return per_span(x, w, spans) + b, back
-
-
-def per_span(x: np.ndarray, w: np.ndarray, spans) -> np.ndarray:
-    """x @ w, one product per span of rows: a stacked product rounds some
-    rows otherwise, depending on the shapes and the BLAS kernel."""
-    return stack_rows([x[a:b] @ w for a, b in spans])
+    return per_span(x, w) + b, back
 
 
 def linear(x, w, b) -> Node:
@@ -59,22 +55,16 @@ def stack_rows(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def column_sums(a: np.ndarray, spans):
-    """The sum over rows of `a`, or with spans, each span's."""
-    a = a.reshape(-1, a.shape[-1])
-    return a.sum(axis=0) if spans is None else [a[s:e].sum(axis=0) for s, e in spans]
-
-
 def swish_vjp(a: np.ndarray):
     """x * sigmoid(x) on arrays: (value, back)."""
     s = 1.0 / (1.0 + np.exp(-a))
     return a * s, lambda g: (g * (s + a * s * (1.0 - s)),)
 
 
-def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   spans=None):
+def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, spans=None):
     """Normalize over the last axis, then scale and shift, on arrays:
-    (value, back), back(g) -> (dx, dgain, dbias)."""
+    (value, back), back(g) -> (dx, dgain, dbias), the parameters' gradients
+    summed over all rows or, given spans, over each span's."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ContractViolation(
@@ -85,12 +75,15 @@ def layer_norm_vjp(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
 
+    def sums(a):
+        a = a.reshape(-1, d)
+        return a.sum(axis=0) if spans is None else [a[s:e].sum(axis=0) for s, e in spans]
+
     def back(g):
         gg = g * gain
         m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
-        return ((gg - m1 - xhat * m2) * inv, column_sums(g * xhat, spans),
-                column_sums(g, spans))
+        return (gg - m1 - xhat * m2) * inv, sums(g * xhat), sums(g)
 
     return xhat * gain + bias, back
 
@@ -102,7 +95,8 @@ def layer_norm(x, gain, bias, spans=None) -> Node:
 
 def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray, spans=None):
     """Per-channel 1-D convolution with same padding, kernel (k, d) with k
-    odd, on arrays: (value, back), back(g) -> (dx, dkernel)."""
+    odd, on arrays: (value, back), back(g) -> (dx, dkernel).  Stacked
+    utterances run `pad` zero rows apart, each as if alone."""
     T, d = x.shape
     k, dk = kernel.shape
     if dk != d:
@@ -110,22 +104,26 @@ def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray, spans=None):
     if k % 2 == 0:
         raise ContractViolation(f"depthwise_conv1d: kernel size {k} must be odd")
     pad = (k - 1) // 2
-    # utterance i's rows start at row a + i * pad of the output, and of xp
-    # after `pad` zero rows, which pad both it and the utterance before
+    # utterance i's rows start at row o = a + i * pad of the output
     spans = [(a, b, a + i * pad) for i, (a, b) in enumerate(spans or ((0, T),))]
-    xp = np.zeros((T + (len(spans) + 1) * pad, d), dtype=x.dtype)
-    for a, b, o in spans:
-        xp[o + pad:o + pad + b - a] = x[a:b]
-    L = len(xp) - 2 * pad
-    y = np.zeros((L, d), dtype=x.dtype)
+    L = T + (len(spans) - 1) * pad
+
+    def gapped(rows):  # the output's layout, with `pad` zero rows each side
+        out = np.zeros((L + 2 * pad, d))
+        for a, b, o in spans:
+            out[o + pad:o + pad + b - a] = rows[a:b]
+        return out
+
+    def unpad(rows):
+        return stack_rows([rows[o:o + b - a] for a, b, o in spans])
+
+    xp = gapped(x)
+    y = np.zeros((L, d))
     for j in range(k):
         y += xp[j:j + L] * kernel[j]
 
     def back(g):
-        if len(spans) > 1:  # the utterances' gradients, `pad` zero rows apart
-            g, stacked = np.zeros_like(y), g
-            for a, b, o in spans:
-                g[o:o + b - a] = stacked[a:b]
+        g = gapped(g)[pad:pad + L]
         dxp = np.zeros_like(xp)
         for j in range(k):
             dxp[j:j + L] += g * kernel[j]
@@ -135,14 +133,10 @@ def depthwise_conv1d_vjp(x: np.ndarray, kernel: np.ndarray, spans=None):
         return unpad(dxp[pad:pad + L]), [dker[o:o + b - a].sum(axis=0)
                                          for a, b, o in spans]
 
-    def unpad(rows):
-        return stack_rows([rows[o:o + b - a] for a, b, o in spans])
-
     return unpad(y), back
 
 
-def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-               input_grad: bool = True):
+def conv2d_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, input_grad: bool = True):
     """2-D convolution with stride 2 and zero padding 1 on both spatial axes,
     x (H, W, Cin), w (kh, kw, Cin, Cout), bias b (Cout,), on arrays: (value,
     back), back(g) -> (dx, dw, db), dx None without `input_grad`.  Each
@@ -260,15 +254,12 @@ def dropout_mask(p: float, seed: int, step: int, site: str, shape: tuple):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-@functools.lru_cache(maxsize=1024)
 def sinusoid_positions(T: int, d: int) -> np.ndarray:
-    """Classic sin/cos absolute positional table, shape (T, d), read-only:
-    each (T, d) is computed once."""
+    """Classic sin/cos absolute positional table, shape (T, d)."""
     pos = np.arange(T, dtype=np.float64)[:, None]
     dim = np.arange(0, d, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, dim / d)
     pe = np.zeros((T, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2])
-    pe.flags.writeable = False
     return pe

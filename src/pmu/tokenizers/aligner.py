@@ -26,14 +26,6 @@ class AlignmentTable:
         return self.t_prob.get((letter, phoneme), 0.0)
 
 
-def _pairs(lexicon: Lexicon) -> list[tuple[list[str], list[str]]]:
-    out = []
-    for word in lexicon.entries:
-        pron = lexicon.first(word)
-        out.append((list(word.lower()), list(pron)))
-    return out
-
-
 def align_lexicon(lexicon: Lexicon, iterations: int) -> AlignmentTable:
     """Train the letter→phoneme table by EM.
 
@@ -47,7 +39,7 @@ def align_lexicon(lexicon: Lexicon, iterations: int) -> AlignmentTable:
     if len(lexicon) == 0:
         raise InputError("align_lexicon: empty lexicon")
 
-    pairs = _pairs(lexicon)
+    pairs = [(list(word.lower()), lexicon.first(word)) for word in lexicon.entries]
     cooc: dict[str, set] = defaultdict(set)
     for letters, phones in pairs:
         for e in letters:
@@ -79,12 +71,5 @@ def viterbi_align(table: AlignmentTable, letters, phonemes) -> list[int]:
     letters = list(letters)
     if not letters:
         raise InputError("viterbi_align: empty letter sequence")
-    out = []
-    for f in phonemes:
-        best_i, best_p = 0, table.prob(letters[0], f)
-        for i in range(1, len(letters)):
-            p = table.prob(letters[i], f)
-            if p > best_p:
-                best_i, best_p = i, p
-        out.append(best_i)
-    return out
+    return [max(range(len(letters)), key=lambda i: (table.prob(letters[i], f), -i))
+            for f in phonemes]

@@ -64,10 +64,7 @@ def train_bpe(corpus: Iterable[str], num_merges: int,
               word_end_marker: str = DEFAULT_MARKER) -> BpeModel:
     if num_merges < 0:
         raise InputError(f"num_merges must be >= 0, got {num_merges}")
-    word_freq: dict[str, int] = {}
-    for line in corpus:
-        for word in normalize_text(line).split():
-            word_freq[word] = word_freq.get(word, 0) + 1
+    word_freq = Counter(w for line in corpus for w in normalize_text(line).split())
     if not word_freq:
         raise InputError("train_bpe: empty corpus after normalization")
     if word_end_marker in "".join(word_freq):
@@ -86,12 +83,15 @@ def train_bpe(corpus: Iterable[str], num_merges: int,
         merges.append(best)
         words = [(_apply_merge(s, best), f) for s, f in words]
 
-    units = set(seed)
-    for a, b in merges:
-        units.add(a + b)
-    vocab = build_vocab(units, word_end_marker=word_end_marker)
-    return BpeModel(merges=merges, vocab=vocab, word_end_marker=word_end_marker,
-                    seed_chars=tuple(seed))
+    return _model(merges, seed, word_end_marker)
+
+
+def _model(merges: list[tuple[str, str]], seed, marker: str) -> BpeModel:
+    """The model of `merges` over the seed characters: its vocabulary holds
+    each seed character and each merge's result."""
+    units = {*seed, *(a + b for a, b in merges)}
+    return BpeModel(merges=merges, vocab=build_vocab(units, word_end_marker=marker),
+                    word_end_marker=marker, seed_chars=tuple(sorted(seed)))
 
 
 def segment_word(model: BpeModel, word: str) -> list[str]:
@@ -137,9 +137,4 @@ def load_bpe(path: str) -> BpeModel:
             raise FormatError(f"{path}:{lineno}: bad record {line!r}")
     if marker is None or not seed:
         raise FormatError(f"{path}: missing marker or seed characters")
-    units = set(seed)
-    for a, b in merges:
-        units.add(a + b)
-    vocab = build_vocab(units, word_end_marker=marker)
-    return BpeModel(merges=merges, vocab=vocab, word_end_marker=marker,
-                    seed_chars=tuple(sorted(seed)))
+    return _model(merges, seed, marker)

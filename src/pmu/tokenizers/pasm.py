@@ -55,9 +55,7 @@ def extract_pasm(table: AlignmentTable, lexicon: Lexicon, corpus: Iterable[str],
     if min_count < 0:
         raise InputError(f"min_count must be >= 0, got {min_count}")
 
-    word_freq: Counter = Counter()
-    for line in corpus:
-        word_freq.update(normalize_text(line).split())
+    word_freq = Counter(w for line in corpus for w in normalize_text(line).split())
     if not word_freq:
         raise InputError("extract_pasm: empty corpus after normalization")
 
@@ -76,16 +74,14 @@ def extract_pasm(table: AlignmentTable, lexicon: Lexicon, corpus: Iterable[str],
         for span in consistent_spans(w, alignment):
             mined[span] += f
 
+    inventory = {c: char_count[c] for c in chars}
     if target_size < len(chars):
-        inventory = {c: char_count[c] for c in chars}
         return _finish(inventory, status="char_fallback")
 
     multi = [(u, c) for u, c in mined.items()
              if len(u) > 1 and c >= max(min_count, 1)]
     multi.sort(key=lambda uc: (-uc[1], -len(uc[0]), uc[0]))
-    budget = target_size - len(chars)
-    inventory = {c: char_count[c] for c in chars}
-    for u, c in multi[:budget]:
+    for u, c in multi[:target_size - len(chars)]:
         inventory[u] = c
     return _finish(inventory, status="ok")
 

@@ -50,9 +50,6 @@ class Vocabulary:
                            units=units,
                            unk_count=sum(u not in self.id_of for u in units))
 
-    def unit(self, idx: int) -> str:
-        return self.units[idx]
-
 
 def vocab_from_units(units, word_end_marker: str | None = None,
                      source: str = "vocabulary") -> Vocabulary:
@@ -80,13 +77,8 @@ def build_vocab(units, extra_specials: tuple[str, ...] = (),
 def decode_units(vocab: Vocabulary, ids) -> str:
     """Ids back to text: units concatenated, word-end markers and the space
     special turned into spaces."""
-    parts = []
-    for i in ids:
-        u = vocab.unit(int(i))
-        if u == BLANK:
-            continue
-        parts.append(" " if u == SPACE else u)
-    text = "".join(parts)
+    units = [vocab.units[int(i)] for i in ids]
+    text = "".join(" " if u == SPACE else u for u in units if u != BLANK)
     if vocab.word_end_marker:
         text = text.replace(vocab.word_end_marker, " ")
     return " ".join(text.split())

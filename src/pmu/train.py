@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import os
-import sys
 import time
 from dataclasses import dataclass
 
@@ -61,10 +60,7 @@ class AdamState:
 def clip_gradients(ps: ParamStore, max_norm: float) -> float:
     """Scale the gradient arena so the global norm is at most max_norm;
     returns the pre-clip norm, summed per parameter in sorted order."""
-    total = 0.0
-    for _, node in ps.items():
-        total += float((node.grad * node.grad).sum())
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float((n.grad * n.grad).sum()) for _, n in ps.items()))
     if norm > max_norm and norm > 0.0:
         ps.grads *= max_norm / norm
     return norm
@@ -94,12 +90,11 @@ class Sample:
 
 def train_step(model: ConformerTransducer, batch: list[Sample],
                cfg: TrainConfig, opt: AdamState, step: int) -> tuple[LossBundle, dict]:
-    """One optimizer update in three phases: the batch's forward graph,
-    one batched CTC and one batched transducer kernel call (`model.prepare`),
-    then per utterance its objective (`model.loss`); one backward runs from
-    the sum of the objectives not skipped, each scaled to a mean.  The
-    utterances' parts of that graph run in batch order, so every gradient
-    adds as in one backward per utterance."""
+    """One optimizer update in three phases: the batch's stacked forward and
+    one batched call of each loss kernel (`model.prepare`), each utterance's
+    objective (`model.loss`), then one backward from the sum of those not
+    skipped, each scaled to a mean; every gradient adds as in one backward
+    per utterance, in batch order."""
     model.params.zero_grad()
     outs = model.prepare([s.features for s in batch], [s.targets for s in batch],
                          train=True, step=step)
@@ -363,8 +358,7 @@ def run_experiment(exp: Experiment, resume: str | None = None,
         if not quiet:
             rec = dict(log.entries[-1])
             rec["wall_ms"] = round(1000 * (time.time() - t_start), 1)
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")),
-                  file=sys.stdout)
+            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
         if step % tcfg.eval_every == 0 or step == tcfg.max_steps:
             hyps = decode_dataset(model, dev_utts, trans_tok.vocab,
                                   tcfg.max_symbols_per_frame)
@@ -372,7 +366,7 @@ def run_experiment(exp: Experiment, resume: str | None = None,
             log.add_eval(step, report)
             if not quiet:
                 print(json.dumps(log.entries[-1], sort_keys=True,
-                                 separators=(",", ":")), file=sys.stdout)
+                                 separators=(",", ":")))
             if report.wer < best_wer:
                 best_wer = report.wer
                 save_checkpoint(best_path, model, opt, step + 1,
