@@ -25,13 +25,6 @@ DEFAULT_DTYPE = np.float64
 _node_ids = itertools.count()
 
 
-def _asarray(x) -> np.ndarray:
-    a = np.asarray(x)
-    if a.dtype.kind != "f":
-        a = a.astype(DEFAULT_DTYPE)
-    return a
-
-
 def _combine(op: str, fn, a, b) -> np.ndarray:
     try:
         return fn(a.value, b.value)
@@ -47,7 +40,8 @@ class Node:
 
     def __init__(self, value, parents: tuple = (), op: str = "leaf"):
         self.id = next(_node_ids)
-        self.value = _asarray(value)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.op = op
@@ -101,9 +95,7 @@ def backward(root: Node):
     if root.value.size != 1:
         raise ContractViolation(
             f"backward: root must be scalar, got shape {root.value.shape}")
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:

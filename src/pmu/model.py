@@ -504,13 +504,12 @@ def aencoder_forward(xs, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
         utts = [ad.rows(h, a, b) for a, b in ctx.spans] if len(xs) > 1 else [h]
         for spec in specs:
             if (spec.tap or e.num_layers) == i + 1:
-                views = stores[spec.name]
-                for hd, u, v in zip(heads, utts, views):
+                for hd, u, v in zip(heads, utts, stores[spec.name]):
                     hd[spec.name] = ctc_head(u, v, spec.name)
                 if spec.sc:
                     utts = [self_condition(u, ad.softmax(hd[spec.name]),
                                            v.get(f"{spec.sc}/w"), v.get(f"{spec.sc}/b"))
-                            for u, hd, v in zip(utts, heads, views)]
+                            for u, hd, v in zip(utts, heads, stores[spec.name])]
                     h = ad.vjp_node("stack", lambda *hs: (nn.stack_rows(hs), lambda g: [
                         g[a:b] for a, b in ctx.spans]), *utts)
     return utts, heads
@@ -518,12 +517,12 @@ def aencoder_forward(xs, cfg: ModelConfig, pmu: PMUConfig, ps: ParamStore,
 
 def _head_stores(ps: ParamStore, specs: list, n: int) -> dict:
     """{head name: the store each of n utterances' tap and projection read}.
-    A shared parameter must get its two gradients per utterance as that
-    utterance's own backward adds them, the sharer's first: the sharer reads
-    stand-ins, and the owner nodes that add a stand-in's gradient first."""
+    A shared parameter must get its two gradients per utterance as one
+    utterance's backward adds them, the sharer's first: in a batch, the sharer
+    reads stand-ins, and the owner nodes that add a stand-in's gradient first."""
     stores = {spec.name: [ps] * n for spec in specs}
     for spec in specs:
-        if spec.shares:
+        if spec.shares and n > 1:
             owner = next(s for s in specs if s.name == spec.shares)
             pairs = [(f"{own}/{leaf}", f"{theirs}/{leaf}") for own, theirs in (
                 (f"tap/{owner.name}", f"tap/{spec.name}"), (owner.sc, spec.sc))
@@ -552,8 +551,9 @@ def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
 def label_encoder_step(token: int, state, ps: ParamStore):
     """Consume one label off the tape: embed it and advance the LSTM from
     `state`, an (h, c) pair of (1, d) arrays.  Returns the new (h, c)."""
-    return nn.lstm_cell(ps.get("lab/embed").value[[token]], *state, *(
-        ps.get(f"lab/lstm/{leaf}").value for leaf in ("wx", "wh", "b")))[:2]
+    return nn.lstm_cell(ps.get("lab/embed").value[[token]], *state,
+                        ps.get("lab/lstm/wx").value, ps.get("lab/lstm/wh").value,
+                        ps.get("lab/lstm/b").value)[:2]
 
 
 JOINT_LEAVES = ("wt", "wu", "b", "out_w", "out_b")  # the joint's parameters
@@ -668,8 +668,7 @@ class ConformerTransducer:
         joint's (z, logprobs)), then one `losses.ctc_losses` call over every
         (utterance, head) row and one `losses.transducer_losses` call."""
         specs = head_specs(self.pmu)
-        y_trans = [_target(t, self.pmu.trans_units, "the transducer")
-                   for t in targets]
+        y_trans = [_target(t, self.pmu.trans_units, "the transducer") for t in targets]
         tops, heads = aencoder_forward(xs, self.cfg, self.pmu, self.params,
                                        RunCtx(train, self.seed, step))
         outs = []

@@ -13,6 +13,7 @@ differences.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -36,7 +37,7 @@ def linear_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, spans=None):
     spans = spans or ((0, len(x)),)
 
     def per_span(a, m):
-        return stack_rows([a[s:e] @ m for s, e in spans])
+        return a @ m if len(spans) == 1 else np.concatenate([a[s:e] @ m for s, e in spans])
 
     def back(g):
         g = np.ascontiguousarray(g)
@@ -255,11 +256,19 @@ def dropout_mask(p: float, seed: int, step: int, site: str, shape: tuple):
 
 
 def sinusoid_positions(T: int, d: int) -> np.ndarray:
-    """Classic sin/cos absolute positional table, shape (T, d)."""
+    """Classic sin/cos absolute positional table, shape (T, d), read-only.
+    Each entry depends on its own position alone, so this is the first T
+    rows of a table computed once for T rounded up to a power of two."""
+    return _position_table(1 << (max(T, 64) - 1).bit_length(), d)[:T]
+
+
+@functools.lru_cache(maxsize=8)
+def _position_table(T: int, d: int) -> np.ndarray:
     pos = np.arange(T, dtype=np.float64)[:, None]
     dim = np.arange(0, d, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, dim / d)
     pe = np.zeros((T, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2])
+    pe.flags.writeable = False
     return pe

@@ -220,6 +220,18 @@ def loop_depthwise_conv1d_vjp(x, kernel):
     return y, back
 
 
+def table_positions(T, d):
+    """The sinusoidal table of exactly T rows: the reference whose values
+    `nn.sinusoid_positions`, a prefix of a longer table, equals."""
+    pos = np.arange(T, dtype=np.float64)[:, None]
+    dim = np.arange(0, d, 2, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, dim / d)
+    pe = np.zeros((T, d))
+    pe[:, 0::2] = np.sin(angle)
+    pe[:, 1::2] = np.cos(angle[:, : d // 2])
+    return pe
+
+
 def mean_layer_norm_vjp(x, gain, bias):
     """`nn.layer_norm_vjp` with its means taken by np.mean: the reference
     it equals bit for bit."""

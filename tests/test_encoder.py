@@ -30,6 +30,7 @@ from tape_ops import (
     einsum_conv2d_vjp,
     loop_depthwise_conv1d_vjp,
     mean_layer_norm_vjp,
+    table_positions,
     tape_mul,
     tape_sum,
 )
@@ -172,6 +173,18 @@ def test_stacked_depthwise_conv_equals_each_utterance_alone(lengths, k):
         for got, ref in zip((value[a:b], dx[a:b], dker), (want, *want_back(g[a:b]))):
             assert np.array_equal(got, ref) and np.array_equal(
                 np.signbit(got), np.signbit(ref)), (a, b)
+
+
+@pytest.mark.parametrize("d", [4, 32, 36, 64])
+def test_positions_equal_the_table_of_T_rows(d):
+    """Each table `nn.sinusoid_positions` returns, a prefix of one computed
+    for more rows, equals the table computed for its T rows alone (equal
+    entries and signs) and cannot be written to."""
+    for T in (1, 2, 23, 63, 64, 65, 160, 700):
+        got, want = nn.sinusoid_positions(T, d), table_positions(T, d)
+        assert np.array_equal(got, want), T
+        assert np.array_equal(np.signbit(got), np.signbit(want)), T
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("site,width", [
