@@ -95,15 +95,21 @@ def backward(root: Node):
     if root.value.size != 1:
         raise ContractViolation(
             f"backward: root must be scalar, got shape {root.value.shape}")
-    order, seen, stack = [], set(), [(root, False)]
+    order: list[Node] = []
+    seen: set[int] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
-        elif node.id not in seen:
-            seen.add(node.id)
-            stack.append((node, True))
-            stack.extend((p, False) for p in node.parents if p.id not in seen)
+            continue
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        stack.append((node, True))
+        for p in node.parents:
+            if p.id not in seen:
+                stack.append((p, False))
     _acc(root, np.ones_like(root.value))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:

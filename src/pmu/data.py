@@ -93,7 +93,8 @@ def load_manifest(path: str, with_features: bool = True) -> list[Utterance]:
         if not os.path.isabs(feat_path):
             feat_path = os.path.join(base, feat_path)
         feats = load_features(feat_path) if with_features else None
-        utts.append(Utterance(utt_id, feats, transcript))
+        utts.append(Utterance(id=utt_id, features=feats,
+                              transcript=transcript))
     if not utts:
         raise InputError(f"{path}: empty manifest")
     return utts

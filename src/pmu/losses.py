@@ -152,7 +152,13 @@ def ctc_loss(emissions: np.ndarray, labels) -> LossResult:
 
 def collapse(path, blank: int) -> tuple:
     """CTC's many-to-one map: merge adjacent repeats, then delete blanks."""
-    return tuple(s for s, _ in itertools.groupby(path) if s != blank)
+    out = []
+    prev = None
+    for symbol in path:
+        if symbol != prev and symbol != blank:
+            out.append(symbol)
+        prev = symbol
+    return tuple(out)
 
 
 def ctc_brute_force(emissions: np.ndarray, labels) -> float:
@@ -167,7 +173,10 @@ def ctc_brute_force(emissions: np.ndarray, labels) -> float:
     for path in itertools.product(range(V), repeat=T):
         if collapse(path, 0) != target:
             continue
-        total += math.prod(math.exp(lp[t, s]) for t, s in enumerate(path))
+        p = 1.0
+        for t, s in enumerate(path):
+            p *= math.exp(lp[t, s])
+        total += p
     return math.inf if total == 0.0 else -math.log(total)
 
 

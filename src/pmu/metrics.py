@@ -74,7 +74,9 @@ def wer(ref_text: str, hyp_text: str) -> WerReport:
 def wer_corpus(pairs) -> WerReport:
     """Aggregate WER over (ref, hyp) text pairs: summed counts over summed
     reference length."""
-    total = sum((wer(ref, hyp) for ref, hyp in pairs), WerReport())
+    total = WerReport()
+    for ref, hyp in pairs:
+        total = total + wer(ref, hyp)
     if total.ref_words == 0:
         total.undefined = True
     return total

@@ -278,11 +278,10 @@ class RunCtx:
     """Per-forward switches: dropout only fires when train is set.  `spans`,
     set by `_subsample`, are the utterances' (start, stop) rows of the stack.
     A site's mask, a pure function of (seed, step, site), is drawn once at
-    `rows` rows or more; an utterance of T rows takes its first T rows."""
+    the longest utterance's rows; an utterance of T rows takes its first T."""
     train: bool = False
     seed: int = 0
     step: int = 0
-    rows: int = 0
     spans: tuple = ()
     masks: dict = field(default_factory=dict)
 
@@ -293,7 +292,7 @@ class RunCtx:
         lengths = [b - a for a, b in self.spans] or [shape[0]]
         if len(self.masks.get(site, ())) < max(lengths):
             self.masks[site] = nn.dropout_mask(
-                p, self.seed, self.step, site, (max(self.rows, *lengths), shape[1]))
+                p, self.seed, self.step, site, (max(lengths), shape[1]))
         return nn.stack_rows([self.masks[site][:n] for n in lengths])
 
 
@@ -309,13 +308,15 @@ def _ff(y, w1, b1, w2, b2, mask, heads, spans):
     """Half-step feed-forward: 0.5 * drop(W2 drop(swish(W1 y)))."""
     s, lin1 = nn.linear_vjp(y, w1, b1, spans)
     s, swish = nn.swish_vjp(s)
-    l, lin2 = nn.linear_vjp(_drop(s, mask("d1", s.shape)), w2, b2, spans)
+    m1 = mask("d1", s.shape)
+    l, lin2 = nn.linear_vjp(_drop(s, m1), w2, b2, spans)
+    m2 = mask("d2", l.shape)
 
     def back(g):
-        ds, dw2, db2 = lin2(_drop(g * 0.5, mask("d2", g.shape)))
-        return (*lin1(swish(_drop(ds, mask("d1", ds.shape)))[0]), dw2, db2)
+        ds, dw2, db2 = lin2(_drop(g * 0.5, m2))
+        return (*lin1(swish(_drop(ds, m1))[0]), dw2, db2)
 
-    return _drop(l, mask("d2", l.shape)) * 0.5, back
+    return _drop(l, m2) * 0.5, back
 
 
 def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
@@ -334,9 +335,10 @@ def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
         ctx.append((attn @ vh).transpose(1, 0, 2).reshape(b - a, d))
         cores.append((qh, kh, vh, attn, softmax))
     l, lo = nn.linear_vjp(nn.stack_rows(ctx), wo, bo, spans)
+    m = mask("d", l.shape)
 
     def back(g):
-        do, dwo, dbo = lo(_drop(g, mask("d", g.shape)))
+        do, dwo, dbo = lo(_drop(g, m))
         dq, dk, dv = (np.empty_like(do) for _ in range(3))
         for (a, b), (qh, kh, vh, attn, softmax) in zip(spans, cores):
             dctx = np.ascontiguousarray(
@@ -352,7 +354,7 @@ def _mhsa(y, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, spans):
         dy += grads[2][0]  # as the composed graph adds them: q's, k's, then v's
         return (dy, *(gp for gr in grads for gp in gr[1:]), dwo, dbo)
 
-    return _drop(l, mask("d", l.shape)), back
+    return _drop(l, m), back
 
 
 def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads, spans):
@@ -365,15 +367,16 @@ def _conv(y, w1, b1, dw_k, ln2_g, ln2_b, w2, b2, mask, heads, spans):
     u, ln2 = nn.layer_norm_vjp(u, ln2_g, ln2_b, spans)
     u, swish = nn.swish_vjp(u)
     l, lin2 = nn.linear_vjp(u, w2, b2, spans)
+    m = mask("d", l.shape)
 
     def back(g):
-        du, dw2, db2 = lin2(_drop(g, mask("d", g.shape)))
+        du, dw2, db2 = lin2(_drop(g, m))
         du, dg2, dbeta2 = ln2(swish(du)[0])
         du, dk = dwconv(du)
         dy, dw1, db1 = lin1(np.concatenate([du * sg, du * a * sg * (1.0 - sg)], 1))
         return dy, dw1, db1, dk, dg2, dbeta2, dw2, db2
 
-    return _drop(l, mask("d", l.shape)), back
+    return _drop(l, m), back
 
 
 _FF = (_ff, ("w1", "b1", "w2", "b2"))
@@ -551,9 +554,11 @@ def label_encoder_forward(y_prefix, ps: ParamStore) -> Node:
 def label_encoder_step(token: int, state, ps: ParamStore):
     """Consume one label off the tape: embed it and advance the LSTM from
     `state`, an (h, c) pair of (1, d) arrays.  Returns the new (h, c)."""
-    return nn.lstm_cell(ps.get("lab/embed").value[[token]], *state,
-                        ps.get("lab/lstm/wx").value, ps.get("lab/lstm/wh").value,
-                        ps.get("lab/lstm/b").value)[:2]
+    h, c, *_ = nn.lstm_cell(ps.get("lab/embed").value[[token]], *state,
+                            ps.get("lab/lstm/wx").value,
+                            ps.get("lab/lstm/wh").value,
+                            ps.get("lab/lstm/b").value)
+    return h, c
 
 
 JOINT_LEAVES = ("wt", "wu", "b", "out_w", "out_b")  # the joint's parameters
@@ -565,7 +570,8 @@ def joint(ht_wt, h_u, ps: ParamStore):
     given the frames' projection ht_wt = h_t @ joint/wt.  Returns (z,
     logprobs), shaped (T, U+1, J) and (T, U+1, V); training's
     `joint_transducer` and greedy decode both call it."""
-    wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value for leaf in JOINT_LEAVES[1:])
+    wu, b, out_w, out_b = (ps.get(f"joint/{leaf}").value
+                           for leaf in JOINT_LEAVES[1:])
     T, U1, J = ht_wt.shape[0], h_u.shape[0], b.shape[0]
     z = np.add(ht_wt.reshape(T, 1, J), (h_u @ wu + b).reshape(1, U1, J))
     np.tanh(z, out=z)
@@ -578,11 +584,11 @@ def joint_transducer(h_t, h_u, labels, lattice: tuple, res: losses.LossResult,
                      ps: ParamStore, label_smoothing: float) -> Node:
     """The transducer loss of `lattice`, the joint's (z, logprobs) on h_t, h_u,
     with ok kernel result `res`, plus label smoothing's uniform-KL term, as
-    one tape node.  Its backward runs the numpy ops of the composed graph's
-    (log_softmax by `losses.smoothed`, the output layer, tanh, the broadcast
-    add, the input projections), so value and gradients equal that graph's
-    bit for bit; only z, the log-probs and the loss gradient's blank and
-    label entries stay alive until backward."""
+    one tape node.  The backward runs the numpy ops of the composed graph's
+    backward (log_softmax by `losses.smoothed`, the output layer, tanh, the
+    broadcast add, the two input projections), so the value and every
+    gradient equal that graph's bit for bit, while only z, the log-probs and
+    the loss gradient's blank and label entries stay alive until backward."""
     z, lp = lattice
     value, dlogits = losses.smoothed(res, lp, label_smoothing, labels)
 
@@ -668,7 +674,8 @@ class ConformerTransducer:
         joint's (z, logprobs)), then one `losses.ctc_losses` call over every
         (utterance, head) row and one `losses.transducer_losses` call."""
         specs = head_specs(self.pmu)
-        y_trans = [_target(t, self.pmu.trans_units, "the transducer") for t in targets]
+        y_trans = [_target(t, self.pmu.trans_units, "the transducer")
+                   for t in targets]
         tops, heads = aencoder_forward(xs, self.cfg, self.pmu, self.params,
                                        RunCtx(train, self.seed, step))
         outs = []

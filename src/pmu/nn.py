@@ -6,9 +6,9 @@ back(g) is a tuple of the gradients of its array inputs.  The fused nodes of
 and `layer_norm` are.  Given `spans`, the (start, stop) rows of stacked
 utterances, products, column sums and convolution edges run per utterance,
 and a parameter's gradient is the list of the utterances' contributions.
-`lstm_sequence` is a node with hand-written BPTT over `lstm_cell`, which
-decode calls off the tape.  Every backward rule is checked by finite
-differences.
+`lstm_sequence` is a node with hand-written BPTT over `lstm_cell`, the one
+LSTM formula, which decode calls directly, off the tape.  Every backward
+rule is verified against finite differences.
 """
 
 from __future__ import annotations

@@ -113,9 +113,11 @@ def synth_toy_dataset(spec: ToySpec, seed: int) -> tuple[list[Utterance], Lexico
         for w in chosen:
             if segments and spec.gap_max > 0:
                 gap = int(rng.integers(spec.gap_min, spec.gap_max + 1))
-                segments.append(np.zeros((gap, spec.feature_dim)))
+                if gap:
+                    segments.append(np.zeros((gap, spec.feature_dim)))
             dur = int(rng.integers(spec.frames_min, spec.frames_max + 1))
-            segments.append(np.tile(stencils[w], (dur, 1)))
+            seg = np.tile(stencils[w], (dur, 1))
+            segments.append(seg)
         feats = np.concatenate(segments, axis=0)
         if spec.noise_sigma > 0:
             feats = feats + spec.noise_sigma * rng.normal(size=feats.shape)

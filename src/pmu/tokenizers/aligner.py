@@ -71,5 +71,12 @@ def viterbi_align(table: AlignmentTable, letters, phonemes) -> list[int]:
     letters = list(letters)
     if not letters:
         raise InputError("viterbi_align: empty letter sequence")
-    return [max(range(len(letters)), key=lambda i: (table.prob(letters[i], f), -i))
-            for f in phonemes]
+    out = []
+    for f in phonemes:
+        best_i, best_p = 0, table.prob(letters[0], f)
+        for i in range(1, len(letters)):
+            p = table.prob(letters[i], f)
+            if p > best_p:
+                best_i, best_p = i, p
+        out.append(best_i)
+    return out

@@ -64,7 +64,10 @@ def train_bpe(corpus: Iterable[str], num_merges: int,
               word_end_marker: str = DEFAULT_MARKER) -> BpeModel:
     if num_merges < 0:
         raise InputError(f"num_merges must be >= 0, got {num_merges}")
-    word_freq = Counter(w for line in corpus for w in normalize_text(line).split())
+    word_freq: dict[str, int] = {}
+    for line in corpus:
+        for word in normalize_text(line).split():
+            word_freq[word] = word_freq.get(word, 0) + 1
     if not word_freq:
         raise InputError("train_bpe: empty corpus after normalization")
     if word_end_marker in "".join(word_freq):

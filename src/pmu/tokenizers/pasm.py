@@ -55,7 +55,9 @@ def extract_pasm(table: AlignmentTable, lexicon: Lexicon, corpus: Iterable[str],
     if min_count < 0:
         raise InputError(f"min_count must be >= 0, got {min_count}")
 
-    word_freq = Counter(w for line in corpus for w in normalize_text(line).split())
+    word_freq: Counter = Counter()
+    for line in corpus:
+        word_freq.update(normalize_text(line).split())
     if not word_freq:
         raise InputError("extract_pasm: empty corpus after normalization")
 
@@ -74,14 +76,16 @@ def extract_pasm(table: AlignmentTable, lexicon: Lexicon, corpus: Iterable[str],
         for span in consistent_spans(w, alignment):
             mined[span] += f
 
-    inventory = {c: char_count[c] for c in chars}
     if target_size < len(chars):
+        inventory = {c: char_count[c] for c in chars}
         return _finish(inventory, status="char_fallback")
 
     multi = [(u, c) for u, c in mined.items()
              if len(u) > 1 and c >= max(min_count, 1)]
     multi.sort(key=lambda uc: (-uc[1], -len(uc[0]), uc[0]))
-    for u, c in multi[:target_size - len(chars)]:
+    budget = target_size - len(chars)
+    inventory = {c: char_count[c] for c in chars}
+    for u, c in multi[:budget]:
         inventory[u] = c
     return _finish(inventory, status="ok")
 
@@ -93,11 +97,9 @@ def _finish(inventory: dict[str, int], status: str) -> PasmModel:
 
 def train_pasm(corpus: Iterable[str], lexicon: Lexicon, iterations: int,
                min_count: int, target_size: int) -> PasmModel:
-    """Aligner training and unit extraction in one call.  The corpus is
-    materialized because both stages scan it."""
-    lines = list(corpus)
+    """Aligner training on the lexicon, then unit extraction over the corpus."""
     table = align_lexicon(lexicon, iterations)
-    return extract_pasm(table, lexicon, lines, min_count, target_size)
+    return extract_pasm(table, lexicon, corpus, min_count, target_size)
 
 
 def segment_word(model: PasmModel, word: str) -> list[str]:

@@ -77,8 +77,13 @@ def build_vocab(units, extra_specials: tuple[str, ...] = (),
 def decode_units(vocab: Vocabulary, ids) -> str:
     """Ids back to text: units concatenated, word-end markers and the space
     special turned into spaces."""
-    units = [vocab.units[int(i)] for i in ids]
-    text = "".join(" " if u == SPACE else u for u in units if u != BLANK)
+    parts = []
+    for i in ids:
+        u = vocab.units[int(i)]
+        if u == BLANK:
+            continue
+        parts.append(" " if u == SPACE else u)
+    text = "".join(parts)
     if vocab.word_end_marker:
         text = text.replace(vocab.word_end_marker, " ")
     return " ".join(text.split())

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -60,7 +61,10 @@ class AdamState:
 def clip_gradients(ps: ParamStore, max_norm: float) -> float:
     """Scale the gradient arena so the global norm is at most max_norm;
     returns the pre-clip norm, summed per parameter in sorted order."""
-    norm = math.sqrt(sum(float((n.grad * n.grad).sum()) for _, n in ps.items()))
+    total = 0.0
+    for _, node in ps.items():
+        total += float((node.grad * node.grad).sum())
+    norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         ps.grads *= max_norm / norm
     return norm
@@ -358,7 +362,8 @@ def run_experiment(exp: Experiment, resume: str | None = None,
         if not quiet:
             rec = dict(log.entries[-1])
             rec["wall_ms"] = round(1000 * (time.time() - t_start), 1)
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            print(json.dumps(rec, sort_keys=True, separators=(",", ":")),
+                  file=sys.stdout)
         if step % tcfg.eval_every == 0 or step == tcfg.max_steps:
             hyps = decode_dataset(model, dev_utts, trans_tok.vocab,
                                   tcfg.max_symbols_per_frame)
@@ -366,7 +371,7 @@ def run_experiment(exp: Experiment, resume: str | None = None,
             log.add_eval(step, report)
             if not quiet:
                 print(json.dumps(log.entries[-1], sort_keys=True,
-                                 separators=(",", ":")))
+                                 separators=(",", ":")), file=sys.stdout)
             if report.wer < best_wer:
                 best_wer = report.wer
                 save_checkpoint(best_path, model, opt, step + 1,

@@ -92,7 +92,7 @@ def test_module_equals_the_composed_graph_bit_for_bit(module, train, T,
     not 1, with the input also feeding another consumer."""
     cfg, ps, rng = desk_case(heads, seed=T + heads)
     h, w, ext = (rng.normal(size=(T, 32)) for _ in range(3))
-    ctx = RunCtx(train=train, seed=5, step=3, rows=T + 7)
+    ctx = RunCtx(train=train, seed=5, step=3)
     fused = run(lambda x: conformer_module(x, ps, "enc/l00", module,
                                            cfg.encoder, ctx), h, ps, w, ext)
     composed = run(lambda x: composed_module(x, ps, "enc/l00", module,
@@ -108,7 +108,7 @@ def test_subsampling_equals_the_composed_graph_bit_for_bit(train, T):
     cfg, ps, rng = desk_case(2, seed=T)
     frames = 4 * T - 1  # ceil(frames / 4) == T
     x, w = rng.normal(size=(frames, 16)), rng.normal(size=(T, 32))
-    ctx = RunCtx(train=train, seed=5, step=3, rows=T + 7)
+    ctx = RunCtx(train=train, seed=5, step=3)
     fused = run(lambda f: _subsample([f], cfg, ps, ctx), x, ps, w, None)
     composed = run(lambda f: composed_subsample(f, cfg, ps, ctx), x, ps, w,
                    None)
@@ -192,16 +192,14 @@ def test_positions_equal_the_table_of_T_rows(d):
     ("enc/l01/mhsa/d", 32), ("enc/l01/conv/d", 32)])
 def test_mask_of_T_rows_is_the_prefix_of_a_longer_one(site, width):
     """For each site kind, the mask a context draws for T rows is the first
-    T rows of the site's mask at 199 rows, whether the context was sized
-    for its batch, drew for T alone, or grows after a shorter draw."""
+    T rows of the site's mask at 199 rows, whether the context drew for T
+    alone or grows after a shorter draw."""
     longest = RunCtx(train=True, seed=3, step=7).mask(0.1, site, (199, width))
     assert 0 < (longest == 0).sum() < longest.size
-    sized = RunCtx(train=True, seed=3, step=7, rows=199)
     growing = RunCtx(train=True, seed=3, step=7)
     for T in (1, 2, 23, 160, 198):
         alone = RunCtx(train=True, seed=3, step=7).mask(0.1, site, (T, width))
-        for mask in (alone, sized.mask(0.1, site, (T, width)),
-                     growing.mask(0.1, site, (T, width))):
+        for mask in (alone, growing.mask(0.1, site, (T, width))):
             assert np.array_equal(mask, longest[:T]), T
     assert RunCtx(train=False).mask(0.1, site, (5, width)) is None
 
